@@ -20,6 +20,7 @@ from .errors import (
     IllegalPermutationError,
     InconsistencyError,
     ShapeMismatchError,
+    SingularMatrixError,
 )
 from .linalg import COMPLEX, DEFAULT_TOL, REAL, adjoint, spectral_norm
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
@@ -201,12 +202,26 @@ def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
 def evert(t: FrameTuple) -> FrameTuple:
     """The dual frame: each component becomes the orthocomplement of the sum
     of all the others.  Involutive on valid frames, identity on orthogonal
-    ones, and for line frames it produces the dual basis lines."""
+    ones, and for line frames it produces the dual basis lines.
+
+    With M the stacked basis, ``inv(M)^H`` is the dual basis: its block i is
+    orthogonal to every block j != i of M, so it spans exactly that
+    orthocomplement.
+
+    Raises ``SingularMatrixError`` when the components are dependent or
+    their bases hold non-finite entries.
+    """
+    try:
+        dual = adjoint(np.linalg.inv(t.stacked_basis()))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("components are dependent; the frame has no dual") from exc
+    if not np.all(np.isfinite(dual)):
+        raise SingularMatrixError("the stacked basis has no finite inverse")
     new_components = []
-    for i in range(len(t)):
-        others = [c for j, c in enumerate(t.components) if j != i]
-        rest = _sum_components(others, t.ambient, t.field)
-        new_components.append(rest.orthocomplement())
+    start = 0
+    for c in t.components:
+        new_components.append(Subspace.from_columns(dual[:, start : start + c.dim]))
+        start += c.dim
     return FrameTuple(new_components, t.orthogonal)
 
 

@@ -3,9 +3,10 @@
 A semilinear map is an invertible matrix together with a field automorphism
 tag (identity or conjugation).  Beyond the pointwise action this module
 provides: scale-equivalence (the "same map up to a global scalar" relation),
-the plane-projection construction used to transport lines, the polar-based
-transform that moves eversion past an induced map, and the reconstruction of
-a hidden map from its action on lines alone.
+the plane-projection construction used to transport lines, the transform that
+moves eversion past an induced map (the contragredient ``inv(T)^H``, which is
+U P^{-1} for the polar factors T = U P), and the reconstruction of a hidden
+map from its action on lines alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .linalg import (
     adjoint,
     as_matrix,
     field_of,
-    polar_decompose,
     spectral_norm,
 )
 from .subspaces import Subspace
@@ -191,15 +191,13 @@ def line_projection_construct(
 
 
 def evert_conjugate(t: SemilinearMap, tol: float = DEFAULT_TOL) -> SemilinearMap:
-    """The map that plays t's role on the everted side: U P^{-1} for t = U P.
+    """The map that plays t's role on the everted side: U P^{-1} for t = U P,
+    which is the contragredient ``inv(t)^H``.
 
     Pushing a frame through this map and everting gives the same frame as
     everting first and pushing through t.
     """
-    factors = polar_decompose(t.matrix, tol)
-    inv_positive = np.linalg.inv(factors.positive)
-    inv_positive = 0.5 * (inv_positive + adjoint(inv_positive))
-    return SemilinearMap(factors.unitary @ inv_positive, t.automorphism, tol)
+    return SemilinearMap(adjoint(np.linalg.inv(t.matrix)), t.automorphism, tol)
 
 
 def random_semilinear(

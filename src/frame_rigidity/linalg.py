@@ -134,10 +134,8 @@ class PolarFactors:
 def polar_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
     """Factor an invertible square matrix as unitary times positive Hermitian.
 
-    Uses the Newton iteration ``X <- (X + X^{-H}) / 2`` started from the
-    (rescaled) input, which converges quadratically to the unitary factor;
-    no eigensolver is involved.  Iteration stops once successive iterates
-    differ by at most ``tol`` in Frobenius norm.
+    From one SVD ``m = W S V^H``: the unitary factor is ``W V^H`` and the
+    positive one ``V S V^H``.
 
     Raises ``SingularMatrixError`` when the smallest singular value is
     <= ``tol`` times the largest.
@@ -145,21 +143,9 @@ def polar_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("polar decomposition needs a square matrix")
-    s = np.linalg.svd(a, compute_uv=False)
+    w, s, vh = np.linalg.svd(a)
     if s[-1] <= tol * s[0]:
         raise SingularMatrixError("matrix is singular at the working tolerance")
-    # rescaling by a positive scalar leaves the unitary factor unchanged and
-    # speeds up the first Newton steps
-    x = a / s[0]
-    for _ in range(100):
-        x_next = 0.5 * (x + adjoint(np.linalg.inv(x)))
-        delta = np.linalg.norm(x_next - x)
-        x = x_next
-        if delta <= tol:
-            break
-    else:
-        raise SingularMatrixError("polar iteration failed to converge")
-    u = x
-    p = adjoint(u) @ a
+    p = (adjoint(vh) * s) @ vh
     p = 0.5 * (p + adjoint(p))
-    return PolarFactors(unitary=u, positive=p)
+    return PolarFactors(unitary=w @ vh, positive=p)

@@ -64,6 +64,11 @@ from .subspaces import (
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
 
+# largest accepted base tolerance: sampled frames and maps may have condition
+# numbers up to 1e3, so above 1e-3 the rank decisions start to call sampled
+# inputs singular and trials raise instead of reaching a verdict
+MAX_TOL = 1e-3
+
 # suites whose underlying statements need at least three dimensions
 _MIN_AMBIENT_THREE = frozenset(
     {"clr", "clr-bis", "pfr-perp", "pfr", "reconstruction", "falsify"}
@@ -97,8 +102,8 @@ class SuiteConfig:
             raise ConfigError(f"trials must be a positive integer, got {self.trials}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol <= MAX_TOL:
+            raise ConfigError(f"tol must be in (0, {MAX_TOL:g}], got {self.tol}")
 
     def echo(self) -> dict:
         return {
@@ -721,7 +726,6 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
             min_rate=0.95,
         ),
         _Property("zero-distortion-control", _falsify_control, record_rate=True),
-        _Property("rejects-distorted-oracle", _reconstruction_rejects_distortion),
     ),
 }
 

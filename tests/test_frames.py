@@ -7,6 +7,7 @@ from frame_rigidity.errors import (
     FieldMismatchError,
     IllegalPermutationError,
     ShapeMismatchError,
+    SingularMatrixError,
 )
 from frame_rigidity.frames import (
     FrameTuple,
@@ -19,11 +20,12 @@ from frame_rigidity.frames import (
     refine_map,
     validate,
 )
-from frame_rigidity.linalg import COMPLEX, REAL
+from frame_rigidity.linalg import COMPLEX, REAL, spectral_norm
 from frame_rigidity.partitions import (
     IntPartition,
     Tableau,
     lift_coarse_permutation,
+    partitions_of,
     reverse_refines,
     set_partitions,
 )
@@ -282,10 +284,53 @@ class TestEvert:
         right = permute(evert(t), sigma)
         assert all(x.equals(y, 1e-9) for x, y in zip(left, right))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dual_basis_matches_definition(self, n):
+        # the closed form against the definitional route, every shape of n
+        rng = np.random.default_rng(75 + n)
+        worst = 0.0
+        for shape in partitions_of(n):
+            for field in (REAL, COMPLEX):
+                for orthogonal in (False, True):
+                    for _ in range(5):
+                        t = random_frame(n, shape, field, orthogonal, rng)
+                        got = evert(t)
+                        assert got.orthogonal == orthogonal
+                        worst = max(worst, _frame_distance(got, _evert_by_complements(t)))
+        assert worst <= 1e-12
+
+    def test_dependent_components_raise(self):
+        t = FrameTuple([line(1, 0), line(1, 0)])
+        with pytest.raises(SingularMatrixError):
+            evert(t)
+
+    def test_non_finite_basis_raises(self):
+        t = FrameTuple([Subspace(2, np.array([[np.nan], [0.0]])), line(0, 1)])
+        with pytest.raises(SingularMatrixError):
+            evert(t)
+
+
+def _evert_by_complements(t: FrameTuple) -> FrameTuple:
+    """Eversion by its definition: component i is the orthocomplement of the
+    sum of all the other components."""
+    comps = []
+    for i in range(len(t)):
+        others = [c.basis for j, c in enumerate(t.components) if j != i]
+        if others:
+            rest = Subspace.from_columns(np.hstack(others))
+        else:
+            rest = Subspace.zero(t.ambient, t.field)
+        comps.append(rest.orthocomplement())
+    return FrameTuple(comps, t.orthogonal)
+
+
+def _frame_distance(s: FrameTuple, t: FrameTuple) -> float:
+    return max(
+        spectral_norm(x.projector() - y.projector()) for x, y in zip(s, t)
+    )
+
 
 def _random_shape(n, rng):
-    from frame_rigidity.partitions import partitions_of
-
     shapes = list(partitions_of(n))
     return shapes[int(rng.integers(len(shapes)))]
 

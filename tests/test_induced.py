@@ -39,7 +39,7 @@ from frame_rigidity.induced import (
     reconstruct_from_line_images,
     scale_equivalent,
 )
-from frame_rigidity.linalg import COMPLEX, REAL
+from frame_rigidity.linalg import COMPLEX, REAL, polar_decompose
 from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
 from frame_rigidity.subspaces import Subspace, commeasurable, random_subspace
 
@@ -333,6 +333,22 @@ class TestEvertConjugate:
         t = SemilinearMap(np.diag([2.0, 3.0, 5.0]))
         twice = evert_conjugate(evert_conjugate(t))
         assert scale_equivalent(twice, t, 1e-7)
+
+    def test_contragredient_is_polar_transport(self):
+        # inv(T)^H against U P^{-1} built from the polar factors T = U P
+        rng = np.random.default_rng(63)
+        worst = 0.0
+        for n in range(2, 9):
+            for field in (REAL, COMPLEX):
+                for trial in range(50):
+                    auto = CONJUGATION if (field == COMPLEX and trial % 2) else IDENTITY
+                    t = random_semilinear(n, field, rng, auto)
+                    factors = polar_decompose(t.matrix)
+                    expected = factors.unitary @ np.linalg.inv(factors.positive)
+                    got = evert_conjugate(t).matrix
+                    rel = np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
+                    worst = max(worst, rel)
+        assert worst <= 1e-11
 
     def test_commutes_eversion_past_the_map(self):
         rng = np.random.default_rng(62)

@@ -72,11 +72,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="partitions", tol=0.0))
 
+    @pytest.mark.parametrize("tol", [0.5, 2e-3, float("inf"), float("nan")])
+    def test_large_or_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(suite="partitions", tol=tol))
+
+    def test_largest_tol_accepted(self):
+        report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=1e-3))
+        assert report.config["tol"] == 1e-3
+
     def test_suite_properties_listing(self):
         assert suite_properties("falsify") == (
             "breaks-linkage",
             "zero-distortion-control",
-            "rejects-distorted-oracle",
         )
         with pytest.raises(ConfigError):
             suite_properties("nope")
@@ -209,6 +217,23 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(target.read_text())["config"]["tol"] == 1e-05
+
+    @pytest.mark.parametrize("tol", ["0.5", "inf", "nan"])
+    def test_out_of_range_tol_exits_two(self, tol):
+        proc = run_cli("--suite", "pfr-perp", "--trials", "5", "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: tol must be in")
+
+    def test_out_of_range_env_tol_exits_two(self):
+        proc = run_cli(
+            "--suite", "pfr-perp", "--trials", "5",
+            env_extra={"FRAME_RIGIDITY_TOL": "inf"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tol must be in")
+        assert "Traceback" not in proc.stderr
 
     def test_bad_env_var_exits_two(self):
         proc = run_cli(
