@@ -17,6 +17,10 @@ class ZeroInputError(FrameRigidityError):
     """Every input column is numerically zero."""
 
 
+class NonFiniteError(FrameRigidityError):
+    """An input holds a NaN or infinite entry."""
+
+
 class SingularMatrixError(FrameRigidityError):
     """A matrix required to be invertible is singular at the working tolerance."""
 

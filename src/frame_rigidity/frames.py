@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, adjoint, spectral_norm
+from .linalg import DEFAULT_TOL, adjoint, gaussian, spectral_norm
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
 from .subspaces import Subspace
 
@@ -271,11 +271,10 @@ def random_frame(
     if shape.n != ambient:
         raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
     if orthogonal:
-        m = _random_gaussian(ambient, field, rng)
-        m = np.linalg.qr(m).Q
+        m = np.linalg.qr(gaussian(rng, (ambient, ambient), field)).Q
     else:
         while True:
-            m = _random_gaussian(ambient, field, rng)
+            m = gaussian(rng, (ambient, ambient), field)
             s = np.linalg.svd(m, compute_uv=False)
             if s[-1] > 1e-3 * s[0]:
                 break
@@ -289,13 +288,6 @@ def random_frame(
             components.append(Subspace.from_columns(block))
         start += d
     return FrameTuple(components, orthogonal)
-
-
-def _random_gaussian(n: int, field: str, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return g
 
 
 def linked_partner(
@@ -317,8 +309,7 @@ def linked_partner(
         idx = sorted(block)
         span = _sum_components([t.components[i - 1] for i in idx], t.ambient, t.field)
         d = span.dim
-        g = _random_gaussian(d, t.field, rng)
-        mix = np.linalg.qr(g).Q
+        mix = np.linalg.qr(gaussian(rng, (d, d), t.field)).Q
         cols = span.basis @ mix
         start = 0
         for i in idx:

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateConfigurationError,
     DegenerateOracleError,
     FieldMismatchError,
+    NonFiniteError,
     NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -30,6 +31,9 @@ from .linalg import (
     adjoint,
     as_matrix,
     field_of,
+    gaussian,
+    matrix_from_json,
+    matrix_to_json,
     spectral_norm,
 )
 from .subspaces import Subspace
@@ -45,7 +49,8 @@ class SemilinearMap:
     """Invertible square matrix with an automorphism tag.
 
     Conjugation is only meaningful over the complex field; real-tagged
-    matrices must carry the identity automorphism.
+    matrices must carry the identity automorphism.  A matrix with a NaN or
+    infinite entry raises ``NonFiniteError``.
     """
 
     __slots__ = ("matrix", "automorphism")
@@ -54,7 +59,12 @@ class SemilinearMap:
         m = as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got {m.shape}")
-        s = np.linalg.svd(m, compute_uv=False)
+        try:
+            s = np.linalg.svd(m, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError("matrix has non-finite entries") from exc
+        if s.size and not np.isfinite(s[0]):
+            raise NonFiniteError("matrix has non-finite entries")
         if s.size == 0 or s[-1] <= tol * s[0]:
             raise SingularMatrixError("matrix is singular at the working tolerance")
         if automorphism not in (IDENTITY, CONJUGATION):
@@ -89,18 +99,11 @@ class SemilinearMap:
         return self.matrix @ v
 
     def to_json(self) -> dict:
-        rows = [
-            [[float(z.real), float(z.imag)] for z in self.matrix[i, :]]
-            for i in range(self.ambient)
-        ]
-        return {"automorphism": self.automorphism, "matrix": rows}
+        return {"automorphism": self.automorphism, "matrix": matrix_to_json(self.matrix)}
 
     @classmethod
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "SemilinearMap":
-        entries = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in obj["matrix"]],
-            dtype=np.complex128,
-        )
+        entries = matrix_from_json(obj["matrix"])
         if obj["automorphism"] == IDENTITY and np.all(entries.imag == 0.0):
             entries = entries.real
         return cls(entries, obj["automorphism"], tol)
@@ -108,7 +111,7 @@ class SemilinearMap:
 
 def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Image subspace: conjugate the basis if the tag says so, multiply,
-    re-orthonormalize.  Dimension is preserved since the map is invertible.
+    re-span.  Dimension is preserved since the map is invertible.
 
     A real subspace fed to a complex map is promoted along the standard
     embedding; a complex subspace cannot be pushed through a real-tagged map.
@@ -211,9 +214,7 @@ def random_semilinear(
     if field == REAL and automorphism != IDENTITY:
         raise ValueError("real maps carry the identity automorphism")
     while True:
-        g = rng.standard_normal((ambient, ambient))
-        if field == COMPLEX:
-            g = (g + 1j * rng.standard_normal((ambient, ambient))) / np.sqrt(2.0)
+        g = gaussian(rng, (ambient, ambient), field)
         s = np.linalg.svd(g, compute_uv=False)
         if s[0] <= max_condition * s[-1]:
             return SemilinearMap(g, automorphism)
@@ -222,10 +223,8 @@ def random_semilinear(
 def random_unitary_map(
     ambient: int, field: str, rng: np.random.Generator, automorphism: str = IDENTITY
 ) -> SemilinearMap:
-    g = rng.standard_normal((ambient, ambient))
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal((ambient, ambient))) / np.sqrt(2.0)
-    elif automorphism != IDENTITY:
+    g = gaussian(rng, (ambient, ambient), field)
+    if field != COMPLEX and automorphism != IDENTITY:
         raise ValueError("real maps carry the identity automorphism")
     return SemilinearMap(np.linalg.qr(g).Q, automorphism)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import COMPLEX
+from .linalg import gaussian
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
 
@@ -39,15 +39,8 @@ class DualPathBatch:
         return int(np.sum(self.via_commutator != self.via_complements))
 
 
-def _gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
-    g = rng.standard_normal(shape)
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return g
-
-
 def _haar_columns(rng: np.random.Generator, m: int, n: int, d: int, field: str) -> np.ndarray:
-    return np.linalg.qr(_gaussian(rng, (m, n, d), field)).Q
+    return np.linalg.qr(gaussian(rng, (m, n, d), field)).Q
 
 
 def _adjoint_batch(a: np.ndarray) -> np.ndarray:
@@ -100,7 +93,7 @@ def _adversarial_bases(
     the projector commutator norm is then cos(eps)sin(eps) exactly, so every
     pair sits a safe factor away from any reasonable tolerance band.
     """
-    q = np.linalg.qr(_gaussian(rng, (m, n, n), field)).Q
+    q = np.linalg.qr(gaussian(rng, (m, n, n), field)).Q
     dims_a = rng.integers(1, n, size=m) if n > 1 else np.ones(m, dtype=np.int64)
     dims_b = np.array([int(rng.integers(1, n - da + 1)) for da in dims_a])
     eps = np.array([ADVERSARIAL_ANGLES[i % len(ADVERSARIAL_ANGLES)] for i in range(m)])

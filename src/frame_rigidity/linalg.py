@@ -1,9 +1,11 @@
-"""Dense-matrix substrate: field tags, orthonormalization, rank and polar factors.
+"""Dense-matrix substrate: field tags, spans, rank, polar factors, sampling and
+the ``[re, im]`` matrix codec.
 
 Everything here works on plain numpy arrays.  A matrix is "real-tagged" when
 its dtype is a float type and "complex-tagged" when it is a complex type;
 mixing tags in one operation raises ``FieldMismatchError`` instead of silently
-promoting.  All functions are pure and never mutate their inputs.
+promoting.  All functions never mutate their inputs, and all but the sampler,
+which advances its generator, are pure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatchError, SingularMatrixError, ZeroInputError
+from .errors import FieldMismatchError, NonFiniteError, SingularMatrixError, ZeroInputError
 
 REAL = "real"
 COMPLEX = "complex"
@@ -67,11 +69,55 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
+    """Largest singular value; 0.0 for an empty matrix.
+
+    A vector or a single column has one singular value, its Euclidean norm.
+    """
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    if m.ndim == 1 or m.shape[1] == 1:
+        r = float(np.linalg.norm(m))
+        if np.isfinite(r):
+            return r
+        # an overflowed norm of a finite vector goes to the SVD, which scales
+        m = m.reshape(-1, 1)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """Orthonormal basis for the column space of ``cols``, from one thin SVD.
+
+    Keeps the left singular vectors whose singular values exceed ``tol``
+    times the largest one and returns them with their count (the numerical
+    rank).  A single column is its own SVD: ``v / |v|``.
+
+    Raises ``ZeroInputError`` when the largest singular value is <= ``tol``
+    and ``NonFiniteError`` when an entry is NaN or infinite.
+    """
+    m = np.asarray(cols)
+    if m.ndim != 2 or m.shape[1] < 1:
+        raise ValueError("need a matrix with at least one column")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if m.shape[1] == 1:
+        # an overflowed norm of a finite column goes to the SVD, which scales
+        top = float(np.linalg.norm(m))
+        if np.isfinite(top):
+            if top <= tol:
+                raise ZeroInputError("the column is numerically zero")
+            return m / top, 1
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError("matrix has non-finite entries") from exc
+    top = float(s[0])
+    if not np.isfinite(top):
+        raise NonFiniteError("matrix has non-finite entries")
+    if top <= tol:
+        raise ZeroInputError("all columns are numerically zero")
+    rank = int(np.count_nonzero(s > tol * top))
+    return u[:, :rank], rank
 
 
 def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -82,7 +128,11 @@ def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarr
     <= ``tol`` times the largest input column norm.  Returns the retained
     orthonormal columns and their count (the numerical rank).
 
-    Raises ``ZeroInputError`` when every input column has norm <= ``tol``.
+    This is the public reference construction; :func:`span` gives the same
+    column space from one SVD.
+
+    Raises ``ZeroInputError`` when every input column has norm <= ``tol``
+    and ``NonFiniteError`` when an entry is NaN or infinite.
     """
     m = np.array(cols, copy=True)
     if m.ndim != 2 or m.shape[1] < 1:
@@ -91,6 +141,8 @@ def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarr
         raise ValueError("tol must be positive")
     norms = np.linalg.norm(m, axis=0)
     scale = float(norms.max())
+    if not np.isfinite(scale):
+        raise NonFiniteError("matrix has non-finite entries")
     if scale <= tol:
         raise ZeroInputError("all columns are numerically zero")
     thresh = tol * scale
@@ -108,6 +160,25 @@ def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarr
             kept.append(v / r)
     q = np.column_stack(kept) if kept else np.zeros((m.shape[0], 0), dtype=m.dtype)
     return q, len(kept)
+
+
+def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
+    """Standard Gaussian array; complex entries have unit variance split
+    evenly between the real and imaginary parts, drawn after all real parts."""
+    g = rng.standard_normal(shape)
+    if field == COMPLEX:
+        g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return g
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """Rows of ``[re, im]`` pairs, as plain floats."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def matrix_from_json(rows: list) -> np.ndarray:
+    """Complex matrix from rows of ``[re, im]`` pairs (inverse of :func:`matrix_to_json`)."""
+    return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128)
 
 
 def rank_with_tol(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -3,7 +3,8 @@
 A ``Subspace`` is an ambient dimension together with an orthonormal basis,
 stored column-wise.  Identity of a subspace is basis-independent: equality,
 containment and the commensurability relation are all decided through
-orthogonal projectors, never by comparing basis entries.
+orthogonal projectors or, equivalently, residuals of one basis against the
+other, never by comparing basis entries.
 
 The zero subspace (a basis with no columns) is a first-class value: it is
 what intersections return when they collapse, and it is the bottom element
@@ -22,8 +23,11 @@ from .linalg import (
     adjoint,
     as_matrix,
     field_of,
-    orthonormalize,
+    gaussian,
+    matrix_from_json,
+    matrix_to_json,
     require_same_field,
+    span,
     spectral_norm,
 )
 
@@ -62,9 +66,15 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, cols, tol: float = DEFAULT_TOL, field: str | None = None) -> "Subspace":
-        """Span of the given columns, orthonormalized at tolerance ``tol``."""
+        """Span of the given columns at tolerance ``tol``.
+
+        The basis is the left singular vectors of ``cols`` whose singular
+        values exceed ``tol`` times the largest (see :func:`linalg.span`), so
+        it is orthonormal but need not align with the input columns; a single
+        column is only normalized.
+        """
         m = as_matrix(cols, field)
-        q, _ = orthonormalize(m, tol)
+        q, _ = span(m, tol)
         return cls(m.shape[0], q)
 
     @classmethod
@@ -99,15 +109,15 @@ class Subspace:
         stacked = np.hstack([self.basis, other.basis])
         if stacked.shape[1] == 0:
             return Subspace.zero(self.ambient, self.field)
-        q, _ = orthonormalize(stacked, tol)
+        q, _ = span(stacked, tol)
         return Subspace(self.ambient, q)
 
     def intersect(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
         """Lattice meet, computed as the complement of the sum of complements.
 
-        This route reuses the orthonormalization kernel and keeps the
-        complement-of-sum identity structurally exact, at the cost of a
-        single rank decision inside the sum.
+        This route reuses the span kernel and keeps the complement-of-sum
+        identity structurally exact, at the cost of a single rank decision
+        inside the sum.
         """
         self._check_compatible(other)
         return self.orthocomplement().sum(other.orthocomplement(), tol).orthocomplement()
@@ -124,7 +134,7 @@ class Subspace:
         if self.dim == other.dim:
             return Subspace.zero(self.ambient, self.field)
         residual = self.basis - other.basis @ (adjoint(other.basis) @ self.basis)
-        q, _ = orthonormalize(residual, tol)
+        q, _ = span(residual, tol)
         return Subspace(self.ambient, q)
 
     # -- relations ----------------------------------------------------------
@@ -140,11 +150,16 @@ class Subspace:
         return spectral_norm(residual) <= tol
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
-        """Basis-independent equality: projector distance at most ``tol``."""
-        self._check_compatible(other)
+        """Basis-independent equality: projector distance at most ``tol``.
+
+        For equal dimensions the projector distance |P_a - P_b| is the sine
+        of the largest principal angle, which is the containment residual
+        |B - A A^H B| (Bjorck-Golub 1973); that residual is what is measured.
+        """
         if self.dim != other.dim:
+            self._check_compatible(other)
             return False
-        return spectral_norm(self.projector() - other.projector()) <= tol
+        return self.contains(other, tol)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
@@ -157,15 +172,15 @@ class Subspace:
 
     def to_json(self) -> dict:
         """JSON-ready dict: ambient, field, and the basis as [re, im] pairs per row."""
-        rows = [
-            [[float(z.real), float(z.imag)] for z in self.basis[i, :]]
-            for i in range(self.ambient)
-        ]
-        return {"ambient": self.ambient, "field": self.field, "basis": rows}
+        return {
+            "ambient": self.ambient,
+            "field": self.field,
+            "basis": matrix_to_json(self.basis),
+        }
 
     @classmethod
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "Subspace":
-        """Rebuild a subspace, re-orthonormalizing and validating the rank.
+        """Rebuild a subspace, re-spanning the basis and validating the rank.
 
         Rejects payloads whose declared column count is not the numerical
         rank of the given basis, and real-tagged payloads with nonzero
@@ -183,11 +198,8 @@ class Subspace:
             raise ValueError("ragged basis rows")
         if declared == 0:
             return cls.zero(ambient, field)
-        entries = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128
-        )
-        m = as_matrix(entries, field)
-        q, rank = orthonormalize(m, tol)
+        m = as_matrix(matrix_from_json(rows), field)
+        q, rank = span(m, tol)
         if rank != declared:
             raise ValueError(f"declared dim {declared} but basis has rank {rank}")
         return cls(ambient, q)
@@ -249,8 +261,5 @@ def random_subspace(ambient: int, dim: int, field: str, rng: np.random.Generator
     """
     if not 1 <= dim <= ambient:
         raise ValueError("need 1 <= dim <= ambient")
-    g = rng.standard_normal((ambient, dim))
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal((ambient, dim))) / np.sqrt(2.0)
-    q = np.linalg.qr(g).Q
+    q = np.linalg.qr(gaussian(rng, (ambient, dim), field)).Q
     return Subspace(ambient, q)

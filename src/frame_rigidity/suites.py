@@ -40,7 +40,7 @@ from .induced import (
     reconstruct_from_line_images,
     scale_equivalent,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, spectral_norm
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, gaussian, spectral_norm
 from .partitions import (
     IntPartition,
     Tableau,
@@ -232,10 +232,7 @@ def _commuting_pair(
     n: int, field: str, rng: np.random.Generator
 ) -> tuple[Subspace, Subspace]:
     """A pair spanned by column blocks of one common unitary basis."""
-    g = rng.standard_normal((n, n))
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q = np.linalg.qr(g).Q
+    q = np.linalg.qr(gaussian(rng, (n, n), field)).Q
     da = int(rng.integers(1, n + 1))
     db = int(rng.integers(1, n + 1))
     overlap = int(rng.integers(max(0, da + db - n), min(da, db) + 1))
@@ -486,10 +483,7 @@ def _obot_matches_pairwise(cfg, trial, rng):
 
 def _obot_common_basis_splits(cfg, trial, rng):
     n = cfg.ambient
-    g = rng.standard_normal((n, n))
-    if cfg.field == COMPLEX:
-        g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q = np.linalg.qr(g).Q
+    q = np.linalg.qr(gaussian(rng, (n, n), cfg.field)).Q
     perm = rng.permutation(n)
 
     def grouped(shape: IntPartition, cols: np.ndarray) -> FrameTuple:
@@ -797,17 +791,3 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         wall_time_s=elapsed,
     )
 
-
-def falsify(cfg: SuiteConfig) -> VerificationReport:
-    """The falsification search, as a suite run."""
-    if cfg.suite != "falsify":
-        cfg = SuiteConfig(
-            suite="falsify",
-            ambient=cfg.ambient,
-            field=cfg.field,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            tol=cfg.tol,
-            report_path=cfg.report_path,
-        )
-    return run_suite(cfg)

@@ -8,6 +8,7 @@ from frame_rigidity.errors import (
     AmbientMismatchError,
     DegenerateConfigurationError,
     FieldMismatchError,
+    NonFiniteError,
     NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -68,6 +69,13 @@ class TestSemilinearMap:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatchError):
             SemilinearMap(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_non_finite_matrix_refused(self, bad, field):
+        m = np.array([[1.0, bad], [0.0, 1.0]], dtype=complex if field == COMPLEX else float)
+        with pytest.raises(NonFiniteError):
+            SemilinearMap(m)
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,12 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from frame_rigidity.errors import FieldMismatchError, SingularMatrixError, ZeroInputError
+from frame_rigidity.errors import (
+    FieldMismatchError,
+    NonFiniteError,
+    SingularMatrixError,
+    ZeroInputError,
+)
 from frame_rigidity.linalg import (
     COMPLEX,
     REAL,
@@ -16,6 +21,7 @@ from frame_rigidity.linalg import (
     polar_decompose,
     rank_with_tol,
     require_same_field,
+    span,
     spectral_norm,
 )
 
@@ -52,6 +58,11 @@ class TestOrthonormalize:
         with pytest.raises(ZeroInputError):
             orthonormalize(np.zeros((3, 2)), 1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(NonFiniteError):
+            orthonormalize(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 0.0]]), 1e-9)
+
     def test_rejection_scales_with_largest_column(self):
         # second column is 1e-12 relative to the first, below tol * max norm
         cols = np.array([[1e6, 0.0], [0.0, 1e-6]])
@@ -75,6 +86,123 @@ class TestOrthonormalize:
         assert rank == 3
         assert_allclose(adjoint(q) @ q, np.eye(3), atol=1e-12)
         assert field_of(q) == COMPLEX
+
+
+def _projector(q):
+    return q @ adjoint(q)
+
+
+def _span_oracle_inputs(field, seed):
+    """Seeded spanning sets at n = 2..8 with d = 1..2n columns: generic,
+    rank-deficient products, exact duplicates and a column scaled 1e-12 below
+    the others.  None of them puts a singular value near the 1e-9 band."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        g = rng.standard_normal(shape)
+        if field == COMPLEX:
+            g = g + 1j * rng.standard_normal(shape)
+        return g
+
+    for n in range(2, 9):
+        for d in range(1, 2 * n + 1):
+            yield draw((n, d))
+            inner = int(rng.integers(1, min(n, d) + 1))
+            yield draw((n, inner)) @ draw((inner, d))
+            m = draw((n, d))
+            yield np.hstack([m, m[:, :1], m[:, d - 1 :]])
+            yield np.hstack([m, 1e-12 * draw((n, 1))])
+
+
+class TestSpan:
+    @pytest.mark.parametrize("field,seed", [(REAL, 401), (COMPLEX, 402)])
+    def test_agrees_with_gram_schmidt(self, field, seed):
+        count = 0
+        for m in _span_oracle_inputs(field, seed):
+            q, rank = span(m, 1e-9)
+            q_ref, rank_ref = orthonormalize(m, 1e-9)
+            assert rank == rank_ref == q.shape[1]
+            assert spectral_norm(_projector(q) - _projector(q_ref)) <= 1e-12
+            assert_allclose(adjoint(q) @ q, np.eye(rank), atol=1e-12)
+            assert field_of(q) == field
+            count += 1
+        assert count == 4 * sum(2 * n for n in range(2, 9))
+
+    def test_single_column_is_normalized(self):
+        v = np.array([[3.0], [0.0], [-4.0]])
+        q, rank = span(v, 1e-9)
+        assert rank == 1
+        assert_allclose(q, v / 5.0, atol=0, rtol=1e-15)
+
+    def test_hand_plane_span(self):
+        cols = np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        q, rank = span(cols, 1e-10)
+        assert rank == 2
+        assert_allclose(_projector(q), np.diag([1.0, 1.0, 0.0]), atol=1e-14)
+
+    def test_rank_rule_is_relative_to_largest_singular_value(self):
+        _, rank = span(np.diag([1e6, 1e-6]), 1e-9)
+        assert rank == 1
+        _, rank = span(np.diag([1.0, 1e-6]), 1e-9)
+        assert rank == 2
+
+    @pytest.mark.parametrize("cols", [np.zeros((3, 2)), np.zeros((3, 1))])
+    def test_all_zero_columns_raise(self, cols):
+        with pytest.raises(ZeroInputError):
+            span(cols, 1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_input_raises(self, bad, d):
+        m = np.eye(3)[:, :d].copy()
+        m[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            span(m, 1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_column_with_overflowing_norm(self):
+        q, rank = span(np.array([[1e200], [-1e200]]), 1e-9)
+        assert rank == 1
+        assert_allclose(abs(q[:, 0]), [INV_SQRT2, INV_SQRT2], rtol=1e-15)
+        assert q[0, 0] * q[1, 0] < 0
+
+    def test_does_not_mutate_input(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        before = m.copy()
+        span(m, 1e-9)
+        span(m[:, :1], 1e-9)
+        assert_allclose(m, before, atol=0)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            span(np.zeros((3, 0)), 1e-9)
+        with pytest.raises(ValueError):
+            span(np.eye(2), 0.0)
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_agrees_with_numpy_two_norm(self, field):
+        rng = np.random.default_rng(403)
+        shapes = [(n, d) for n in range(1, 9) for d in (1, 2, n, n + 1)]
+        shapes += [(n,) for n in range(1, 9)]
+        for shape in shapes:
+            m = rng.standard_normal(shape)
+            if field == COMPLEX:
+                m = m + 1j * rng.standard_normal(shape)
+            reference = np.linalg.norm(m, 2)
+            assert abs(spectral_norm(m) - reference) <= 1e-12 * reference
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("m", [np.array([1e200, -1e200]), np.array([[1e200], [1e200j]])])
+    def test_vector_with_overflowing_norm(self, m):
+        reference = np.linalg.svd(m.reshape(-1, 1), compute_uv=False)[0]
+        assert abs(spectral_norm(m) - reference) <= 1e-12 * reference
+
+    def test_hand_values(self):
+        assert spectral_norm(np.array([3.0, 4.0])) == 5.0
+        assert spectral_norm(np.array([[3.0], [4.0j]])) == 5.0
+        assert abs(spectral_norm(np.diag([2.0, -7.0, 1.0])) - 7.0) < 1e-15
 
 
 class TestRankWithTol:

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from frame_rigidity.errors import (
     AmbientMismatchError,
     FieldMismatchError,
+    FrameRigidityError,
+    NonFiniteError,
     NotContainedError,
 )
 from frame_rigidity.linalg import COMPLEX, REAL
@@ -18,6 +20,7 @@ from frame_rigidity.subspaces import (
     product_range,
     random_subspace,
 )
+from frame_rigidity.linalg import spectral_norm
 
 
 def span(*vectors) -> Subspace:
@@ -156,6 +159,53 @@ class TestEquals:
 
     def test_scaling_spanning_vector(self):
         assert span([1, 1, 0]).equals(span([2, 2, 0]))
+
+    def test_zero_subspaces_are_equal(self):
+        assert Subspace.zero(3).equals(Subspace.zero(3))
+
+    def test_different_dims_never_equal(self):
+        assert not span(E1).equals(span(E1, E2), 1.0)
+
+    def test_ambient_mismatch_raises_for_any_dims(self):
+        with pytest.raises(AmbientMismatchError):
+            span(E1).equals(Subspace.full(2))
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_residual_matches_projector_distance_on_random_pairs(self, field):
+        rng = np.random.default_rng(404)
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, n))
+            a = random_subspace(n, d, field, rng)
+            b = random_subspace(n, d, field, rng)
+            projector_distance = spectral_norm(a.projector() - b.projector())
+            residual = spectral_norm(b.basis - a.basis @ (a.basis.conj().T @ b.basis))
+            assert abs(residual - projector_distance) <= 1e-12
+            for tol in (1e-9, 0.5 * projector_distance, 2.0 * projector_distance):
+                assert a.equals(b, tol) == (projector_distance <= tol)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_pairs_at_angle_1e_6(self, field):
+        # b tilts one basis vector of a toward the complement by exactly
+        # theta, so the largest principal angle is theta
+        rng = np.random.default_rng(405)
+        theta = 1e-6
+        for n in range(2, 9):
+            for d in range(1, n):
+                g = rng.standard_normal((n, n))
+                if field == COMPLEX:
+                    g = g + 1j * rng.standard_normal((n, n))
+                q = np.linalg.qr(g).Q
+                a = Subspace(n, q[:, :d])
+                tilted = q[:, :d].copy()
+                tilted[:, 0] = np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, d]
+                b = Subspace(n, tilted)
+                projector_distance = spectral_norm(a.projector() - b.projector())
+                assert abs(projector_distance - theta) <= 1e-12
+                for tol, expected in ((1e-9, False), (1e-5, True)):
+                    assert a.equals(b, tol) is expected
+                    assert b.equals(a, tol) is expected
+                    assert (projector_distance <= tol) is expected
 
 
 class TestProjector:
@@ -344,6 +394,29 @@ class TestErrorsAndFields:
             a.ambient = 5
         with pytest.raises(ValueError):
             a.basis[0, 0] = 2.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_single_column_refused(self, bad, field):
+        with pytest.raises(NonFiniteError):
+            Subspace.from_columns([[1.0], [bad], [0.0]], field=field)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_spanning_set_refused(self, bad, field):
+        cols = [[1.0, 0.0], [0.0, bad], [0.0, 1.0]]
+        with pytest.raises(NonFiniteError):
+            Subspace.from_columns(cols, field=field)
+
+    def test_is_a_library_error(self):
+        assert issubclass(NonFiniteError, FrameRigidityError)
+
+    def test_payload_refused(self):
+        payload = {"ambient": 2, "field": "real", "basis": [[[np.nan, 0.0]], [[1.0, 0.0]]]}
+        with pytest.raises(NonFiniteError):
+            Subspace.from_json(payload)
 
 
 class TestJson:

@@ -9,7 +9,6 @@ import pytest
 from frame_rigidity.errors import ConfigError
 from frame_rigidity.suites import (
     SuiteConfig,
-    falsify,
     list_suites,
     run_suite,
     suite_properties,
@@ -141,16 +140,12 @@ class TestRunSuite:
         assert obj["summary"]["passed"] is True
 
     def test_falsify_rates(self):
-        report = falsify(SuiteConfig(suite="falsify", ambient=3, trials=200, seed=0))
+        report = run_suite(SuiteConfig(suite="falsify", ambient=3, trials=200, seed=0))
         by_name = {p.name: p for p in report.properties}
         assert by_name["breaks-linkage"].violation_rate >= 0.95
         assert by_name["zero-distortion-control"].violation_rate == 0.0
         assert by_name["zero-distortion-control"].failures == 0
         assert report.passed
-
-    def test_falsify_wrapper_coerces_suite_name(self):
-        report = falsify(SuiteConfig(suite="partitions", ambient=3, trials=10, seed=0))
-        assert report.suite == "falsify"
 
     def test_non_falsify_properties_have_null_rate(self):
         report = run_suite(SuiteConfig(suite="clr", ambient=3, trials=10, seed=0))
