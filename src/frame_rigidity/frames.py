@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, adjoint, gaussian, spectral_norm
+from .linalg import DEFAULT_TOL, adjoint, gaussian, haar, spectral_norm
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
 from .subspaces import Subspace
 
@@ -271,7 +271,7 @@ def random_frame(
     if shape.n != ambient:
         raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
     if orthogonal:
-        m = np.linalg.qr(gaussian(rng, (ambient, ambient), field)).Q
+        m = haar(rng, (ambient, ambient), field)
     else:
         while True:
             m = gaussian(rng, (ambient, ambient), field)
@@ -309,7 +309,7 @@ def linked_partner(
         idx = sorted(block)
         span = _sum_components([t.components[i - 1] for i in idx], t.ambient, t.field)
         d = span.dim
-        mix = np.linalg.qr(gaussian(rng, (d, d), t.field)).Q
+        mix = haar(rng, (d, d), t.field)
         cols = span.basis @ mix
         start = 0
         for i in idx:

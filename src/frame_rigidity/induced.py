@@ -32,6 +32,7 @@ from .linalg import (
     as_matrix,
     field_of,
     gaussian,
+    haar,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
@@ -223,10 +224,9 @@ def random_semilinear(
 def random_unitary_map(
     ambient: int, field: str, rng: np.random.Generator, automorphism: str = IDENTITY
 ) -> SemilinearMap:
-    g = gaussian(rng, (ambient, ambient), field)
     if field != COMPLEX and automorphism != IDENTITY:
         raise ValueError("real maps carry the identity automorphism")
-    return SemilinearMap(np.linalg.qr(g).Q, automorphism)
+    return SemilinearMap(haar(rng, (ambient, ambient), field), automorphism)
 
 
 # -- reconstruction from the action on lines ------------------------------------
@@ -302,9 +302,7 @@ def reconstruct_from_line_images(
         ) from exc
     probe_rng = np.random.default_rng(_PROBE_SEED)
     for _ in range(50):
-        v = probe_rng.standard_normal(ambient)
-        if field == COMPLEX:
-            v = v + 1j * probe_rng.standard_normal(ambient)
+        v = gaussian(probe_rng, (ambient,), field)
         expected = oracle(_line(ambient, v, field))
         got = apply_to_subspace(candidate, _line(ambient, v, field), tol)
         if not got.equals(expected, tol):

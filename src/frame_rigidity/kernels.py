@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gaussian
+from .linalg import adjoint, haar
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
 
@@ -39,14 +39,6 @@ class DualPathBatch:
         return int(np.sum(self.via_commutator != self.via_complements))
 
 
-def _haar_columns(rng: np.random.Generator, m: int, n: int, d: int, field: str) -> np.ndarray:
-    return np.linalg.qr(gaussian(rng, (m, n, d), field)).Q
-
-
-def _adjoint_batch(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
 def _spectral_norms(batch: np.ndarray) -> np.ndarray:
     return np.linalg.svd(batch, compute_uv=False)[..., 0]
 
@@ -60,8 +52,8 @@ def _dual_paths_for_bucket(
     band = 10.0 * tol
 
     # route 1: commutator of the orthogonal projectors
-    pa = qa @ _adjoint_batch(qa)
-    pb = qb @ _adjoint_batch(qb)
+    pa = qa @ adjoint(qa)
+    pb = qb @ adjoint(qb)
     comm = pa @ pb - pb @ pa
     comm_norms = _spectral_norms(comm)
     via_commutator = comm_norms <= band
@@ -85,7 +77,7 @@ def _dual_paths_for_bucket(
 
 def _adversarial_bases(
     rng: np.random.Generator, m: int, n: int, field: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Near-commuting pairs with an exactly controlled perturbation angle.
 
     Start from a commuting configuration sharing one direction of a Haar
@@ -93,11 +85,11 @@ def _adversarial_bases(
     the projector commutator norm is then cos(eps)sin(eps) exactly, so every
     pair sits a safe factor away from any reasonable tolerance band.
     """
-    q = np.linalg.qr(gaussian(rng, (m, n, n), field)).Q
+    q = haar(rng, (m, n, n), field)
     dims_a = rng.integers(1, n, size=m) if n > 1 else np.ones(m, dtype=np.int64)
     dims_b = np.array([int(rng.integers(1, n - da + 1)) for da in dims_a])
     eps = np.array([ADVERSARIAL_ANGLES[i % len(ADVERSARIAL_ANGLES)] for i in range(m)])
-    return q, dims_a, dims_b, eps, np.cos(eps) * np.sin(eps)
+    return q, dims_a, dims_b, eps
 
 
 def batched_commeasurability_check(
@@ -125,39 +117,34 @@ def batched_commeasurability_check(
     dims_b = np.zeros(count, dtype=np.int64)
     adversarial = np.zeros(count, dtype=bool)
 
+    def buckets(da_all: np.ndarray, db_all: np.ndarray):
+        for da in range(1, n + 1):
+            for db in range(1, n + 1):
+                idx = np.nonzero((da_all == da) & (db_all == db))[0]
+                if idx.size:
+                    yield da, db, idx
+
+    def record(idx: np.ndarray, da: int, db: int, qa: np.ndarray, qb: np.ndarray) -> None:
+        via_comm[idx], via_comp[idx], comm_norms[idx] = _dual_paths_for_bucket(qa, qb, tol)
+        dims_a[idx], dims_b[idx] = da, db
+
     da_rand = rng.integers(1, n + 1, size=n_rand)
     db_rand = rng.integers(1, n + 1, size=n_rand)
-    for da in range(1, n + 1):
-        for db in range(1, n + 1):
-            idx = np.nonzero((da_rand == da) & (db_rand == db))[0]
-            if idx.size == 0:
-                continue
-            qa = _haar_columns(rng, idx.size, n, da, field)
-            qb = _haar_columns(rng, idx.size, n, db, field)
-            a_bool, b_bool, norms = _dual_paths_for_bucket(qa, qb, tol)
-            via_comm[idx], via_comp[idx], comm_norms[idx] = a_bool, b_bool, norms
-            dims_a[idx], dims_b[idx] = da, db
+    for da, db, idx in buckets(da_rand, db_rand):
+        qa = haar(rng, (idx.size, n, da), field)
+        record(idx, da, db, qa, haar(rng, (idx.size, n, db), field))
 
     if n_adv > 0:
-        q, da_adv, db_adv, eps, _ = _adversarial_bases(rng, n_adv, n, field)
+        q, da_adv, db_adv, eps = _adversarial_bases(rng, n_adv, n, field)
         rotated = (
             np.cos(eps)[:, None] * q[:, :, 0] + np.sin(eps)[:, None] * q[:, :, n - 1]
         )
-        offset = n_rand
-        for da in range(1, n + 1):
-            for db in range(1, n + 1):
-                sel = np.nonzero((da_adv == da) & (db_adv == db))[0]
-                if sel.size == 0:
-                    continue
-                qa = q[sel, :, :da]
-                qb = np.concatenate(
-                    [rotated[sel][:, :, None], q[sel][:, :, da : da + db - 1]], axis=2
-                )
-                a_bool, b_bool, norms = _dual_paths_for_bucket(qa, qb, tol)
-                idx = offset + sel
-                via_comm[idx], via_comp[idx], comm_norms[idx] = a_bool, b_bool, norms
-                dims_a[idx], dims_b[idx] = da, db
-                adversarial[idx] = True
+        for da, db, sel in buckets(da_adv, db_adv):
+            qb = np.concatenate(
+                [rotated[sel][:, :, None], q[sel][:, :, da : da + db - 1]], axis=2
+            )
+            record(n_rand + sel, da, db, q[sel, :, :da], qb)
+        adversarial[n_rand:] = True
 
     return DualPathBatch(
         via_commutator=via_comm,

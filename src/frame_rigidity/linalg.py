@@ -4,12 +4,13 @@ the ``[re, im]`` matrix codec.
 Everything here works on plain numpy arrays.  A matrix is "real-tagged" when
 its dtype is a float type and "complex-tagged" when it is a complex type;
 mixing tags in one operation raises ``FieldMismatchError`` instead of silently
-promoting.  All functions never mutate their inputs, and all but the sampler,
-which advances its generator, are pure.
+promoting.  All functions never mutate their inputs, and all but the samplers,
+which advance their generator, are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,16 @@ def require_same_field(*arrays: np.ndarray) -> str:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of every matrix in a stack (a view
+    of ``m`` when ``m`` is real)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; 0.0 for an empty matrix.
 
     A vector or a single column has one singular value, its Euclidean norm.
+    Raises ``NonFiniteError`` when an entry is NaN or infinite.
     """
     m = np.asarray(m)
     if m.size == 0:
@@ -80,9 +83,21 @@ def spectral_norm(m: np.ndarray) -> float:
         r = float(np.linalg.norm(m))
         if np.isfinite(r):
             return r
-        # an overflowed norm of a finite vector goes to the SVD, which scales
+        # a non-finite norm goes to the SVD, which scales an overflowed finite
+        # vector and refuses a NaN or infinite one
         m = m.reshape(-1, 1)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_finite_svd(m, compute_uv=False)[0])
+
+
+def _finite_svd(m: np.ndarray, compute_uv: bool):
+    """Thin SVD; NaN or infinite entries raise ``NonFiniteError``."""
+    try:
+        out = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError("matrix has non-finite entries") from exc
+    if not math.isfinite((out[1] if compute_uv else out)[0]):
+        raise NonFiniteError("matrix has non-finite entries")
+    return out
 
 
 def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -107,13 +122,8 @@ def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
             if top <= tol:
                 raise ZeroInputError("the column is numerically zero")
             return m / top, 1
-    try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError("matrix has non-finite entries") from exc
+    u, s, _ = _finite_svd(m, compute_uv=True)
     top = float(s[0])
-    if not np.isfinite(top):
-        raise NonFiniteError("matrix has non-finite entries")
     if top <= tol:
         raise ZeroInputError("all columns are numerically zero")
     rank = int(np.count_nonzero(s > tol * top))
@@ -169,6 +179,12 @@ def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     if field == COMPLEX:
         g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return g
+
+
+def haar(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
+    """Orthonormal columns with a Haar-distributed span: the Q factor of a
+    :func:`gaussian` array of ``shape``, which may be a stack ``(..., n, d)``."""
+    return np.linalg.qr(gaussian(rng, shape, field)).Q
 
 
 def matrix_to_json(m: np.ndarray) -> list:

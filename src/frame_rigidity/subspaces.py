@@ -23,7 +23,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     field_of,
-    gaussian,
+    haar,
     matrix_from_json,
     matrix_to_json,
     require_same_field,
@@ -261,5 +261,4 @@ def random_subspace(ambient: int, dim: int, field: str, rng: np.random.Generator
     """
     if not 1 <= dim <= ambient:
         raise ValueError("need 1 <= dim <= ambient")
-    q = np.linalg.qr(gaussian(rng, (ambient, dim), field)).Q
-    return Subspace(ambient, q)
+    return Subspace(ambient, haar(rng, (ambient, dim), field))

@@ -17,6 +17,8 @@ from frame_rigidity.linalg import (
     adjoint,
     as_matrix,
     field_of,
+    gaussian,
+    haar,
     orthonormalize,
     polar_decompose,
     rank_with_tol,
@@ -199,6 +201,16 @@ class TestSpectralNorm:
         reference = np.linalg.svd(m.reshape(-1, 1), compute_uv=False)[0]
         assert abs(spectral_norm(m) - reference) <= 1e-12 * reference
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "shape", [(3,), (3, 1), (3, 2)], ids=["vector", "column", "matrix"]
+    )
+    def test_non_finite_refused(self, bad, shape):
+        m = np.ones(shape)
+        m.flat[1] = bad
+        with pytest.raises(NonFiniteError):
+            spectral_norm(m)
+
     def test_hand_values(self):
         assert spectral_norm(np.array([3.0, 4.0])) == 5.0
         assert spectral_norm(np.array([[3.0], [4.0j]])) == 5.0
@@ -294,6 +306,25 @@ class TestAdjoint:
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             assert_allclose(adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-12)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_stack_is_adjoint_of_each_matrix(self, field):
+        stack = gaussian(np.random.default_rng(34), (2, 3, 4, 5), field)
+        batched = adjoint(stack)
+        assert batched.shape == (2, 3, 5, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(batched[i, j], adjoint(stack[i, j]))
+
+
+class TestHaar:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 2), (3, 6, 2), (2, 3, 4, 4)])
+    def test_is_q_factor_of_same_seed_gaussian(self, shape, field):
+        q = haar(np.random.default_rng(35), shape, field)
+        reference = np.linalg.qr(gaussian(np.random.default_rng(35), shape, field)).Q
+        assert q.dtype == reference.dtype
+        assert np.array_equal(q, reference)
 
 
 class TestFieldTags:

@@ -418,6 +418,25 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             Subspace.from_json(payload)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            lambda bad, good: bad.equals(good),
+            lambda bad, good: good.equals(bad),
+            lambda bad, good: bad.contains(good),
+            lambda bad, good: good.contains(bad),
+        ],
+        ids=["bad-equals", "equals-bad", "bad-contains", "contains-bad"],
+    )
+    def test_trusted_basis_refused_by_relations(self, bad, relation):
+        # the plain constructor trusts its basis; the relations must not
+        # turn a non-finite one into a foreign error or a verdict
+        untrusted = Subspace(2, np.array([[bad], [0.0]]))
+        with pytest.raises(NonFiniteError):
+            relation(untrusted, Subspace.from_columns([[1.0], [0.0]]))
+
 
 class TestJson:
     def test_roundtrip_real(self):

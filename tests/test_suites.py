@@ -4,11 +4,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from frame_rigidity.errors import ConfigError
 from frame_rigidity.suites import (
+    MAX_TOL,
     SuiteConfig,
+    _Property,
+    _run_property,
     list_suites,
     run_suite,
     suite_properties,
@@ -71,14 +75,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="partitions", tol=0.0))
 
-    @pytest.mark.parametrize("tol", [0.5, 2e-3, float("inf"), float("nan")])
+    @pytest.mark.parametrize("tol", [0.5, 2e-3, 1e-3, float("inf"), float("nan")])
     def test_large_or_non_finite_tol_rejected(self, tol):
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="partitions", tol=tol))
 
     def test_largest_tol_accepted(self):
-        report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=1e-3))
-        assert report.config["tol"] == 1e-3
+        report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=MAX_TOL))
+        assert report.config["tol"] == MAX_TOL
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("ambient", [3, 5, 8])
+    @pytest.mark.parametrize("suite", ["clr-bis", "obot"])
+    def test_true_properties_pass_at_largest_tol(self, suite, ambient, field):
+        # image line frames compound the condition caps of the frame and map
+        # samplers; no accepted tolerance may call those true configurations
+        # singular
+        cfg = SuiteConfig(
+            suite=suite, ambient=ambient, field=field, trials=60, seed=7, tol=MAX_TOL
+        )
+        report = run_suite(cfg)
+        assert report.passed, [(p.name, p.failures) for p in report.properties]
 
     def test_suite_properties_listing(self):
         assert suite_properties("falsify") == (
@@ -143,6 +160,8 @@ class TestRunSuite:
         report = run_suite(SuiteConfig(suite="falsify", ambient=3, trials=200, seed=0))
         by_name = {p.name: p for p in report.properties}
         assert by_name["breaks-linkage"].violation_rate >= 0.95
+        # a boolean property reports 1.0 once any trial is violated
+        assert by_name["breaks-linkage"].worst_residual == 1.0
         assert by_name["zero-distortion-control"].violation_rate == 0.0
         assert by_name["zero-distortion-control"].failures == 0
         assert report.passed
@@ -150,6 +169,30 @@ class TestRunSuite:
     def test_non_falsify_properties_have_null_rate(self):
         report = run_suite(SuiteConfig(suite="clr", ambient=3, trials=10, seed=0))
         assert all(p.violation_rate is None for p in report.properties)
+
+
+def _judge(outcome, band=10.0):
+    """Run a three-trial property whose every trial returns ``outcome``, at tol 1e-9."""
+    prop = _Property("probe", lambda cfg, trial, rng: outcome, band=band)
+    return _run_property(SuiteConfig(suite="partitions", trials=3, tol=1e-9), prop)
+
+
+class TestRunProperty:
+    @pytest.mark.parametrize("band", [10.0, 100.0])
+    def test_residual_at_band_passes_and_next_float_fails(self, band):
+        bound = band * 1e-9
+        at = _judge(bound, band)
+        assert at.passed and at.failures == 0 and at.worst_residual == bound
+        above = _judge(np.nextafter(bound, np.inf), band)
+        assert not above.passed
+        assert above.failures == 3 and above.first_failing_trial == 0
+        assert not _judge(float("nan"), band).passed
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_numpy_bool_judged_as_bool(self, verdict):
+        assert _judge(np.bool_(verdict)) == _judge(verdict)
+        assert _judge(verdict).worst_residual == (0.0 if verdict else 1.0)
+        assert _judge(verdict).passed is verdict
 
 
 class TestCli:
@@ -207,13 +250,13 @@ class TestCli:
         target = tmp_path / "report.json"
         proc = run_cli(
             "--suite", "partitions", "--trials", "5",
-            "--tol", "1e-05", "--report", str(target),
+            "--tol", "1e-08", "--report", str(target),
             env_extra={"FRAME_RIGIDITY_TOL": "1e-07"},
         )
         assert proc.returncode == 0
-        assert json.loads(target.read_text())["config"]["tol"] == 1e-05
+        assert json.loads(target.read_text())["config"]["tol"] == 1e-08
 
-    @pytest.mark.parametrize("tol", ["0.5", "inf", "nan"])
+    @pytest.mark.parametrize("tol", ["0.5", "1e-3", "inf", "nan"])
     def test_out_of_range_tol_exits_two(self, tol):
         proc = run_cli("--suite", "pfr-perp", "--trials", "5", "--tol", tol)
         assert proc.returncode == 2
