@@ -9,6 +9,7 @@ involution).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,26 +232,30 @@ def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
 
     The relation is symmetric for genuinely independent frames; both
     directions are evaluated and a disagreement raises an inconsistency
-    error rather than silently picking a side.
+    error rather than silently picking a side.  The directions read the same
+    meets, each computed when first needed, so a direction stops at its
+    first component that does not split.
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("frames live in different ambients")
-    forward = _splits_along(a, b, tol)
-    backward = _splits_along(b, a, tol)
+
+    @functools.cache
+    def meet(i: int, j: int) -> Subspace:
+        return a.components[i].intersect(b.components[j], tol)
+
+    def splits(t: FrameTuple, pieces) -> bool:
+        return all(
+            _sum_components(pieces(k), t.ambient, t.field).equals(comp, tol)
+            for k, comp in enumerate(t.components)
+        )
+
+    forward = splits(a, lambda i: [meet(i, j) for j in range(len(b))])
+    backward = splits(b, lambda j: [meet(i, j) for i in range(len(a))])
     if forward != backward:
         raise InconsistencyError(
             "block-intersection relation is asymmetric at this tolerance"
         )
     return forward
-
-
-def _splits_along(a: FrameTuple, b: FrameTuple, tol: float) -> bool:
-    for comp in a.components:
-        pieces = [other.intersect(comp, tol) for other in b.components]
-        rebuilt = _sum_components(pieces, a.ambient, a.field)
-        if not rebuilt.equals(comp, tol):
-            return False
-    return True
 
 
 def random_frame(

@@ -89,10 +89,11 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(_finite_svd(m, compute_uv=False)[0])
 
 
-def _finite_svd(m: np.ndarray, compute_uv: bool):
-    """Thin SVD; NaN or infinite entries raise ``NonFiniteError``."""
+def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
+    """SVD, thin unless ``full_matrices``; NaN or infinite entries raise
+    ``NonFiniteError``."""
     try:
-        out = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+        out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NonFiniteError("matrix has non-finite entries") from exc
     if not math.isfinite((out[1] if compute_uv else out)[0]):

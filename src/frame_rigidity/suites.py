@@ -8,6 +8,7 @@ are reproducible regardless of execution order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -689,7 +690,8 @@ def _run_property(cfg: SuiteConfig, prop: _Property) -> PropertyResult:
     """Judge every trial's outcome and the property's rate rule.
 
     A verdict counts 0.0 when it holds and 1.0 (violated) when not; a residual
-    is violated above ``prop.band * cfg.tol`` or when it is NaN.
+    is violated above ``prop.band * cfg.tol`` or when it is NaN, and a NaN
+    residual is the worst one.
     """
     worst = 0.0
     violated_count = 0
@@ -704,7 +706,9 @@ def _run_property(cfg: SuiteConfig, prop: _Property) -> PropertyResult:
             residual = float(outcome)
             # written so that a NaN residual counts as violated
             violated = not residual <= prop.band * cfg.tol
-        worst = max(worst, residual)
+        if residual > worst or math.isnan(residual):
+            # max() would keep worst over a NaN; a NaN stays once seen
+            worst = residual
         if violated:
             violated_count += 1
             if first_violated is None:

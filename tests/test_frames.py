@@ -375,6 +375,21 @@ class TestBigobot:
         assert bigobot(_complement_pair(w1), _complement_pair(w2), 1e-8)
 
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_each_meet_computed_once(self, n, monkeypatch):
+        calls = []
+        original = Subspace.intersect
+
+        def counted(self, other, tol=1e-9):
+            calls.append((self, other))
+            return original(self, other, tol)
+
+        monkeypatch.setattr(Subspace, "intersect", counted)
+        t = random_frame(n, IntPartition((1,) * n), COMPLEX, False, np.random.default_rng(83))
+        assert bigobot(t, t, 1e-8)
+        assert len(calls) <= n * n
+
+
 def _complement_pair(w: Subspace) -> FrameTuple:
     comp = w.orthocomplement()
     pair = sorted([w, comp], key=lambda s: -s.dim)

@@ -72,6 +72,77 @@ class TestIntersect:
     def test_disjoint_lines_meet_in_zero(self):
         assert span(E1).intersect(span(E2)).dim == 0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            span(E1, E2).intersect(span(E2, E3), tol)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matches_complement_of_sum_of_complements(self, field):
+        rng = np.random.default_rng(5150)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            a, b, shared = _pair_sharing(n, field, rng)
+            got = a.intersect(b)
+            want = _intersect_by_complements(a, b)
+            assert got.dim == want.dim == max(shared, a.dim + b.dim - n)
+            assert _projector_distance(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_and_full_operands(self, field):
+        rng = np.random.default_rng(5151)
+        for n in range(2, 9):
+            z, f = Subspace.zero(n, field), Subspace.full(n, field)
+            v = random_subspace(n, int(rng.integers(1, n + 1)), field, rng)
+            for a, b in [(z, v), (v, z), (f, v), (v, f), (z, f), (f, f), (z, z)]:
+                got, want = a.intersect(b), _intersect_by_complements(a, b)
+                assert got.dim == want.dim
+                assert _projector_distance(got, want) <= 1e-12
+            assert f.intersect(v).equals(v) and z.intersect(v).dim == 0
+
+    @pytest.mark.parametrize("eps,kept", [(1e-6, False), (1e-12, True)])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_rotated_shared_direction(self, eps, kept, field):
+        # at tol 1e-9 a shared direction tilted by 1e-6 leaves the meet and
+        # one tilted by 1e-12 stays in it, on both routes
+        rng = np.random.default_rng(5152)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            a, b = adversarial_pair(n, field, eps, rng)
+            got, want = a.intersect(b, 1e-9), _intersect_by_complements(a, b, 1e-9)
+            assert got.dim == want.dim == int(kept)
+            assert _projector_distance(got, want) <= 1e-12
+
+
+def _qr_complement(v: Subspace) -> Subspace:
+    n, d = v.basis.shape
+    if d == 0:
+        return Subspace.full(n, v.field)
+    return Subspace(n, np.linalg.qr(v.basis, mode="complete").Q[:, d:])
+
+
+def _intersect_by_complements(a: Subspace, b: Subspace, tol: float = 1e-9) -> Subspace:
+    """The meet by De Morgan: the QR complement of the sum of QR complements."""
+    return _qr_complement(_qr_complement(a).sum(_qr_complement(b), tol))
+
+
+def _pair_sharing(n, field, rng):
+    """Haar pair that shares ``k`` directions, k drawn from 0..min(da, db);
+    returns the pair and k."""
+    q = random_subspace(n, n, field, rng).basis
+    da = int(rng.integers(1, n + 1))
+    db = int(rng.integers(1, n + 1))
+    k = int(rng.integers(0, min(da, db) + 1))
+    shared = q[:, :k]
+    extra = random_subspace(n, n, field, rng).basis
+    a = Subspace.from_columns(np.hstack([shared, extra[:, : da - k]]))
+    b = Subspace.from_columns(np.hstack([shared, extra[:, n - (db - k) :]]))
+    return a, b, k
+
+
+def _projector_distance(a: Subspace, b: Subspace) -> float:
+    return spectral_norm(a.projector() - b.projector())
+
 
 class TestOrthocomplement:
     def test_coordinate_line(self):
@@ -90,6 +161,14 @@ class TestOrthocomplement:
         assert c.dim == 1
         assert abs(np.array([1.0, 1.0]) @ c.basis[:, 0]) < 1e-12
         assert c.equals(Subspace.from_columns(np.array([[1.0], [-1.0]])))
+
+    def test_complement_is_cached_and_read_only(self):
+        v = random_subspace(5, 2, COMPLEX, np.random.default_rng(77))
+        comp = v.orthocomplement()
+        assert comp is v.orthocomplement()
+        assert comp.dim == 3 and not comp.basis.flags.writeable
+        with pytest.raises(ValueError):
+            comp.basis[0, 0] = 1.0
 
     def test_full_space_complement_is_zero(self):
         assert Subspace.full(3).orthocomplement().dim == 0
@@ -427,12 +506,19 @@ class TestNonFiniteInput:
             lambda bad, good: good.equals(bad),
             lambda bad, good: bad.contains(good),
             lambda bad, good: good.contains(bad),
+            lambda bad, good: bad.orthocomplement(),
+            lambda bad, good: bad.intersect(good),
+            lambda bad, good: good.intersect(bad),
         ],
-        ids=["bad-equals", "equals-bad", "bad-contains", "contains-bad"],
+        ids=[
+            "bad-equals", "equals-bad", "bad-contains", "contains-bad",
+            "bad-complement", "bad-intersect", "intersect-bad",
+        ],
     )
     def test_trusted_basis_refused_by_relations(self, bad, relation):
-        # the plain constructor trusts its basis; the relations must not
-        # turn a non-finite one into a foreign error or a verdict
+        # the plain constructor trusts its basis; the relations and lattice
+        # operations must not turn a non-finite one into a foreign error, a
+        # verdict or a finite subspace
         untrusted = Subspace(2, np.array([[bad], [0.0]]))
         with pytest.raises(NonFiniteError):
             relation(untrusted, Subspace.from_columns([[1.0], [0.0]]))

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from frame_rigidity.cli import _property_line
 from frame_rigidity.errors import ConfigError
+from frame_rigidity.report import VerificationReport
 from frame_rigidity.suites import (
     MAX_TOL,
     SuiteConfig,
@@ -187,6 +189,17 @@ class TestRunProperty:
         assert not above.passed
         assert above.failures == 3 and above.first_failing_trial == 0
         assert not _judge(float("nan"), band).passed
+
+    def test_nan_residual_reaches_the_report(self):
+        # max(worst, nan) keeps worst, which hid a NaN trial behind a clean one
+        prop = _Property("probe", lambda cfg, trial, rng: float("nan") if trial == 1 else 1e-12)
+        cfg = SuiteConfig(suite="pfr", ambient=4, field="real", trials=3, seed=0)
+        result = _run_property(cfg, prop)
+        assert result.failures == 1 and result.first_failing_trial == 1
+        assert np.isnan(result.worst_residual)
+        report = VerificationReport("pfr", cfg.echo(), [result])
+        assert '"worst_residual": NaN' in report.to_json()
+        assert "worst_residual=nan" in _property_line(result.to_record())
 
     @pytest.mark.parametrize("verdict", [True, False])
     def test_numpy_bool_judged_as_bool(self, verdict):
