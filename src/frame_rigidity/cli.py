@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import Optional, Sequence
+from typing import IO, ContextManager, Optional, Sequence
 
 from .errors import ConfigError
 from .linalg import COMPLEX, DEFAULT_TOL
@@ -55,6 +56,16 @@ def _resolve_tol(flag_value: Optional[float]) -> float:
         raise ConfigError(f"{TOL_ENV_VAR} is not a number: {raw!r}")
 
 
+def _open_report(path: Optional[str]) -> ContextManager[Optional[IO[str]]]:
+    # opened before any trial runs, so an unwritable path is a config error
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {path}: {exc.strerror}")
+
+
 def _property_line(record: dict) -> str:
     verdict = "PASS" if record["passed"] else "FAIL"
     line = (
@@ -89,23 +100,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tol=_resolve_tol(args.tol),
             report_path=args.report,
         )
-        report = run_suite(cfg)
+        cfg.validate()
+        report_file = _open_report(cfg.report_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for record in (p.to_record() for p in report.properties):
-        print(_property_line(record))
-    verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"suite {report.suite}: {verdict}"
-        f" ({len(report.properties)} properties,"
-        f" {report.total_failures} failures, {report.wall_time_s:.2f}s)"
-    )
-
-    if cfg.report_path is not None:
-        with open(cfg.report_path, "w", encoding="utf-8") as handle:
+    with report_file as handle:
+        report = run_suite(cfg)
+        for record in (p.to_record() for p in report.properties):
+            print(_property_line(record))
+        verdict = "PASS" if report.passed else "FAIL"
+        print(
+            f"suite {report.suite}: {verdict}"
+            f" ({len(report.properties)} properties,"
+            f" {report.total_failures} failures, {report.wall_time_s:.2f}s)"
+        )
+        if handle is not None:
             handle.write(report.to_json())
+    if handle is not None:
         print(f"report written to {cfg.report_path}")
 
     return 0 if report.passed else 1

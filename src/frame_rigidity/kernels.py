@@ -3,18 +3,23 @@
 The pairwise commensurability cross-check has to cover tens of thousands of
 pairs per dimension/field cell, which is too slow one pair at a time in
 Python.  This module re-implements BOTH characterizations of the relation on
-stacked arrays (vectorized QR/SVD) while keeping the two computation routes
-strictly independent of each other: the projector-commutator route and the
-strip-the-meet orthogonality route share nothing but the sampled inputs.
+stacked arrays while keeping the two computation routes strictly independent
+of each other: the projector-commutator route forms both projectors and
+their commutator, the strip-the-meet orthogonality route reads the principal
+angles between the operands from one thin SVD per pair (Bjorck-Golub 1973).
+They share nothing but the sampled inputs.  Spectral norms come from the
+largest eigenvalue of a Gram matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .linalg import adjoint, haar
+from .linalg import COMPLEX, REAL, adjoint, haar
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
 
@@ -40,15 +45,38 @@ class DualPathBatch:
 
 
 def _spectral_norms(batch: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    """Largest singular value of each matrix in a stack.
+
+    The square root of the top eigenvalue of ``M^H M``: the Gram matrix
+    scales with ``M``, so the largest singular value keeps its relative
+    accuracy, and a zero matrix gives exactly 0.
+    """
+    gram = adjoint(batch) @ batch
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _dual_paths_for_bucket(
     qa: np.ndarray, qb: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both commensurability tests for stacked orthonormal bases."""
-    m, n, da = qa.shape
-    db = qb.shape[2]
+    """Both commensurability tests for stacked orthonormal bases.
+
+    Route 1 forms the projectors and accepts when their commutator has norm
+    at most ``10*tol``.
+
+    Route 2 strips the meet ``C`` of A and B and accepts when the remainders
+    ``A ominus C`` and ``B ominus C`` are orthogonal, i.e. when
+    ``|(P_A - P_C)(P_B - P_C)| <= 10*tol``.  It reads the meet from the
+    principal angles of A against B (Bjorck-Golub 1973): with
+    ``G = Q_B^H Q_A``, the thin SVD ``Q_A - Q_B G = (I - P_B) Q_A = U S V^H``
+    has the sines of the angles in ``S`` and the principal directions in
+    ``Q_A V``.  The directions with sine at most ``tol`` (the convention of
+    ``Subspace.contains`` and ``equals``) span C, the others ``Q_A V_r`` span
+    ``A ominus C``.  Because ``A ominus C`` is orthogonal to C,
+    ``(P_A - P_C) P_C = 0`` and so ``(P_A - P_C)(P_B - P_C) = (P_A - P_C) P_B``,
+    whose norm is ``|Q_B^H Q_A V_r| = |G V_r|``.  When B is the full space
+    every sine is zero and ``V_r`` is empty, so the norm is 0 without a
+    special case.
+    """
     band = 10.0 * tol
 
     # route 1: commutator of the orthogonal projectors
@@ -58,20 +86,11 @@ def _dual_paths_for_bucket(
     comm_norms = _spectral_norms(comm)
     via_commutator = comm_norms <= band
 
-    # route 2: strip the meet from both sides, test for orthogonality
-    if (n - da) + (n - db) == 0:
-        # both operands are the full space; remainders are zero
-        return via_commutator, np.ones(m, dtype=bool), comm_norms
-    comp_a = np.linalg.qr(qa, mode="complete").Q[..., da:]
-    comp_b = np.linalg.qr(qb, mode="complete").Q[..., db:]
-    stacked = np.concatenate([comp_a, comp_b], axis=2)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=True)
-    ranks = np.sum(s > tol * s[..., [0]], axis=1)
-    # meet projector: span of the left-singular directions beyond the rank
-    null_mask = np.arange(n)[None, :] >= ranks[:, None]
-    pc = np.einsum("bik,bk,bjk->bij", u, null_mask.astype(u.real.dtype), np.conj(u))
-    residual_products = (pa - pc) @ (pb - pc)
-    via_complements = _spectral_norms(residual_products) <= band
+    # route 2: principal angles of A against B; the zero angles span the meet
+    g = adjoint(qb) @ qa
+    _, sines, vh = np.linalg.svd(qa - qb @ g, full_matrices=False)
+    beyond_meet = adjoint(vh) * (sines > tol)[:, None, :]
+    via_complements = _spectral_norms(g @ beyond_meet) <= band
     return via_commutator, via_complements, comm_norms
 
 
@@ -86,10 +105,27 @@ def _adversarial_bases(
     pair sits a safe factor away from any reasonable tolerance band.
     """
     q = haar(rng, (m, n, n), field)
-    dims_a = rng.integers(1, n, size=m) if n > 1 else np.ones(m, dtype=np.int64)
+    dims_a = rng.integers(1, n, size=m)
     dims_b = np.array([int(rng.integers(1, n - da + 1)) for da in dims_a])
     eps = np.array([ADVERSARIAL_ANGLES[i % len(ADVERSARIAL_ANGLES)] for i in range(m)])
     return q, dims_a, dims_b, eps
+
+
+def _check_arguments(
+    ambient: int, field: str, count: int, tol: float, adversarial_fraction: float
+) -> None:
+    if not isinstance(ambient, Integral) or ambient < 2:
+        raise ValueError(f"ambient must be an integer >= 2, got {ambient!r}")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field tag {field!r}")
+    if not isinstance(count, Integral) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not 0.0 <= adversarial_fraction <= 1.0:
+        raise ValueError(
+            f"adversarial_fraction must lie in [0, 1], got {adversarial_fraction!r}"
+        )
 
 
 def batched_commeasurability_check(
@@ -105,7 +141,13 @@ def batched_commeasurability_check(
     A fixed fraction of the pairs are adversarial near-commuting
     configurations at perturbation angles 1e-12, 1e-6, 1e-3; the rest are
     independent Haar pairs of random dimensions.
+
+    Raises ``ValueError``, before any draw, unless ``ambient`` is an integer
+    of at least 2, ``field`` is real or complex, ``count`` is a non-negative
+    integer, ``tol`` is finite and positive and ``adversarial_fraction`` lies
+    in [0, 1].
     """
+    _check_arguments(ambient, field, count, tol, adversarial_fraction)
     n = ambient
     n_adv = int(round(count * adversarial_fraction))
     n_rand = count - n_adv

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from frame_rigidity import cli
 from frame_rigidity.cli import _property_line
 from frame_rigidity.errors import ConfigError
 from frame_rigidity.report import VerificationReport
@@ -247,6 +248,24 @@ class TestCli:
         obj = json.loads(target.read_text())
         assert list(obj) == ["schema", "suite", "config", "properties", "summary"]
         assert obj["suite"] == "refinement"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_report_exits_two(self, where, tmp_path):
+        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        proc = run_cli("--suite", "partitions", "--trials", "3", "--report", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: cannot write report to")
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_report_refused_before_any_trial(self, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        code = cli.main(["--suite", "partitions", "--report", str(tmp_path)])
+        assert code == 2
 
     def test_env_var_sets_tolerance(self):
         proc = run_cli(
