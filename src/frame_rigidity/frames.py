@@ -10,6 +10,7 @@ involution).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,11 +24,27 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, adjoint, gaussian, haar, spectral_norm
+from .linalg import (
+    DEFAULT_TOL,
+    adjoint,
+    conditioned_gaussian_stack,
+    field_of,
+    gaussian,
+    gaussian_stack,
+    require_same_field,
+    span_stack,
+    spectral_norm,
+    unit_columns,
+)
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
 from .subspaces import Subspace
 
 MAX_CONDITION = 1e6
+
+# general sampled frames have their smallest singular value above this share
+# of the largest, which keeps eversion and induced-map arithmetic well away
+# from degeneracy
+_CONDITION_FLOOR = 1e-3
 
 
 class FrameTuple:
@@ -41,7 +58,7 @@ class FrameTuple:
     diagnosed.
     """
 
-    __slots__ = ("ambient", "components", "orthogonal")
+    __slots__ = ("ambient", "components", "orthogonal", "_stacked")
 
     def __init__(self, components: Sequence[Subspace], orthogonal: bool = False):
         components = tuple(components)
@@ -66,6 +83,7 @@ class FrameTuple:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "orthogonal", bool(orthogonal))
+        object.__setattr__(self, "_stacked", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FrameTuple is immutable")
@@ -91,8 +109,15 @@ class FrameTuple:
         return self.components[0].field
 
     def stacked_basis(self) -> np.ndarray:
-        """All component bases side by side; square by the dimension count."""
-        return np.hstack([c.basis for c in self.components])
+        """All component bases side by side; square by the dimension count.
+
+        Built once per frame, which is immutable, and read-only.
+        """
+        if self._stacked is None:
+            m = np.hstack([c.basis for c in self.components])
+            m.setflags(write=False)
+            object.__setattr__(self, "_stacked", m)
+        return self._stacked
 
     def to_json(self) -> dict:
         return {
@@ -143,28 +168,149 @@ def _sum_components(components: Sequence[Subspace], ambient: int, field: str) ->
     return Subspace.from_columns(np.hstack(cols))
 
 
+def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
+    """The frame whose components are the column blocks of ``basis``, which
+    are trusted to be orthonormal; ``basis`` is kept as its stacked basis."""
+    n = basis.shape[0]
+    frame = FrameTuple([Subspace(n, basis[:, sl]) for sl in _column_blocks(shape)], orthogonal)
+    stacked = np.array(basis)
+    stacked.setflags(write=False)
+    object.__setattr__(frame, "_stacked", stacked)
+    return frame
+
+
+@functools.lru_cache(maxsize=256)
+def _column_blocks(shape: IntPartition) -> tuple[slice, ...]:
+    """The columns of each component in a stacked basis of this shape."""
+    blocks, start = [], 0
+    for d in shape.parts:
+        blocks.append(slice(start, start + d))
+        start += d
+    return tuple(blocks)
+
+
+def _blocks_by_size(shape: IntPartition, pis: Sequence[Tableau]) -> dict:
+    """``{k: (trials, columns)}``: every block of every trial's tableau, in
+    trial and then block order, grouped by its column count ``k``; the
+    columns of a block are those of its components in a stacked basis."""
+    components = [range(sl.start, sl.stop) for sl in _column_blocks(shape)]
+    groups: dict[int, tuple[list, list]] = {}
+    for trial, pi in enumerate(pis):
+        if pi.n != len(components):
+            raise ShapeMismatchError(
+                f"partition of {pi.n} symbols cannot index {len(components)} components"
+            )
+        for block in pi.blocks:
+            cols = [c for i in sorted(block) for c in components[i - 1]]
+            trials, columns = groups.setdefault(len(cols), ([], []))
+            trials.append(trial)
+            columns.append(cols)
+    return groups
+
+
+def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Columns ``columns[p]`` of frame ``trials[p]``, as a ``(P, n, k)`` stack."""
+    return stack[trials[:, None], :, columns].swapaxes(1, 2)
+
+
+def span_components(m: np.ndarray, shape: IntPartition, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal component bases for a ``(B, n, n)`` stack of stacked bases.
+
+    Every column block of ``shape`` is re-spanned at ``tol`` as
+    ``Subspace.from_columns`` spans it.  A weakly decreasing shape keeps the
+    components of one dimension side by side, so each run of them is spanned
+    in one stack (the lines by one column normalization).
+
+    Raises ``ShapeMismatchError`` when a block spans fewer dimensions than
+    its component has, since the result would be no frame.
+    """
+    out = np.empty_like(m)
+    start = 0
+    for d, run in itertools.groupby(shape.parts):
+        stop = start + d * len(list(run))
+        out[:, :, start:stop] = _span_run(m[:, :, start:stop], d, tol)
+        start = stop
+    return out
+
+
+def _span_run(cols: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Orthonormal bases for side-by-side ``d``-dimensional components of a
+    ``(B, n, count * d)`` stack, spanned in one stack of ``B * count``."""
+    if d == 1:
+        return unit_columns(cols, tol)
+    b, n, width = cols.shape
+    count = width // d
+    if count > 1:
+        cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
+    u, rank = span_stack(cols, tol)
+    if rank.min() < d:
+        raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
+    if count > 1:
+        u = u.reshape(b, count, n, d).swapaxes(1, 2).reshape(b, n, width)
+    return u
+
+
+def pi_linked_stack(
+    a: np.ndarray,
+    b: np.ndarray,
+    shape: IntPartition,
+    pis: Sequence[Tableau],
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Stacked :func:`pi_linked`: whether frame k of ``a`` and of ``b``, given
+    as ``(B, n, n)`` stacked bases of one ``shape``, are linked along
+    ``pis[k]``.
+
+    The blocks of all trials are grouped by their column count, so each group
+    takes one span of both sides' blocks and one residual norm for the whole
+    stack; a trial's blocks of later groups are skipped once it is unlinked.
+    """
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
+    require_same_field(a, b)
+    linked = np.ones(len(pis), dtype=bool)
+    for k, (trials, columns) in _blocks_by_size(shape, pis).items():
+        t, c = np.array(trials), np.array(columns)
+        # a trial found unlinked at a block of an earlier size is done
+        pending = linked[t]
+        if not pending.all():
+            if not pending.any():
+                continue
+            t, c = t[pending], c[pending]
+        # both sides' blocks spanned in one stack
+        q, rank = span_stack(np.concatenate([_gather(a, t, c), _gather(b, t, c)]))
+        qa, qb = q[: len(t)], q[len(t) :]
+        rank_a, rank_b = rank[: len(t)], rank[len(t) :]
+        if rank_a.min() < k:
+            # only the leading rank_a columns span; equal ranks are compared
+            kept = (np.arange(k) < rank_a[:, None])[:, None, :]
+            qa, qb = qa * kept, qb * kept
+        # equal spans: the containment residual |B - A A^H B| is at most tol;
+        # the spans are finite, so a residual is never NaN
+        residual = qb - qa @ (adjoint(qa) @ qb)
+        if k == 1:
+            norms = np.linalg.norm(residual[:, :, 0], axis=-1)
+        else:
+            norms = np.linalg.svd(residual, compute_uv=False)[:, 0]
+        linked[t[(rank_a != rank_b) | (norms > tol)]] = False
+    return linked
+
+
 def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TOL) -> bool:
     """Whether the two frames agree blockwise along the partition ``pi``.
 
     ``pi`` partitions the component indices 1..s; the frames are linked when
     for every block the sums of the respective components coincide as
     subspaces.  For line frames this is the linkage relation on n symbols.
+    The batch of one of :func:`pi_linked_stack`.
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("frames live in different ambients")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shapes differ: {a.shape.parts} vs {b.shape.parts}")
-    if pi.n != len(a):
-        raise ShapeMismatchError(
-            f"partition of {pi.n} symbols cannot index {len(a)} components"
-        )
-    for block in pi.blocks:
-        idx = sorted(block)
-        sum_a = _sum_components([a.components[i - 1] for i in idx], a.ambient, a.field)
-        sum_b = _sum_components([b.components[i - 1] for i in idx], b.ambient, b.field)
-        if not sum_a.equals(sum_b, tol):
-            return False
-    return True
+    shape = a.shape
+    if shape != b.shape:
+        raise ShapeMismatchError(f"shapes differ: {shape.parts} vs {b.shape.parts}")
+    linked = pi_linked_stack(a.stacked_basis()[None], b.stacked_basis()[None], shape, [pi], tol)
+    return bool(linked[0])
 
 
 def refine_map(t: FrameTuple, arrow: RefinementArrow) -> FrameTuple:
@@ -258,6 +404,30 @@ def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
     return forward
 
 
+def random_frame_stack(
+    ambient: int,
+    shape: IntPartition,
+    field: str,
+    orthogonal: bool,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Stacked :func:`random_frame`: the ``(B, n, n)`` stacked bases of one
+    frame per generator, each drawn from its own generator exactly as
+    :func:`random_frame` draws it.
+
+    The conditioning floor of general frames is checked on the whole stack
+    at once, and only the rejected draws are redrawn.
+    """
+    if shape.n != ambient:
+        raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
+    if orthogonal:
+        return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
+    m, _ = conditioned_gaussian_stack(
+        rngs, ambient, field, lambda s: s[:, -1] > _CONDITION_FLOOR * s[:, 0]
+    )
+    return span_components(m, shape)
+
+
 def random_frame(
     ambient: int,
     shape: IntPartition,
@@ -271,28 +441,43 @@ def random_frame(
     matrix.  General frames partition the columns of a Gaussian matrix,
     resampled until the smallest singular value exceeds 1e-3 of the largest,
     with each block orthonormalized; the conditioning floor keeps eversion
-    and induced-map arithmetic well away from degeneracy.
+    and induced-map arithmetic well away from degeneracy.  The batch of one
+    of :func:`random_frame_stack`.
     """
-    if shape.n != ambient:
-        raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
-    if orthogonal:
-        m = haar(rng, (ambient, ambient), field)
-    else:
-        while True:
-            m = gaussian(rng, (ambient, ambient), field)
-            s = np.linalg.svd(m, compute_uv=False)
-            if s[-1] > 1e-3 * s[0]:
-                break
-    components = []
-    start = 0
-    for d in shape.parts:
-        block = m[:, start : start + d]
-        if orthogonal:
-            components.append(Subspace(ambient, block))
-        else:
-            components.append(Subspace.from_columns(block))
-        start += d
-    return FrameTuple(components, orthogonal)
+    basis = random_frame_stack(ambient, shape, field, orthogonal, [rng])[0]
+    return _frame(basis, shape, orthogonal)
+
+
+def linked_partner_stack(
+    bases: np.ndarray,
+    shape: IntPartition,
+    pis: Sequence[Tableau],
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Stacked :func:`linked_partner`: a partner of frame k of the ``(B, n, n)``
+    stacked bases, linked along ``pis[k]`` and drawn from ``rngs[k]``.
+
+    Each generator draws its block remixes in its tableau's block order, as
+    :func:`linked_partner` does; the blocks of all trials are then spanned and
+    remixed in one stack per block dimension.
+    """
+    field = field_of(bases)
+    groups = _blocks_by_size(shape, pis)
+    # every generator draws its remixes in its own block order
+    draws: dict[int, list] = {d: [] for d in groups}
+    for pi, rng in zip(pis, rngs):
+        for block in pi.blocks:
+            d = sum(shape.parts[i - 1] for i in block)
+            draws[d].append(gaussian(rng, (d, d), field))
+    out = np.empty_like(bases)
+    for d, (trials, columns) in groups.items():
+        t, c = np.array(trials), np.array(columns)
+        span, rank = span_stack(_gather(bases, t, c))
+        if rank.min() < d:
+            raise ShapeMismatchError("a block of the frame lost rank; it has no partner")
+        mixed = span @ np.linalg.qr(np.stack(draws[d])).Q
+        out[t[:, None], :, c] = mixed.swapaxes(1, 2)
+    return out
 
 
 def linked_partner(
@@ -303,22 +488,9 @@ def linked_partner(
     Within every block the component sum is kept fixed while the individual
     components are redrawn from a unitary remix of the block span, so the
     result is linked to ``t`` along ``pi`` by construction (and generically
-    along no strictly finer partition).
+    along no strictly finer partition).  The batch of one of
+    :func:`linked_partner_stack`.
     """
-    if pi.n != len(t):
-        raise ShapeMismatchError(
-            f"partition of {pi.n} symbols cannot index {len(t)} components"
-        )
-    new_components: list[Optional[Subspace]] = [None] * len(t)
-    for block in pi.blocks:
-        idx = sorted(block)
-        span = _sum_components([t.components[i - 1] for i in idx], t.ambient, t.field)
-        d = span.dim
-        mix = haar(rng, (d, d), t.field)
-        cols = span.basis @ mix
-        start = 0
-        for i in idx:
-            di = t.components[i - 1].dim
-            new_components[i - 1] = Subspace(t.ambient, cols[:, start : start + di])
-            start += di
-    return FrameTuple([c for c in new_components if c is not None], t.orthogonal)
+    shape = t.shape
+    basis = linked_partner_stack(t.stacked_basis()[None], shape, [pi], [rng])[0]
+    return _frame(basis, shape, t.orthogonal)

@@ -11,6 +11,9 @@ map from its action on lines alone.
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
 import numpy as np
 
 from .errors import (
@@ -23,27 +26,44 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .frames import FrameTuple
+from .frames import FrameTuple, _frame, span_components
 from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
     adjoint,
     as_matrix,
+    conditioned_gaussian_stack,
     field_of,
     gaussian,
     haar,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
+    unit_columns,
 )
+from .partitions import IntPartition
 from .subspaces import Subspace
 
 IDENTITY = "id"
 CONJUGATION = "conj"
 
-# deterministic probe stream for reconstruction verification
+# deterministic probe stream for reconstruction verification, and its length
 _PROBE_SEED = 0x1D6A
+_PROBE_COUNT = 50
+
+
+def _require_invertible(s: np.ndarray, tol: float) -> None:
+    """Refuse the matrices whose singular values, descending along the last
+    axis of ``s``, show a NaN or infinite entry or a matrix singular at
+    ``tol``."""
+    if s.shape[-1] == 0:
+        raise SingularMatrixError("matrix is singular at the working tolerance")
+    # false for a NaN or infinite largest singular value too
+    if not (s[..., -1] > tol * s[..., 0]).all():
+        if not np.isfinite(s[..., 0]).all():
+            raise NonFiniteError("matrix has non-finite entries")
+        raise SingularMatrixError("matrix is singular at the working tolerance")
 
 
 class SemilinearMap:
@@ -64,10 +84,10 @@ class SemilinearMap:
             s = np.linalg.svd(m, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NonFiniteError("matrix has non-finite entries") from exc
-        if s.size and not np.isfinite(s[0]):
-            raise NonFiniteError("matrix has non-finite entries")
-        if s.size == 0 or s[-1] <= tol * s[0]:
-            raise SingularMatrixError("matrix is singular at the working tolerance")
+        _require_invertible(s, tol)
+        self._init(m, automorphism)
+
+    def _init(self, m: np.ndarray, automorphism: str) -> None:
         if automorphism not in (IDENTITY, CONJUGATION):
             raise ValueError(f"unknown automorphism {automorphism!r}")
         if automorphism == CONJUGATION and field_of(m) == REAL:
@@ -76,6 +96,13 @@ class SemilinearMap:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "automorphism", automorphism)
+
+    @classmethod
+    def _invertible(cls, m: np.ndarray, automorphism: str) -> "SemilinearMap":
+        """A map on a square matrix already checked finite and invertible."""
+        t = object.__new__(cls)
+        t._init(m, automorphism)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("SemilinearMap is immutable")
@@ -134,15 +161,47 @@ def is_unitary_up_to_scale(t: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
     return spectral_norm(gram - lam * np.eye(t.ambient)) <= 10.0 * tol * abs(lam)
 
 
+def induced_on_frame_stack(
+    matrices: np.ndarray,
+    conj: np.ndarray,
+    bases: np.ndarray,
+    shape: IntPartition,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Stacked :func:`induced_on_frame`: the ``(B, n, n)`` stacked bases of the
+    image of frame k of ``bases`` (all of one ``shape``) under map k, whose
+    matrix is ``matrices[k]`` and which conjugates first where the boolean
+    array ``conj`` holds True.
+
+    One product ``M @ conj?(A)`` for the whole stack, then every component
+    re-spanned at ``tol`` (line components by one column normalization).  A
+    real frame under complex maps is promoted along the standard embedding.
+    """
+    if matrices.shape != bases.shape:
+        raise AmbientMismatchError(f"maps {matrices.shape} do not fit frames {bases.shape}")
+    if np.iscomplexobj(bases) and not np.iscomplexobj(matrices):
+        raise FieldMismatchError("complex subspace under a real-tagged map")
+    if conj.any():
+        bases = np.where(conj[:, None, None], bases.conj(), bases)
+    return span_components(matrices @ bases, shape, tol)
+
+
 def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_TOL) -> FrameTuple:
-    """Componentwise image frame.
+    """Componentwise image frame; the batch of one of
+    :func:`induced_on_frame_stack`.
 
     The orthogonal flag survives only when the map is unitary up to scale;
     otherwise images of perpendicular components need not stay perpendicular.
     """
-    comps = [apply_to_subspace(t, c, tol) for c in frame.components]
+    if t.ambient != frame.ambient:
+        raise AmbientMismatchError(f"map on {t.ambient} dims, frame in {frame.ambient}")
+    shape = frame.shape
+    conj = np.array([t.automorphism == CONJUGATION])
+    basis = induced_on_frame_stack(
+        t.matrix[None], conj, frame.stacked_basis()[None], shape, tol
+    )[0]
     keep_flag = frame.orthogonal and is_unitary_up_to_scale(t, tol)
-    return FrameTuple(comps, keep_flag)
+    return _frame(basis, shape, keep_flag)
 
 
 def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -204,6 +263,27 @@ def evert_conjugate(t: SemilinearMap, tol: float = DEFAULT_TOL) -> SemilinearMap
     return SemilinearMap(adjoint(np.linalg.inv(t.matrix)), t.automorphism, tol)
 
 
+def random_semilinear_stack(
+    ambient: int,
+    field: str,
+    rngs: Sequence[np.random.Generator],
+    max_condition: float = 1e3,
+) -> np.ndarray:
+    """Stacked :func:`random_semilinear`: the ``(B, n, n)`` matrices of one map
+    per generator, each drawn from its own generator as
+    :func:`random_semilinear` draws it.
+
+    The condition cap is checked on the whole stack at once, with redraws
+    only for the rejected matrices, and the accepted singular values are
+    checked as :class:`SemilinearMap` checks a matrix.
+    """
+    g, s = conditioned_gaussian_stack(
+        rngs, ambient, field, lambda s: s[:, 0] <= max_condition * s[:, -1]
+    )
+    _require_invertible(s, DEFAULT_TOL)
+    return g
+
+
 def random_semilinear(
     ambient: int,
     field: str,
@@ -211,14 +291,12 @@ def random_semilinear(
     automorphism: str = IDENTITY,
     max_condition: float = 1e3,
 ) -> SemilinearMap:
-    """Random invertible map with condition number at most ``max_condition``."""
+    """Random invertible map with condition number at most ``max_condition``;
+    the batch of one of :func:`random_semilinear_stack`."""
     if field == REAL and automorphism != IDENTITY:
         raise ValueError("real maps carry the identity automorphism")
-    while True:
-        g = gaussian(rng, (ambient, ambient), field)
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[0] <= max_condition * s[-1]:
-            return SemilinearMap(g, automorphism)
+    matrix = random_semilinear_stack(ambient, field, [rng], max_condition)[0]
+    return SemilinearMap._invertible(matrix, automorphism)
 
 
 def random_unitary_map(
@@ -235,6 +313,20 @@ def random_unitary_map(
 def _line(ambient: int, vector: np.ndarray, field: str) -> Subspace:
     v = vector.astype(np.complex128 if field == COMPLEX else np.float64)
     return Subspace.from_columns(v.reshape(ambient, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_probes(ambient: int, field: str) -> tuple[tuple[Subspace, ...], np.ndarray]:
+    """The verification sweep's deterministic random lines, and their bases
+    side by side as one matrix."""
+    probe_rng = np.random.default_rng(_PROBE_SEED)
+    lines = tuple(
+        _line(ambient, gaussian(probe_rng, (ambient,), field), field)
+        for _ in range(_PROBE_COUNT)
+    )
+    bases = np.hstack([line.basis for line in lines])
+    bases.setflags(write=False)
+    return lines, bases
 
 
 def _probe(oracle, ambient: int, vector: np.ndarray, field: str) -> np.ndarray:
@@ -262,7 +354,9 @@ def reconstruct_from_line_images(
     Probes the coordinate lines for the matrix columns, the lines through
     e_1 + e_k for the relative column scales, and e_1 + i e_2 for the
     automorphism; a final sweep of 50 deterministic random lines guards
-    against oracles that only pretend to be semilinear on the probe set.
+    against oracles that only pretend to be semilinear on the probe set.  The
+    candidate's images of the sweep lines come from one product; the oracle
+    is asked about them one at a time, in order, up to the first deviation.
     """
     if ambient < 2:
         raise ValueError("need ambient dimension at least 2")
@@ -300,12 +394,13 @@ def reconstruct_from_line_images(
         raise NotSemilinearError(
             "probe images are linearly dependent; no invertible map fits"
         ) from exc
-    probe_rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(50):
-        v = gaussian(probe_rng, (ambient,), field)
-        expected = oracle(_line(ambient, v, field))
-        got = apply_to_subspace(candidate, _line(ambient, v, field), tol)
-        if not got.equals(expected, tol):
+    lines, probes = _sweep_probes(ambient, field)
+    if automorphism == CONJUGATION:
+        probes = probes.conj()
+    images = unit_columns(candidate.matrix @ probes, tol)
+    for k, line in enumerate(lines):
+        expected = oracle(line)
+        if not Subspace(ambient, images[:, k : k + 1]).equals(expected, tol):
             raise NotSemilinearError("oracle deviates from every semilinear model")
     return candidate
 

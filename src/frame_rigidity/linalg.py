@@ -131,6 +131,56 @@ def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     return u[:, :rank], rank
 
 
+def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`span` of every matrix in a ``(B, n, k)`` stack, by the same rule.
+
+    Returns the ``(B, n, k)`` left singular vectors of the thin SVDs and the
+    ``(B,)`` ranks: the first ``rank[b]`` columns of entry b span matrix b.
+    A stack of single columns is normalized (:func:`unit_columns`).
+
+    Raises ``ZeroInputError`` when some matrix is numerically zero and
+    ``NonFiniteError`` when an entry is NaN or infinite.
+    """
+    m = np.asarray(cols)
+    if m.shape[-1] == 1:
+        return unit_columns(m, tol), np.ones(m.shape[0], dtype=np.intp)
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError("matrix has non-finite entries") from exc
+    top = s[:, :1]
+    # false for a NaN top singular value too
+    if not (tol < float(top.min()) and float(top.max()) < math.inf):
+        if not np.isfinite(top).all():
+            raise NonFiniteError("matrix has non-finite entries")
+        raise ZeroInputError("all columns are numerically zero")
+    return u, (s > tol * top).sum(axis=-1)
+
+
+def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Every column of a matrix or stack divided by its norm: the span of a
+    single column, as in :func:`span`.
+
+    Raises ``ZeroInputError`` when a column has norm <= ``tol`` and
+    ``NonFiniteError`` when an entry is NaN or infinite.
+    """
+    norms = np.linalg.norm(m, axis=-2, keepdims=True)
+    # false for a NaN norm too
+    if not (tol < float(norms.min()) and float(norms.max()) < math.inf):
+        if not np.isfinite(m).all():
+            raise NonFiniteError("matrix has non-finite entries")
+        overflowed = norms == math.inf
+        if overflowed.any():
+            # a finite column whose norm overflows is divided by its largest
+            # entry first
+            largest = np.max(np.abs(m), axis=-2, keepdims=True)
+            m = m / np.where(overflowed, largest, 1.0)
+            norms = np.linalg.norm(m, axis=-2, keepdims=True)
+        if (norms <= tol).any():
+            raise ZeroInputError("a column is numerically zero")
+    return m / norms
+
+
 def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the column space of ``cols``.
 
@@ -180,6 +230,38 @@ def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     if field == COMPLEX:
         g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return g
+
+
+def gaussian_stack(rngs, shape: tuple, field: str) -> np.ndarray:
+    """One :func:`gaussian` array of ``shape`` from each generator, stacked."""
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    out = np.empty((len(rngs),) + tuple(shape), dtype=dtype)
+    for k, rng in enumerate(rngs):
+        out[k] = gaussian(rng, shape, field)
+    return out
+
+
+def conditioned_gaussian_stack(
+    rngs, n: int, field: str, accept
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``n x n`` :func:`gaussian` matrix per generator, each redrawn from
+    its own generator until ``accept`` passes its singular values.
+
+    ``accept`` maps a ``(B, n)`` stack of singular values (descending) to a
+    ``(B,)`` mask.  Every round checks the whole pending stack with one SVD
+    and redraws only the rejected entries, so each generator sees exactly the
+    draws of a one-matrix loop.  Returns the accepted matrices and their
+    singular values.
+    """
+    g = gaussian_stack(rngs, (n, n), field)
+    s = np.linalg.svd(g, compute_uv=False)
+    accepted = accept(s)
+    while not accepted.all():
+        pending = np.flatnonzero(~accepted)
+        g[pending] = gaussian_stack([rngs[i] for i in pending], (n, n), field)
+        s[pending] = np.linalg.svd(g[pending], compute_uv=False)
+        accepted[pending] = accept(s[pending])
+    return g, s
 
 
 def haar(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:

@@ -4,6 +4,12 @@ Each suite bundles the invariants of one module (or one theorem-shaped
 cluster of them) into seeded Monte-Carlo trials.  Every trial draws its
 randomness from a stream keyed by (seed, suite, property, trial), so reports
 are reproducible regardless of execution order.
+
+A property runs its trials in batches: it receives a chunk of trial indices
+with one stream each and returns one outcome per trial.  Batched properties
+keep their trials as ``(B, n, n)`` stacks and draw each trial's randomness
+from its own stream in the order one trial alone would, so the chunk size
+changes no report; the others run trial by trial through :func:`_per_trial`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,9 +28,12 @@ from .frames import (
     evert,
     bigobot,
     linked_partner,
+    linked_partner_stack,
     permute,
     pi_linked,
+    pi_linked_stack,
     random_frame,
+    random_frame_stack,
     refine_map,
 )
 from .induced import (
@@ -36,12 +45,14 @@ from .induced import (
     evert_conjugate,
     induced_line_map,
     induced_on_frame,
+    induced_on_frame_stack,
     random_semilinear,
+    random_semilinear_stack,
     random_unitary_map,
     reconstruct_from_line_images,
     scale_equivalent,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, haar, spectral_norm
+from .linalg import COMPLEX, DEFAULT_TOL, REAL, haar, span_stack, spectral_norm
 from .partitions import (
     IntPartition,
     Tableau,
@@ -64,6 +75,9 @@ from .subspaces import (
 
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
+
+# trials handed to a property at once; bounds the memory of one batch
+_CHUNK = 128
 
 # largest accepted base tolerance: sampled frames and maps each have condition
 # numbers up to 1e3, and an image line frame compounds the two to 1e6, so above
@@ -94,16 +108,20 @@ class SuiteConfig:
             raise ConfigError(
                 f"unknown suite {self.suite!r}; choose from {', '.join(list_suites())}"
             )
-        if not isinstance(self.ambient, int) or not 2 <= self.ambient <= 8:
+        # bool is an int subclass, and the report would echo true for 1
+        if not _plain_int(self.ambient) or not 2 <= self.ambient <= 8:
             raise ConfigError(f"ambient must be an integer in 2..8, got {self.ambient}")
         if self.suite in _MIN_AMBIENT_THREE and self.ambient < 3:
             raise ConfigError(f"suite {self.suite!r} requires ambient >= 3")
         if self.field not in (REAL, COMPLEX):
             raise ConfigError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _plain_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _plain_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        # other number types (numpy float32, say) would not serialize
+        if not isinstance(self.tol, float):
+            raise ConfigError(f"tol must be a float, got {self.tol!r}")
         if not 0.0 < self.tol <= MAX_TOL:
             raise ConfigError(f"tol must be in (0, {MAX_TOL:g}], got {self.tol}")
 
@@ -118,15 +136,32 @@ class SuiteConfig:
         }
 
 
+def _plain_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # a trial returns what it measured: its verdict (True when the property
 # holds) or a residual
 TrialFn = Callable[[SuiteConfig, int, np.random.Generator], "bool | float"]
+# a batch of trials returns one outcome per trial, in trial order
+BatchFn = Callable[
+    [SuiteConfig, Sequence[int], Sequence[np.random.Generator]], Sequence["bool | float"]
+]
+
+
+def _per_trial(trial_fn: TrialFn) -> BatchFn:
+    """Run a one-trial property over a batch, trial by trial."""
+
+    def run(cfg, trials, rngs):
+        return [trial_fn(cfg, trial, rng) for trial, rng in zip(trials, rngs)]
+
+    return run
 
 
 @dataclass(frozen=True)
 class _Property:
     name: str
-    run: TrialFn
+    run: BatchFn
     # a residual is violated above band * tol
     band: float = 10.0
     # accepted range of the share of violated trials, which is then reported;
@@ -219,6 +254,27 @@ def _random_map(cfg: SuiteConfig, rng: np.random.Generator) -> SemilinearMap:
     return random_semilinear(cfg.ambient, cfg.field, rng, automorphism)
 
 
+def _random_maps(cfg: SuiteConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`_random_map`: the matrices and the conjugation flags."""
+    conj = np.array([_random_automorphism(cfg.field, rng) == CONJUGATION for rng in rngs])
+    return random_semilinear_stack(cfg.ambient, cfg.field, rngs), conj
+
+
+def _line_frames(cfg: SuiteConfig, orthogonal: bool, rngs) -> np.ndarray:
+    return random_frame_stack(
+        cfg.ambient, _line_shape(cfg.ambient), cfg.field, orthogonal, rngs
+    )
+
+
+def _images(cfg: SuiteConfig, maps: tuple, frames: np.ndarray) -> np.ndarray:
+    """Image line frames under stacked maps from :func:`_random_maps`."""
+    return induced_on_frame_stack(*maps, frames, _line_shape(cfg.ambient), cfg.tol)
+
+
+def _partitions_for_trials(cfg: SuiteConfig, trials, rngs) -> list:
+    return [_partition_for_trial(cfg.ambient, t, rng) for t, rng in zip(trials, rngs)]
+
+
 def _commuting_pair(
     n: int, field: str, rng: np.random.Generator
 ) -> tuple[Subspace, Subspace]:
@@ -309,71 +365,84 @@ def _clr_containment(cfg, trial, rng):
 # -- clr-bis: independence of line systems survives ------------------------------
 
 
-def _clrbis_independent(cfg, trial, rng):
-    t = random_frame(cfg.ambient, _line_shape(cfg.ambient), cfg.field, False, rng)
-    m = _random_map(cfg, rng)
-    image = induced_on_frame(m, t, cfg.tol)
-    s = np.linalg.svd(image.stacked_basis(), compute_uv=False)
-    return s[-1] > cfg.tol * s[0]
+def _clrbis_images(cfg, rngs):
+    frames = _line_frames(cfg, False, rngs)
+    return _images(cfg, _random_maps(cfg, rngs), frames)
 
 
-def _clrbis_sum_dims(cfg, trial, rng):
+def _clrbis_independent(cfg, trials, rngs):
+    s = np.linalg.svd(_clrbis_images(cfg, rngs), compute_uv=False)
+    return s[:, -1] > cfg.tol * s[:, 0]
+
+
+def _clrbis_sum_dims(cfg, trials, rngs):
     n = cfg.ambient
-    t = random_frame(n, _line_shape(n), cfg.field, False, rng)
-    m = _random_map(cfg, rng)
-    image = induced_on_frame(m, t, cfg.tol)
-    size = int(rng.integers(2, n + 1))
-    chosen = rng.permutation(n)[:size]
-    total = image.components[chosen[0]]
-    for k in chosen[1:]:
-        total = total.sum(image.components[k], cfg.tol)
-    return total.dim == size
+    image = _clrbis_images(cfg, rngs)
+    sizes = np.array([int(rng.integers(2, n + 1)) for rng in rngs])
+    order = np.array([rng.permutation(n) for rng in rngs])
+    lines = np.take_along_axis(image, order[:, None, :], axis=2)
+    # summing the chosen lines one at a time, the sum reaches dimension
+    # ``size`` exactly when every step adds one
+    full = np.ones(len(rngs), dtype=bool)
+    total = lines[:, :, :1]
+    for step in range(1, n):
+        active = np.flatnonzero(full & (sizes > step))
+        if not active.size:
+            break
+        cols = np.concatenate([total[active], lines[active, :, step : step + 1]], axis=2)
+        span, rank = span_stack(cols, cfg.tol)
+        full[active] = rank == step + 1
+        total = np.empty_like(cols, shape=(len(rngs),) + cols.shape[1:])
+        total[active] = span
+    return full
 
 
 # -- pfr-perp: linkage of orthogonal line frames ---------------------------------
 
 
-def _pfrp_forward(cfg, trial, rng):
-    n = cfg.ambient
-    pi = _partition_for_trial(n, trial, rng)
-    a = random_frame(n, _line_shape(n), cfg.field, True, rng)
-    b = linked_partner(a, pi, rng)
-    m = _random_map(cfg, rng)
-    return pi_linked(
-        induced_on_frame(m, a, cfg.tol),
-        induced_on_frame(m, b, cfg.tol),
-        pi,
-        10.0 * cfg.tol,
+def _pfrp_forward(cfg, trials, rngs):
+    pis = _partitions_for_trials(cfg, trials, rngs)
+    a = _line_frames(cfg, True, rngs)
+    b = linked_partner_stack(a, _line_shape(cfg.ambient), pis, rngs)
+    maps = _random_maps(cfg, rngs)
+    return pi_linked_stack(
+        _images(cfg, maps, a), _images(cfg, maps, b), _line_shape(cfg.ambient), pis, 10.0 * cfg.tol
     )
 
 
-def _pfrp_both_directions(cfg, trial, rng):
-    n = cfg.ambient
-    pi = _partition_for_trial(n, trial, rng)
-    a = random_frame(n, _line_shape(n), cfg.field, True, rng)
-    if rng.random() < 0.5:
-        b = linked_partner(a, pi, rng)
-    else:
-        b = random_frame(n, _line_shape(n), cfg.field, True, rng)
-    m = _random_map(cfg, rng)
-    before = pi_linked(a, b, pi, 10.0 * cfg.tol)
-    after = pi_linked(
-        induced_on_frame(m, a, cfg.tol),
-        induced_on_frame(m, b, cfg.tol),
-        pi,
-        10.0 * cfg.tol,
+def _pfrp_both_directions(cfg, trials, rngs):
+    shape = _line_shape(cfg.ambient)
+    pis = _partitions_for_trials(cfg, trials, rngs)
+    a = _line_frames(cfg, True, rngs)
+    # half the partners are linked, the others independent
+    linked = np.array([rng.random() < 0.5 for rng in rngs])
+    b = np.empty_like(a)
+    partners, fresh = np.flatnonzero(linked), np.flatnonzero(~linked)
+    if partners.size:
+        b[partners] = linked_partner_stack(
+            a[partners], shape, [pis[i] for i in partners], [rngs[i] for i in partners]
+        )
+    if fresh.size:
+        b[fresh] = _line_frames(cfg, True, [rngs[i] for i in fresh])
+    maps = _random_maps(cfg, rngs)
+    before = pi_linked_stack(a, b, shape, pis, 10.0 * cfg.tol)
+    after = pi_linked_stack(
+        _images(cfg, maps, a), _images(cfg, maps, b), shape, pis, 10.0 * cfg.tol
     )
     return before == after
 
 
-def _pfrp_equivariance(cfg, trial, rng):
+def _pfrp_equivariance(cfg, trials, rngs):
     n = cfg.ambient
-    a = random_frame(n, _line_shape(n), cfg.field, True, rng)
-    m = _random_map(cfg, rng)
-    sigma = tuple(int(k) for k in rng.permutation(n))
-    lhs = induced_on_frame(m, permute(a, sigma), cfg.tol)
-    rhs = permute(induced_on_frame(m, a, cfg.tol), sigma)
-    return _frame_distance(lhs, rhs)
+    a = _line_frames(cfg, True, rngs)
+    maps = _random_maps(cfg, rngs)
+    sigma = np.array([rng.permutation(n) for rng in rngs])[:, None, :]
+    lhs = _images(cfg, maps, np.take_along_axis(a, sigma, axis=2))
+    rhs = np.take_along_axis(_images(cfg, maps, a), sigma, axis=2)
+    # the largest projector distance between matching lines: for unit x, y
+    # |P_x - P_y| is the sine of their angle, |y - x (x^H y)|
+    cos = np.sum(lhs.conj() * rhs, axis=1, keepdims=True)
+    return np.linalg.norm(rhs - lhs * cos, axis=1).max(axis=1)
 
 
 # -- pfr: the eversion branch -----------------------------------------------------
@@ -617,10 +686,10 @@ def _falsify_trial(cfg, trial, rng, eps):
 
 _REGISTRY: dict[str, tuple[_Property, ...]] = {
     "clr": (
-        _Property("preserves-dimensions", _clr_dims),
-        _Property("preserves-joins", _clr_joins),
-        _Property("preserves-meets", _clr_meets),
-        _Property("preserves-containment", _clr_containment),
+        _Property("preserves-dimensions", _per_trial(_clr_dims)),
+        _Property("preserves-joins", _per_trial(_clr_joins)),
+        _Property("preserves-meets", _per_trial(_clr_meets)),
+        _Property("preserves-containment", _per_trial(_clr_containment)),
     ),
     "clr-bis": (
         _Property("image-lines-independent", _clrbis_independent),
@@ -632,45 +701,59 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("permutation-equivariance", _pfrp_equivariance),
     ),
     "pfr": (
-        _Property("eversion-involution", _pfr_involution),
-        _Property("eversion-fixes-orthogonal", _pfr_fixes_orthogonal),
-        _Property("eversion-preserves-linkage", _pfr_preserves_linkage),
-        _Property("eversion-commutes-with-permutations", _pfr_permutations),
+        _Property("eversion-involution", _per_trial(_pfr_involution)),
+        _Property("eversion-fixes-orthogonal", _per_trial(_pfr_fixes_orthogonal)),
+        _Property("eversion-preserves-linkage", _per_trial(_pfr_preserves_linkage)),
+        _Property("eversion-commutes-with-permutations", _per_trial(_pfr_permutations)),
     ),
     "eversion-order": (
-        _Property("conjugate-transport-commutes", _evorder_commutes, band=100.0),
-        _Property("unitary-maps-fixed", _evorder_unitary_fixed),
-        _Property("transport-involution", _evorder_involution, band=100.0),
+        _Property(
+            "conjugate-transport-commutes", _per_trial(_evorder_commutes), band=100.0
+        ),
+        _Property("unitary-maps-fixed", _per_trial(_evorder_unitary_fixed)),
+        _Property("transport-involution", _per_trial(_evorder_involution), band=100.0),
     ),
     "obot": (
-        _Property("matches-pairwise-commeasurability", _obot_matches_pairwise),
-        _Property("common-basis-groupings-split", _obot_common_basis_splits),
-        _Property("reflexive", _obot_reflexive),
-        _Property("generic-pairs-rejected", _obot_generic_rejected),
+        _Property("matches-pairwise-commeasurability", _per_trial(_obot_matches_pairwise)),
+        _Property("common-basis-groupings-split", _per_trial(_obot_common_basis_splits)),
+        _Property("reflexive", _per_trial(_obot_reflexive)),
+        _Property("generic-pairs-rejected", _per_trial(_obot_generic_rejected)),
     ),
     "refinement": (
-        _Property("identity-arrow-fixes-frame", _refinement_identity),
-        _Property("composition-functoriality", _refinement_functorial),
-        _Property("lifted-permutation-equivariance", _refinement_lift_equivariance),
+        _Property("identity-arrow-fixes-frame", _per_trial(_refinement_identity)),
+        _Property("composition-functoriality", _per_trial(_refinement_functorial)),
+        _Property(
+            "lifted-permutation-equivariance", _per_trial(_refinement_lift_equivariance)
+        ),
     ),
     "partitions": (
-        _Property("conjugate-involution", _partitions_involution),
-        _Property("conjugation-reverses-dominance", _partitions_conjugate_dominance),
-        _Property("refinement-implies-dominance", _partitions_refinement_dominance),
-        _Property("jump-sum-recovers-largest-part", _partitions_jump_sum),
-        _Property("symmetry-factors-count-parts", _partitions_symmetry_count),
+        _Property("conjugate-involution", _per_trial(_partitions_involution)),
+        _Property(
+            "conjugation-reverses-dominance", _per_trial(_partitions_conjugate_dominance)
+        ),
+        _Property(
+            "refinement-implies-dominance", _per_trial(_partitions_refinement_dominance)
+        ),
+        _Property("jump-sum-recovers-largest-part", _per_trial(_partitions_jump_sum)),
+        _Property("symmetry-factors-count-parts", _per_trial(_partitions_symmetry_count)),
     ),
     "reconstruction": (
-        _Property("hidden-map-round-trip", _reconstruction_roundtrip),
-        _Property("rejects-distorted-oracle", _reconstruction_rejects_distortion),
+        _Property("hidden-map-round-trip", _per_trial(_reconstruction_roundtrip)),
+        _Property(
+            "rejects-distorted-oracle", _per_trial(_reconstruction_rejects_distortion)
+        ),
     ),
     "falsify": (
         # a violated trial is one whose linkage the distortion broke
         _Property(
-            "breaks-linkage", partial(_falsify_trial, eps=FALSIFY_EPS), rate=(0.95, 1.0)
+            "breaks-linkage",
+            _per_trial(partial(_falsify_trial, eps=FALSIFY_EPS)),
+            rate=(0.95, 1.0),
         ),
         _Property(
-            "zero-distortion-control", partial(_falsify_trial, eps=0.0), rate=(0.0, 0.0)
+            "zero-distortion-control",
+            _per_trial(partial(_falsify_trial, eps=0.0)),
+            rate=(0.0, 0.0),
         ),
     ),
 }
@@ -686,20 +769,29 @@ def suite_properties(suite: str) -> tuple[str, ...]:
     return tuple(p.name for p in _REGISTRY[suite])
 
 
+def _outcomes(cfg: SuiteConfig, prop: _Property):
+    """Yield ``(trial, outcome)`` for every trial, running the property on
+    chunks of ``_CHUNK`` trials with one stream per trial."""
+    for start in range(0, cfg.trials, _CHUNK):
+        trials = range(start, min(start + _CHUNK, cfg.trials))
+        rngs = [trial_rng(cfg.seed, cfg.suite, prop.name, trial) for trial in trials]
+        yield from zip(trials, prop.run(cfg, trials, rngs), strict=True)
+
+
 def _run_property(cfg: SuiteConfig, prop: _Property) -> PropertyResult:
     """Judge every trial's outcome and the property's rate rule.
 
-    A verdict counts 0.0 when it holds and 1.0 (violated) when not; a residual
-    is violated above ``prop.band * cfg.tol`` or when it is NaN, and a NaN
-    residual is the worst one.
+    The property runs on chunks of at most ``_CHUNK`` trials, each trial with
+    its own stream, and returns one outcome per trial; the outcomes do not
+    depend on the chunking.  A verdict counts 0.0 when it holds and 1.0
+    (violated) when not; a residual is violated above ``prop.band * cfg.tol``
+    or when it is NaN, and a NaN residual is the worst one.
     """
     worst = 0.0
     violated_count = 0
     first_violated: Optional[int] = None
     first_clean: Optional[int] = None
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, cfg.suite, prop.name, trial)
-        outcome = prop.run(cfg, trial, rng)
+    for trial, outcome in _outcomes(cfg, prop):
         if isinstance(outcome, (bool, np.bool_)):
             residual, violated = (0.0, False) if outcome else (1.0, True)
         else:

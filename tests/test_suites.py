@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from frame_rigidity.suites import (
     MAX_TOL,
     SuiteConfig,
     _Property,
+    _per_trial,
     _run_property,
     list_suites,
     run_suite,
@@ -82,6 +84,22 @@ class TestConfigValidation:
     def test_large_or_non_finite_tol_rejected(self, tol):
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="partitions", tol=tol))
+
+    @pytest.mark.parametrize("name", ["ambient", "trials", "seed"])
+    def test_bool_counts_rejected(self, name):
+        # True passed as 1, and the report echoed "trials": true
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(suite="partitions", **{name: True}))
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-9), Decimal("1e-9")])
+    def test_tol_must_be_a_float(self, tol):
+        # these passed the range check and then broke the report's JSON
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(suite="partitions", trials=2, tol=tol))
+
+    def test_numpy_float64_tol_accepted(self):
+        report = run_suite(SuiteConfig(suite="partitions", trials=2, tol=np.float64(1e-9)))
+        assert json.loads(report.to_json())["config"]["tol"] == 1e-9
 
     def test_largest_tol_accepted(self):
         report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=MAX_TOL))
@@ -176,7 +194,7 @@ class TestRunSuite:
 
 def _judge(outcome, band=10.0):
     """Run a three-trial property whose every trial returns ``outcome``, at tol 1e-9."""
-    prop = _Property("probe", lambda cfg, trial, rng: outcome, band=band)
+    prop = _Property("probe", _per_trial(lambda cfg, trial, rng: outcome), band=band)
     return _run_property(SuiteConfig(suite="partitions", trials=3, tol=1e-9), prop)
 
 
@@ -193,7 +211,9 @@ class TestRunProperty:
 
     def test_nan_residual_reaches_the_report(self):
         # max(worst, nan) keeps worst, which hid a NaN trial behind a clean one
-        prop = _Property("probe", lambda cfg, trial, rng: float("nan") if trial == 1 else 1e-12)
+        prop = _Property(
+            "probe", _per_trial(lambda cfg, trial, rng: float("nan") if trial == 1 else 1e-12)
+        )
         cfg = SuiteConfig(suite="pfr", ambient=4, field="real", trials=3, seed=0)
         result = _run_property(cfg, prop)
         assert result.failures == 1 and result.first_failing_trial == 1
