@@ -1,178 +1,34 @@
 """Grassmannian subspace arithmetic, line frames, partition linkage, and
-induced semilinear maps, with a seeded property-verification CLI."""
+induced semilinear maps, with a seeded property-verification CLI.
 
-from .errors import (
-    AmbientMismatchError,
-    ChainMismatchError,
-    ConfigError,
-    DegenerateConfigurationError,
-    DegenerateOracleError,
-    FieldMismatchError,
-    FrameRigidityError,
-    IllegalPermutationError,
-    InconsistencyError,
-    NonFiniteError,
-    NotContainedError,
-    NotSemilinearError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    SizeMismatchError,
-    ZeroInputError,
-)
-from .frames import (
-    MAX_CONDITION,
-    FrameTuple,
-    ValidationReport,
-    bigobot,
-    evert,
-    linked_partner,
-    permute,
-    pi_linked,
-    random_frame,
-    refine_map,
-    validate,
-)
-from .induced import (
-    CONJUGATION,
-    IDENTITY,
-    SemilinearMap,
-    apply_to_subspace,
-    cubic_line_distortion,
-    evert_conjugate,
-    induced_line_map,
-    induced_on_frame,
-    is_unitary_up_to_scale,
-    line_projection_construct,
-    random_semilinear,
-    random_unitary_map,
-    reconstruct_from_line_images,
-    scale_equivalent,
-)
-from .kernels import DualPathBatch, batched_commeasurability_check
-from .linalg import (
-    COMPLEX,
-    DEFAULT_TOL,
-    REAL,
-    PolarFactors,
-    adjoint,
-    gaussian,
-    haar,
-    orthonormalize,
-    polar_decompose,
-    rank_with_tol,
-    span,
-    spectral_norm,
-)
-from .partitions import (
-    IntPartition,
-    RefinementArrow,
-    Tableau,
-    compose_refinements,
-    dominance_leq,
-    identity_refinement,
-    is_legal_permutation,
-    legal_permutations,
-    lift_coarse_permutation,
-    partitions_of,
-    reverse_refines,
-    set_partitions,
-)
-from .report import SCHEMA_VERSION, PropertyResult, VerificationReport
-from .rng import stream_key, trial_rng
-from .subspaces import (
-    Subspace,
-    commeasurable,
-    commeasurable_via_complements,
-    commutator_norm,
-    product_range,
-    random_subspace,
-)
-from .suites import SuiteConfig, list_suites, run_suite, suite_properties
+The top level exports the names the README and the benchmark use; everything
+else is imported from its module (``frame_rigidity.suites``, ...).
+"""
+
+from .errors import FrameRigidityError, NonFiniteError
+from .frames import FrameTuple, evert, linked_partner
+from .induced import CONJUGATION, IDENTITY, SemilinearMap, apply_to_subspace, induced_on_frame
+from .linalg import polar_decompose
+from .partitions import Tableau
+from .subspaces import Subspace, commeasurable, commeasurable_via_complements
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientMismatchError",
-    "ChainMismatchError",
-    "ConfigError",
-    "DegenerateConfigurationError",
-    "DegenerateOracleError",
-    "FieldMismatchError",
-    "FrameRigidityError",
-    "IllegalPermutationError",
-    "InconsistencyError",
-    "NonFiniteError",
-    "NotContainedError",
-    "NotSemilinearError",
-    "ShapeMismatchError",
-    "SingularMatrixError",
-    "SizeMismatchError",
-    "ZeroInputError",
-    "MAX_CONDITION",
-    "FrameTuple",
-    "ValidationReport",
-    "bigobot",
-    "evert",
-    "linked_partner",
-    "permute",
-    "pi_linked",
-    "random_frame",
-    "refine_map",
-    "validate",
     "CONJUGATION",
     "IDENTITY",
+    "FrameRigidityError",
+    "FrameTuple",
+    "NonFiniteError",
     "SemilinearMap",
-    "apply_to_subspace",
-    "cubic_line_distortion",
-    "evert_conjugate",
-    "induced_line_map",
-    "induced_on_frame",
-    "is_unitary_up_to_scale",
-    "line_projection_construct",
-    "random_semilinear",
-    "random_unitary_map",
-    "reconstruct_from_line_images",
-    "scale_equivalent",
-    "DualPathBatch",
-    "batched_commeasurability_check",
-    "COMPLEX",
-    "DEFAULT_TOL",
-    "REAL",
-    "PolarFactors",
-    "adjoint",
-    "gaussian",
-    "haar",
-    "orthonormalize",
-    "polar_decompose",
-    "rank_with_tol",
-    "span",
-    "spectral_norm",
-    "IntPartition",
-    "RefinementArrow",
-    "Tableau",
-    "compose_refinements",
-    "dominance_leq",
-    "identity_refinement",
-    "is_legal_permutation",
-    "legal_permutations",
-    "lift_coarse_permutation",
-    "partitions_of",
-    "reverse_refines",
-    "set_partitions",
-    "SCHEMA_VERSION",
-    "PropertyResult",
-    "VerificationReport",
-    "stream_key",
-    "trial_rng",
     "Subspace",
+    "Tableau",
+    "apply_to_subspace",
     "commeasurable",
     "commeasurable_via_complements",
-    "commutator_norm",
-    "product_range",
-    "random_subspace",
-    "SuiteConfig",
-    "list_suites",
-    "run_suite",
-    "suite_properties",
+    "evert",
+    "induced_on_frame",
+    "linked_partner",
+    "polar_decompose",
     "__version__",
 ]

@@ -45,10 +45,6 @@ class IllegalPermutationError(FrameRigidityError):
     """A permutation moves components across different dimensions."""
 
 
-class DegenerateConfigurationError(FrameRigidityError):
-    """Geometric construction collapsed (line inside the excluded locus)."""
-
-
 class NotSemilinearError(FrameRigidityError):
     """A line-map oracle failed verification against its reconstructed map."""
 

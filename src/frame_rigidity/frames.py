@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,13 +32,10 @@ from .linalg import (
     gaussian_stack,
     require_same_field,
     span_stack,
-    spectral_norm,
     unit_columns,
 )
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
 from .subspaces import Subspace
-
-MAX_CONDITION = 1e6
 
 # general sampled frames have their smallest singular value above this share
 # of the largest, which keeps eversion and induced-map arithmetic well away
@@ -53,12 +49,12 @@ class FrameTuple:
 
     The constructor performs structural checks only (ambient and field
     agreement, dimension profile); numerical soundness — actual linear
-    independence, conditioning, orthogonality when flagged — is the job of
-    :func:`validate`, so that defective frames can still be built and
-    diagnosed.
+    independence, orthogonality when flagged — is not checked, so defective
+    frames can still be built, and the operations that need an independent
+    frame (:func:`evert`, say) refuse a dependent one.
     """
 
-    __slots__ = ("ambient", "components", "orthogonal", "_stacked")
+    __slots__ = ("ambient", "components", "orthogonal", "_stacked", "_shape")
 
     def __init__(self, components: Sequence[Subspace], orthogonal: bool = False):
         components = tuple(components)
@@ -84,6 +80,7 @@ class FrameTuple:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "orthogonal", bool(orthogonal))
         object.__setattr__(self, "_stacked", None)
+        object.__setattr__(self, "_shape", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FrameTuple is immutable")
@@ -102,7 +99,11 @@ class FrameTuple:
 
     @property
     def shape(self) -> IntPartition:
-        return IntPartition(tuple(c.dim for c in self.components))
+        """The component dimensions, built on first access and kept."""
+        if self._shape is None:
+            shape = IntPartition(tuple(c.dim for c in self.components))
+            object.__setattr__(self, "_shape", shape)
+        return self._shape
 
     @property
     def field(self) -> str:
@@ -136,31 +137,6 @@ class FrameTuple:
         return frame
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    reason: Optional[str] = None
-
-
-def validate(t: FrameTuple, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Numerical soundness check; names the first violated condition."""
-    m = t.stacked_basis()
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        return ValidationReport(False, "rank deficiency: components are dependent")
-    if s[0] > MAX_CONDITION * s[-1]:
-        return ValidationReport(False, "ill-conditioned: near-dependent components")
-    if t.orthogonal:
-        for i in range(len(t)):
-            for j in range(i + 1, len(t)):
-                cross = spectral_norm(adjoint(t.components[i].basis) @ t.components[j].basis)
-                if cross > 10.0 * tol:
-                    return ValidationReport(
-                        False, f"orthogonality: components {i} and {j} overlap"
-                    )
-    return ValidationReport(True)
-
-
 def _sum_components(components: Sequence[Subspace], ambient: int, field: str) -> Subspace:
     cols = [c.basis for c in components if c.dim > 0]
     if not cols:
@@ -168,11 +144,19 @@ def _sum_components(components: Sequence[Subspace], ambient: int, field: str) ->
     return Subspace.from_columns(np.hstack(cols))
 
 
+def _shaped(components: Sequence[Subspace], orthogonal: bool, shape: IntPartition) -> FrameTuple:
+    """The frame of these components, whose dimensions are known to be
+    ``shape``; the shape is kept rather than rebuilt on first access."""
+    frame = FrameTuple(components, orthogonal)
+    object.__setattr__(frame, "_shape", shape)
+    return frame
+
+
 def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
     """The frame whose components are the column blocks of ``basis``, which
     are trusted to be orthonormal; ``basis`` is kept as its stacked basis."""
     n = basis.shape[0]
-    frame = FrameTuple([Subspace(n, basis[:, sl]) for sl in _column_blocks(shape)], orthogonal)
+    frame = _shaped([Subspace(n, basis[:, sl]) for sl in _column_blocks(shape)], orthogonal, shape)
     stacked = np.array(basis)
     stacked.setflags(write=False)
     object.__setattr__(frame, "_stacked", stacked)
@@ -339,11 +323,12 @@ def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
     allowed; anything else would break the weakly-decreasing profile.
     """
     sigma = tuple(int(i) for i in sigma)
-    if not is_legal_permutation(t.shape, sigma):
+    shape = t.shape
+    if not is_legal_permutation(shape, sigma):
         raise IllegalPermutationError(
             f"{sigma} moves indices across different dimensions"
         )
-    return FrameTuple([t.components[i] for i in sigma], t.orthogonal)
+    return _shaped([t.components[i] for i in sigma], t.orthogonal, shape)
 
 
 def evert(t: FrameTuple) -> FrameTuple:
@@ -364,12 +349,10 @@ def evert(t: FrameTuple) -> FrameTuple:
         raise SingularMatrixError("components are dependent; the frame has no dual") from exc
     if not np.all(np.isfinite(dual)):
         raise SingularMatrixError("the stacked basis has no finite inverse")
-    new_components = []
-    start = 0
-    for c in t.components:
-        new_components.append(Subspace.from_columns(dual[:, start : start + c.dim]))
-        start += c.dim
-    return FrameTuple(new_components, t.orthogonal)
+    shape = t.shape
+    return _shaped(
+        [Subspace.from_columns(dual[:, sl]) for sl in _column_blocks(shape)], t.orthogonal, shape
+    )
 
 
 def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:

@@ -3,10 +3,9 @@
 A semilinear map is an invertible matrix together with a field automorphism
 tag (identity or conjugation).  Beyond the pointwise action this module
 provides: scale-equivalence (the "same map up to a global scalar" relation),
-the plane-projection construction used to transport lines, the transform that
-moves eversion past an induced map (the contragredient ``inv(T)^H``, which is
-U P^{-1} for the polar factors T = U P), and the reconstruction of a hidden
-map from its action on lines alone.
+the transform that moves eversion past an induced map (the contragredient
+``inv(T)^H``, which is U P^{-1} for the polar factors T = U P), and the
+reconstruction of a hidden map from its action on lines alone.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import (
     AmbientMismatchError,
-    DegenerateConfigurationError,
     DegenerateOracleError,
     FieldMismatchError,
     NonFiniteError,
@@ -225,32 +223,6 @@ def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_
         return False
     scale = max(np.max(np.abs(m1)), abs(lam) * np.max(np.abs(m2)))
     return float(np.max(np.abs(m1 - lam * m2))) <= tol * scale
-
-
-def line_projection_construct(
-    ell: Subspace, ell_prime: Subspace, plane: Subspace, tol: float = DEFAULT_TOL
-) -> tuple[Subspace, Subspace]:
-    """Transport a line toward a plane: returns (ell'', plane').
-
-    plane' is spanned by ell' together with the plane's normal; ell'' is the
-    meet of the two planes, which works out to the orthogonal projection of
-    ell' onto the plane.  Only defined in ambient dimension 3, where every
-    line off the normal determines the configuration uniquely.
-    """
-    if ell.ambient != 3:
-        raise ValueError("construction is defined in ambient dimension 3 only")
-    if ell.dim != 1 or ell_prime.dim != 1 or plane.dim != 2:
-        raise ShapeMismatchError("need two lines and a plane")
-    if not plane.contains(ell, tol * 10):
-        raise ValueError("the line must lie inside the plane")
-    normal = plane.orthocomplement()
-    if ell_prime.equals(normal, tol * 10):
-        raise DegenerateConfigurationError(
-            "the moving line coincides with the plane's normal"
-        )
-    plane_prime = ell_prime.sum(normal, tol)
-    ell_dd = plane.intersect(plane_prime, tol)
-    return ell_dd, plane_prime
 
 
 def evert_conjugate(t: SemilinearMap, tol: float = DEFAULT_TOL) -> SemilinearMap:

@@ -1,5 +1,5 @@
-"""Dense-matrix substrate: field tags, spans, rank, polar factors, sampling and
-the ``[re, im]`` matrix codec.
+"""Dense-matrix substrate: field tags, rank-revealing spans, spectral norms,
+polar factors, sampling and the ``[re, im]`` matrix codec.
 
 Everything here works on plain numpy arrays.  A matrix is "real-tagged" when
 its dtype is a float type and "complex-tagged" when it is a complex type;
@@ -181,48 +181,6 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return m / norms
 
 
-def orthonormalize(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Orthonormal basis for the column space of ``cols``.
-
-    Modified Gram-Schmidt with column rejection: column k is dropped when its
-    residual after projection against the columns already retained has norm
-    <= ``tol`` times the largest input column norm.  Returns the retained
-    orthonormal columns and their count (the numerical rank).
-
-    This is the public reference construction; :func:`span` gives the same
-    column space from one SVD.
-
-    Raises ``ZeroInputError`` when every input column has norm <= ``tol``
-    and ``NonFiniteError`` when an entry is NaN or infinite.
-    """
-    m = np.array(cols, copy=True)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValueError("need a matrix with at least one column")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    norms = np.linalg.norm(m, axis=0)
-    scale = float(norms.max())
-    if not np.isfinite(scale):
-        raise NonFiniteError("matrix has non-finite entries")
-    if scale <= tol:
-        raise ZeroInputError("all columns are numerically zero")
-    thresh = tol * scale
-    kept = []
-    for k in range(m.shape[1]):
-        v = m[:, k]
-        # project twice against the retained block; one pass loses
-        # orthogonality for nearly dependent columns
-        for q in kept:
-            v = v - q * (np.vdot(q, v))
-        for q in kept:
-            v = v - q * (np.vdot(q, v))
-        r = np.linalg.norm(v)
-        if r > thresh:
-            kept.append(v / r)
-    q = np.column_stack(kept) if kept else np.zeros((m.shape[0], 0), dtype=m.dtype)
-    return q, len(kept)
-
-
 def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     """Standard Gaussian array; complex entries have unit variance split
     evenly between the real and imaginary parts, drawn after all real parts."""
@@ -278,19 +236,6 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(rows: list) -> np.ndarray:
     """Complex matrix from rows of ``[re, im]`` pairs (inverse of :func:`matrix_to_json`)."""
     return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128)
-
-
-def rank_with_tol(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 @dataclass(frozen=True)

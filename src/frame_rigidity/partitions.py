@@ -8,6 +8,7 @@ are coarsened.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -217,21 +218,27 @@ def compose_refinements(f: RefinementArrow, g: RefinementArrow) -> RefinementArr
 # -- the symmetric-group action and its embedding along a refinement ------------
 
 
+@functools.lru_cache(maxsize=256)
+def equal_part_runs(shape: IntPartition) -> tuple[range, ...]:
+    """The index runs of equal parts, in order: ``(2, 1, 1)`` has the runs
+    ``range(0, 1)`` and ``range(1, 3)``."""
+    runs, start = [], 0
+    for _, run in itertools.groupby(shape.parts):
+        stop = start + len(list(run))
+        runs.append(range(start, stop))
+        start = stop
+    return tuple(runs)
+
+
 def legal_permutations(shape: IntPartition) -> Iterator[tuple[int, ...]]:
     """All permutations of component indices moving equal parts only.
 
     Yields maps sigma with new_index -> old_index semantics; the group is the
     product of full symmetric groups on the runs of equal part values.
     """
-    runs: list[list[int]] = []
-    start = 0
-    parts = shape.parts
-    for i in range(1, len(parts) + 1):
-        if i == len(parts) or parts[i] != parts[start]:
-            runs.append(list(range(start, i)))
-            start = i
+    runs = equal_part_runs(shape)
     for pieces in itertools.product(*(itertools.permutations(r) for r in runs)):
-        sigma = list(range(len(parts)))
+        sigma = list(range(len(shape.parts)))
         for run, perm in zip(runs, pieces):
             for pos, old in zip(run, perm):
                 sigma[pos] = old

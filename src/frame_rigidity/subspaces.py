@@ -259,18 +259,6 @@ def _containment_slack(tol: float) -> float:
     return 100.0 * tol
 
 
-def product_range(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """Range of the product projector P_a P_b (equals the meet exactly when
-    the operands are commeasurable)."""
-    a._check_compatible(b)
-    if b.dim == 0:
-        return Subspace.zero(a.ambient, a.field)
-    cols = a.basis @ (adjoint(a.basis) @ b.basis)
-    if spectral_norm(cols) <= tol:
-        return Subspace.zero(a.ambient, a.field)
-    return Subspace.from_columns(cols, tol)
-
-
 def random_subspace(ambient: int, dim: int, field: str, rng: np.random.Generator) -> Subspace:
     """Haar-distributed ``dim``-dimensional subspace of k^ambient.
 

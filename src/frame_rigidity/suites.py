@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, InconsistencyError, NotSemilinearError
 from .frames import (
     FrameTuple,
+    _frame,
     evert,
     bigobot,
     linked_partner,
@@ -58,6 +59,7 @@ from .partitions import (
     Tableau,
     compose_refinements,
     dominance_leq,
+    equal_part_runs,
     identity_refinement,
     lift_coarse_permutation,
     partitions_of,
@@ -78,6 +80,14 @@ FALSIFY_EPS = 0.1
 
 # trials handed to a property at once; bounds the memory of one batch
 _CHUNK = 128
+
+# smallest accepted base tolerance: rank, containment and equality decisions on
+# n <= 8 double-precision matrices carry roundoff up to about 1e-14 relative
+# to the largest singular value, so at 1e-14 true obot properties already
+# report failures (n >= 5) and far below it meets and reconstructions raise
+# instead; 1e-12 keeps a factor of ten above the smallest tolerance at which
+# every true property passed
+MIN_TOL = 1e-12
 
 # largest accepted base tolerance: sampled frames and maps each have condition
 # numbers up to 1e3, and an image line frame compounds the two to 1e6, so above
@@ -122,8 +132,8 @@ class SuiteConfig:
         # other number types (numpy float32, say) would not serialize
         if not isinstance(self.tol, float):
             raise ConfigError(f"tol must be a float, got {self.tol!r}")
-        if not 0.0 < self.tol <= MAX_TOL:
-            raise ConfigError(f"tol must be in (0, {MAX_TOL:g}], got {self.tol}")
+        if not MIN_TOL <= self.tol <= MAX_TOL:
+            raise ConfigError(f"tol must be in [{MIN_TOL:g}, {MAX_TOL:g}], got {self.tol}")
 
     def echo(self) -> dict:
         return {
@@ -229,14 +239,9 @@ def _random_legal_permutation(
     shape: IntPartition, rng: np.random.Generator
 ) -> tuple[int, ...]:
     sigma = list(range(len(shape.parts)))
-    start = 0
-    for k in range(1, len(shape.parts) + 1):
-        if k == len(shape.parts) or shape.parts[k] != shape.parts[start]:
-            run = list(range(start, k))
-            shuffled = [run[i] for i in rng.permutation(len(run))]
-            for pos, src in zip(run, shuffled):
-                sigma[pos] = src
-            start = k
+    for run in equal_part_runs(shape):
+        for pos, i in zip(run, rng.permutation(len(run))):
+            sigma[pos] = run[i]
     return tuple(sigma)
 
 
@@ -528,16 +533,8 @@ def _obot_common_basis_splits(cfg, trial, rng):
     n = cfg.ambient
     q = haar(rng, (n, n), cfg.field)
     perm = rng.permutation(n)
-
-    def grouped(shape: IntPartition, cols: np.ndarray) -> FrameTuple:
-        comps, start = [], 0
-        for d in shape.parts:
-            comps.append(Subspace(n, cols[:, start : start + d]))
-            start += d
-        return FrameTuple(comps, True)
-
-    s = grouped(_random_shape(n, rng), q)
-    t = grouped(_random_shape(n, rng), q[:, perm])
+    s = _frame(q, _random_shape(n, rng), True)
+    t = _frame(q[:, perm], _random_shape(n, rng), True)
     try:
         return bigobot(s, t, cfg.tol)
     except InconsistencyError:

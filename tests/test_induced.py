@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from frame_rigidity.errors import (
     AmbientMismatchError,
-    DegenerateConfigurationError,
     FieldMismatchError,
     NonFiniteError,
     NotSemilinearError,
@@ -22,7 +21,6 @@ from frame_rigidity.frames import (
     pi_linked,
     random_frame,
     refine_map,
-    validate,
 )
 from frame_rigidity.induced import (
     CONJUGATION,
@@ -34,7 +32,6 @@ from frame_rigidity.induced import (
     induced_line_map,
     induced_on_frame,
     is_unitary_up_to_scale,
-    line_projection_construct,
     random_semilinear,
     random_unitary_map,
     reconstruct_from_line_images,
@@ -42,7 +39,8 @@ from frame_rigidity.induced import (
 )
 from frame_rigidity.linalg import COMPLEX, REAL, polar_decompose
 from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
-from frame_rigidity.subspaces import Subspace, commeasurable, random_subspace
+from frame_rigidity.subspaces import Subspace, random_subspace
+from test_frames import sound_frame
 
 
 def line(*v):
@@ -163,7 +161,7 @@ class TestLatticeFunctoriality:
             frame = random_frame(4, IntPartition((1, 1, 1, 1)), COMPLEX, True, rng)
             t = random_semilinear(4, COMPLEX, rng)
             image = induced_on_frame(t, frame)
-            assert validate(image).ok
+            assert sound_frame(image)
             assert not image.orthogonal  # generic maps break perpendicularity
 
 
@@ -179,7 +177,7 @@ class TestInducedOnFrame:
         frame = random_frame(4, IntPartition((2, 1, 1)), COMPLEX, True, rng)
         u = random_unitary_map(4, COMPLEX, rng)
         out = induced_on_frame(u, frame)
-        assert out.orthogonal and validate(out).ok
+        assert out.orthogonal and sound_frame(out)
 
     def test_eigenlines_fixed_by_diagonal(self):
         t = SemilinearMap(np.diag([2.0, 1.0, 1.0]))
@@ -263,61 +261,6 @@ class TestScaleEquivalent:
         p = m.copy()
         p[0, 1] = 1e-3
         assert not scale_equivalent(SemilinearMap(m), SemilinearMap(p), 1e-6)
-
-
-class TestLineProjectionConstruct:
-    def test_orthogonal_line_example(self):
-        ell, ell_prime = line(1, 0, 0), line(0, 1, 0)
-        plane = Subspace.from_columns(np.eye(3)[:, :2])
-        ell_dd, plane_prime = line_projection_construct(ell, ell_prime, plane)
-        assert plane_prime.equals(Subspace.from_columns(np.eye(3)[:, 1:]))
-        assert ell_dd.equals(ell_prime)
-
-    def test_in_plane_lines_are_fixed(self):
-        rng = np.random.default_rng(50)
-        plane = Subspace.from_columns(np.eye(3)[:, :2])
-        ell = line(1, 0, 0)
-        for _ in range(10):
-            coeff = rng.standard_normal(2)
-            ell_prime = Subspace.from_columns((plane.basis @ coeff).reshape(3, 1))
-            ell_dd, _ = line_projection_construct(ell, ell_prime, plane)
-            assert ell_dd.equals(ell_prime, 1e-9)
-
-    def test_oblique_line_projects(self):
-        ell, ell_prime = line(1, 0, 0), line(1, 0, 1)
-        plane = Subspace.from_columns(np.eye(3)[:, :2])
-        ell_dd, _ = line_projection_construct(ell, ell_prime, plane)
-        assert ell_dd.equals(line(1, 0, 0))
-
-    def test_normal_line_degenerate(self):
-        ell = line(1, 0, 0)
-        plane = Subspace.from_columns(np.eye(3)[:, :2])
-        with pytest.raises(DegenerateConfigurationError):
-            line_projection_construct(ell, line(0, 0, 1), plane)
-
-    def test_posts_on_random_configurations(self):
-        rng = np.random.default_rng(51)
-        for _ in range(50):
-            plane = random_subspace(3, 2, COMPLEX, rng)
-            coeff = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            ell = Subspace.from_columns((plane.basis @ coeff).reshape(3, 1))
-            ell_prime = random_subspace(3, 1, COMPLEX, rng)
-            ell_dd, plane_prime = line_projection_construct(ell, ell_prime, plane)
-            assert ell_dd.dim == 1
-            assert commeasurable(plane, plane_prime, 1e-8)
-            # independent route: project the moving line's vector onto the plane
-            v = ell_prime.basis[:, 0]
-            proj = plane.basis @ (plane.basis.conj().T @ v)
-            assert ell_dd.equals(Subspace.from_columns(proj.reshape(3, 1)), 1e-8)
-
-    def test_only_ambient_three(self):
-        rng = np.random.default_rng(52)
-        with pytest.raises(ValueError):
-            line_projection_construct(
-                random_subspace(4, 1, REAL, rng),
-                random_subspace(4, 1, REAL, rng),
-                random_subspace(4, 2, REAL, rng),
-            )
 
 
 class TestEvertConjugate:

@@ -17,14 +17,22 @@ from frame_rigidity.subspaces import (
     commeasurable,
     commeasurable_via_complements,
     commutator_norm,
-    product_range,
     random_subspace,
 )
-from frame_rigidity.linalg import spectral_norm
+from frame_rigidity.linalg import adjoint, spectral_norm
 
 
 def span(*vectors) -> Subspace:
     return Subspace.from_columns(np.array(vectors, dtype=float).T)
+
+
+def product_range(a: Subspace, b: Subspace, tol: float = 1e-9) -> Subspace:
+    """Range of the product projector P_a P_b, which is the meet exactly when
+    the operands are commeasurable."""
+    cols = a.basis @ (adjoint(a.basis) @ b.basis)
+    if spectral_norm(cols) <= tol:
+        return Subspace.zero(a.ambient, a.field)
+    return Subspace.from_columns(cols, tol)
 
 
 E1, E2, E3 = np.eye(3)

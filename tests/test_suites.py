@@ -8,12 +8,13 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from frame_rigidity import cli
+from frame_rigidity import cli, suites
 from frame_rigidity.cli import _property_line
 from frame_rigidity.errors import ConfigError
 from frame_rigidity.report import VerificationReport
 from frame_rigidity.suites import (
     MAX_TOL,
+    MIN_TOL,
     SuiteConfig,
     _Property,
     _per_trial,
@@ -80,9 +81,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(suite="partitions", tol=0.0))
 
-    @pytest.mark.parametrize("tol", [0.5, 2e-3, 1e-3, float("inf"), float("nan")])
+    # below MIN_TOL true properties fail, and far below it meets and
+    # reconstructions raise mid-run
+    @pytest.mark.parametrize(
+        "tol", [0.5, 2e-3, 1e-3, float("inf"), float("nan"), 1e-13, 1e-200, 5e-324]
+    )
     def test_large_or_non_finite_tol_rejected(self, tol):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tol must be in"):
             run_suite(SuiteConfig(suite="partitions", tol=tol))
 
     @pytest.mark.parametrize("name", ["ambient", "trials", "seed"])
@@ -104,6 +109,22 @@ class TestConfigValidation:
     def test_largest_tol_accepted(self):
         report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=MAX_TOL))
         assert report.config["tol"] == MAX_TOL
+
+    def test_smallest_tol_accepted(self):
+        report = run_suite(SuiteConfig(suite="pfr-perp", ambient=4, trials=20, tol=MIN_TOL))
+        assert report.config["tol"] == MIN_TOL
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("ambient", [3, 5, 8])
+    @pytest.mark.parametrize("suite", ["obot", "reconstruction"])
+    def test_true_properties_pass_at_smallest_tol(self, suite, ambient, field):
+        # at 1e-14 roundoff fails true obot properties from n = 5; the smallest
+        # accepted tolerance must keep every true property passing
+        cfg = SuiteConfig(
+            suite=suite, ambient=ambient, field=field, trials=40, seed=9, tol=MIN_TOL
+        )
+        report = run_suite(cfg)
+        assert report.passed, [(p.name, p.failures) for p in report.properties]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("ambient", [3, 5, 8])
@@ -242,13 +263,11 @@ class TestCli:
         assert sum(line.startswith("PASS ") for line in lines) == 5
         assert lines[-1].startswith("suite partitions: PASS")
 
-    def test_property_failure_exits_one(self):
-        # a tolerance below float resolution turns fl-exact checks into failures
-        proc = run_cli(
-            "--suite", "pfr-perp", "--ambient", "3", "--trials", "5", "--tol", "1e-30"
-        )
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_property_failure_exits_one(self, monkeypatch, capsys):
+        failing = _Property("always-violated", _per_trial(lambda cfg, trial, rng: False))
+        monkeypatch.setitem(suites._REGISTRY, "partitions", (failing,))
+        assert cli.main(["--suite", "partitions", "--trials", "5"]) == 1
+        assert "FAIL always-violated" in capsys.readouterr().out
 
     def test_config_error_exits_two(self):
         proc = run_cli("--suite", "clr", "--ambient", "2")
@@ -308,7 +327,7 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(target.read_text())["config"]["tol"] == 1e-08
 
-    @pytest.mark.parametrize("tol", ["0.5", "1e-3", "inf", "nan"])
+    @pytest.mark.parametrize("tol", ["0.5", "1e-3", "inf", "nan", "1e-13", "1e-200", "5e-324"])
     def test_out_of_range_tol_exits_two(self, tol):
         proc = run_cli("--suite", "pfr-perp", "--trials", "5", "--tol", tol)
         assert proc.returncode == 2
@@ -324,6 +343,15 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: tol must be in")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("suite", ["obot", "reconstruction"])
+    def test_tiny_env_tol_exits_two(self, suite, monkeypatch, capsys):
+        # run with a tolerance this small, these suites raise mid-run
+        monkeypatch.setenv("FRAME_RIGIDITY_TOL", "1e-200")
+        assert cli.main(["--suite", suite, "--ambient", "3", "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: tol must be in")
 
     def test_bad_env_var_exits_two(self):
         proc = run_cli(
