@@ -22,6 +22,7 @@ from .errors import (
     InconsistencyError,
     ShapeMismatchError,
     SingularMatrixError,
+    ZeroInputError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -144,23 +145,39 @@ def _sum_components(components: Sequence[Subspace], ambient: int, field: str) ->
     return Subspace.from_columns(np.hstack(cols))
 
 
-def _shaped(components: Sequence[Subspace], orthogonal: bool, shape: IntPartition) -> FrameTuple:
-    """The frame of these components, whose dimensions are known to be
-    ``shape``; the shape is kept rather than rebuilt on first access."""
-    frame = FrameTuple(components, orthogonal)
+def _shaped(
+    components: Sequence[Subspace],
+    orthogonal: bool,
+    shape: IntPartition,
+    stacked: np.ndarray | None = None,
+) -> FrameTuple:
+    """The frame of these components, which are known to make a frame of
+    ``shape`` (a frame's components legally permuted, or the column blocks of
+    one stacked basis), built without the constructor's checks; the shape,
+    and ``stacked`` as the stacked basis, are kept rather than rebuilt."""
+    frame = object.__new__(FrameTuple)
+    object.__setattr__(frame, "ambient", components[0].ambient)
+    object.__setattr__(frame, "components", tuple(components))
+    object.__setattr__(frame, "orthogonal", bool(orthogonal))
+    object.__setattr__(frame, "_stacked", stacked)
     object.__setattr__(frame, "_shape", shape)
     return frame
 
 
 def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
-    """The frame whose components are the column blocks of ``basis``, which
-    are trusted to be orthonormal; ``basis`` is kept as its stacked basis."""
+    """The frame whose components are the column blocks of the square
+    ``basis`` along ``shape``, which are trusted to be orthonormal.
+
+    ``basis`` is taken over, not copied: it is made read-only and kept as the
+    stacked basis, and the components keep read-only views of its blocks, so
+    the caller must hand over an array that nothing else writes to.
+    """
     n = basis.shape[0]
-    frame = _shaped([Subspace(n, basis[:, sl]) for sl in _column_blocks(shape)], orthogonal, shape)
-    stacked = np.array(basis)
-    stacked.setflags(write=False)
-    object.__setattr__(frame, "_stacked", stacked)
-    return frame
+    if shape.n != n or basis.shape != (n, n):
+        raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
+    basis.setflags(write=False)
+    components = [Subspace._view(n, basis[:, sl]) for sl in _column_blocks(shape)]
+    return _shaped(components, orthogonal, shape, basis)
 
 
 @functools.lru_cache(maxsize=256)
@@ -197,36 +214,68 @@ def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.nd
     return stack[trials[:, None], :, columns].swapaxes(1, 2)
 
 
-def span_components(m: np.ndarray, shape: IntPartition, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal component bases for a ``(B, n, n)`` stack of stacked bases.
+def _components_by_size(shapes: Sequence[IntPartition]) -> dict:
+    """``{d: (trials, columns)}``: every ``d``-dimensional component of every
+    stacked basis, basis k of shape ``shapes[k]``, as a ``(P,)`` array of
+    trials and a ``(P, d)`` array of the component's columns, in trial and
+    then component order."""
+    groups: dict[int, tuple[list, list]] = {}
+    for trial, shape in enumerate(shapes):
+        for sl in _column_blocks(shape):
+            trials, columns = groups.setdefault(sl.stop - sl.start, ([], []))
+            trials.append(trial)
+            columns.extend(range(sl.start, sl.stop))
+    return {
+        d: (np.array(trials), np.array(columns).reshape(-1, d))
+        for d, (trials, columns) in groups.items()
+    }
 
-    Every column block of ``shape`` is re-spanned at ``tol`` as
-    ``Subspace.from_columns`` spans it.  A weakly decreasing shape keeps the
-    components of one dimension side by side, so each run of them is spanned
-    in one stack (the lines by one column normalization).
 
-    Raises ``ShapeMismatchError`` when a block spans fewer dimensions than
-    its component has, since the result would be no frame.
+def span_components(
+    m: np.ndarray, shapes: Sequence[IntPartition], tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Orthonormal component bases for a ``(B, n, n)`` stack of stacked bases,
+    basis k of shape ``shapes[k]`` (a list or tuple).
+
+    Every column block is re-spanned at ``tol`` as ``Subspace.from_columns``
+    spans it.  The components of one dimension are spanned in one stack
+    across all bases (the lines by one column normalization): under one
+    shape each run of them is a slice of the stack, under mixed shapes they
+    are gathered.  Either way a row of the result does not depend on the
+    other rows, bit for bit.
+
+    Raises ``ShapeMismatchError`` when a component spans fewer dimensions
+    than it has, a numerically zero line included, since the result would be
+    no frame; a NaN or infinite entry raises ``NonFiniteError``.
     """
+    if len(shapes) != len(m):
+        raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
     out = np.empty_like(m)
-    start = 0
-    for d, run in itertools.groupby(shape.parts):
-        stop = start + d * len(list(run))
-        out[:, :, start:stop] = _span_run(m[:, :, start:stop], d, tol)
-        start = stop
+    if shapes.count(shapes[0]) == len(shapes):
+        start = 0
+        for d, run in itertools.groupby(shapes[0].parts):
+            stop = start + d * len(list(run))
+            out[:, :, start:stop] = _span_run(m[:, :, start:stop], d, tol)
+            start = stop
+        return out
+    for d, (t, c) in _components_by_size(shapes).items():
+        out[t[:, None], :, c] = _span_run(_gather(m, t, c), d, tol).swapaxes(1, 2)
     return out
 
 
 def _span_run(cols: np.ndarray, d: int, tol: float) -> np.ndarray:
     """Orthonormal bases for side-by-side ``d``-dimensional components of a
     ``(B, n, count * d)`` stack, spanned in one stack of ``B * count``."""
-    if d == 1:
-        return unit_columns(cols, tol)
-    b, n, width = cols.shape
-    count = width // d
-    if count > 1:
-        cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
-    u, rank = span_stack(cols, tol)
+    try:
+        if d == 1:
+            return unit_columns(cols, tol)
+        b, n, width = cols.shape
+        count = width // d
+        if count > 1:
+            cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
+        u, rank = span_stack(cols, tol)
+    except ZeroInputError as exc:
+        raise ShapeMismatchError(f"a {d}-dimensional component is numerically zero") from exc
     if rank.min() < d:
         raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
     if count > 1:
@@ -331,6 +380,28 @@ def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
     return _shaped([t.components[i] for i in sigma], t.orthogonal, shape)
 
 
+def evert_stack(bases: np.ndarray, shapes: Sequence[IntPartition]) -> np.ndarray:
+    """Stacked :func:`evert`: the ``(B, n, n)`` stacked bases of the dual
+    frames of the ``(B, n, n)`` stacked bases ``bases``, basis k of shape
+    ``shapes[k]``.
+
+    One ``inv`` for the whole stack, then every component re-spanned
+    (:func:`span_components`).  Raises ``SingularMatrixError`` when the
+    components of some frame are dependent at ``DEFAULT_TOL`` or its basis
+    holds a non-finite entry.
+    """
+    try:
+        dual = adjoint(np.linalg.inv(bases))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("components are dependent; the frame has no dual") from exc
+    # the largest entry of inv(M) is within a factor n of 1 / sigma_min(M),
+    # and M has orthonormal blocks, so sigma_max(M) is in [1, sqrt(n)]; the
+    # comparison is false for a NaN or infinite entry too
+    if not np.abs(dual).max() < 1.0 / DEFAULT_TOL:
+        raise SingularMatrixError("components are dependent or not finite; the frame has no dual")
+    return span_components(dual, shapes)
+
+
 def evert(t: FrameTuple) -> FrameTuple:
     """The dual frame: each component becomes the orthocomplement of the sum
     of all the others.  Involutive on valid frames, identity on orthogonal
@@ -338,21 +409,13 @@ def evert(t: FrameTuple) -> FrameTuple:
 
     With M the stacked basis, ``inv(M)^H`` is the dual basis: its block i is
     orthogonal to every block j != i of M, so it spans exactly that
-    orthocomplement.
+    orthocomplement.  The batch of one of :func:`evert_stack`.
 
     Raises ``SingularMatrixError`` when the components are dependent or
     their bases hold non-finite entries.
     """
-    try:
-        dual = adjoint(np.linalg.inv(t.stacked_basis()))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("components are dependent; the frame has no dual") from exc
-    if not np.all(np.isfinite(dual)):
-        raise SingularMatrixError("the stacked basis has no finite inverse")
     shape = t.shape
-    return _shaped(
-        [Subspace.from_columns(dual[:, sl]) for sl in _column_blocks(shape)], t.orthogonal, shape
-    )
+    return _frame(evert_stack(t.stacked_basis()[None], [shape])[0], shape, t.orthogonal)
 
 
 def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
@@ -389,26 +452,28 @@ def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
 
 def random_frame_stack(
     ambient: int,
-    shape: IntPartition,
+    shapes: Sequence[IntPartition],
     field: str,
     orthogonal: bool,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Stacked :func:`random_frame`: the ``(B, n, n)`` stacked bases of one
-    frame per generator, each drawn from its own generator exactly as
-    :func:`random_frame` draws it.
+    frame per generator, frame k of shape ``shapes[k]`` and drawn from
+    ``rngs[k]`` exactly as :func:`random_frame` draws it.
 
     The conditioning floor of general frames is checked on the whole stack
     at once, and only the rejected draws are redrawn.
     """
-    if shape.n != ambient:
-        raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
+    # each distinct shape object once; a chunk shares a few of them
+    for shape in {id(s): s for s in shapes}.values():
+        if shape.n != ambient:
+            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
     if orthogonal:
         return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
     m, _ = conditioned_gaussian_stack(
         rngs, ambient, field, lambda s: s[:, -1] > _CONDITION_FLOOR * s[:, 0]
     )
-    return span_components(m, shape)
+    return span_components(m, shapes)
 
 
 def random_frame(
@@ -427,7 +492,7 @@ def random_frame(
     and induced-map arithmetic well away from degeneracy.  The batch of one
     of :func:`random_frame_stack`.
     """
-    basis = random_frame_stack(ambient, shape, field, orthogonal, [rng])[0]
+    basis = random_frame_stack(ambient, [shape], field, orthogonal, [rng])[0]
     return _frame(basis, shape, orthogonal)
 
 

@@ -51,6 +51,15 @@ _PROBE_SEED = 0x1D6A
 _PROBE_COUNT = 50
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or of every matrix in a stack; an SVD that
+    fails on a NaN or infinite entry raises ``NonFiniteError``."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError("matrix has non-finite entries") from exc
+
+
 def _require_invertible(s: np.ndarray, tol: float) -> None:
     """Refuse the matrices whose singular values, descending along the last
     axis of ``s``, show a NaN or infinite entry or a matrix singular at
@@ -78,11 +87,7 @@ class SemilinearMap:
         m = as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got {m.shape}")
-        try:
-            s = np.linalg.svd(m, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NonFiniteError("matrix has non-finite entries") from exc
-        _require_invertible(s, tol)
+        _require_invertible(_singular_values(m), tol)
         self._init(m, automorphism)
 
     def _init(self, m: np.ndarray, automorphism: str) -> None:
@@ -163,17 +168,17 @@ def induced_on_frame_stack(
     matrices: np.ndarray,
     conj: np.ndarray,
     bases: np.ndarray,
-    shape: IntPartition,
+    shapes: Sequence[IntPartition],
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Stacked :func:`induced_on_frame`: the ``(B, n, n)`` stacked bases of the
-    image of frame k of ``bases`` (all of one ``shape``) under map k, whose
+    image of frame k of ``bases``, of shape ``shapes[k]``, under map k, whose
     matrix is ``matrices[k]`` and which conjugates first where the boolean
     array ``conj`` holds True.
 
     One product ``M @ conj?(A)`` for the whole stack, then every component
-    re-spanned at ``tol`` (line components by one column normalization).  A
-    real frame under complex maps is promoted along the standard embedding.
+    re-spanned at ``tol`` (:func:`frames.span_components`).  A real frame
+    under complex maps is promoted along the standard embedding.
     """
     if matrices.shape != bases.shape:
         raise AmbientMismatchError(f"maps {matrices.shape} do not fit frames {bases.shape}")
@@ -181,7 +186,7 @@ def induced_on_frame_stack(
         raise FieldMismatchError("complex subspace under a real-tagged map")
     if conj.any():
         bases = np.where(conj[:, None, None], bases.conj(), bases)
-    return span_components(matrices @ bases, shape, tol)
+    return span_components(matrices @ bases, shapes, tol)
 
 
 def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_TOL) -> FrameTuple:
@@ -196,7 +201,7 @@ def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_T
     shape = frame.shape
     conj = np.array([t.automorphism == CONJUGATION])
     basis = induced_on_frame_stack(
-        t.matrix[None], conj, frame.stacked_basis()[None], shape, tol
+        t.matrix[None], conj, frame.stacked_basis()[None], [shape], tol
     )[0]
     keep_flag = frame.orthogonal and is_unitary_up_to_scale(t, tol)
     return _frame(basis, shape, keep_flag)
@@ -225,14 +230,32 @@ def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_
     return float(np.max(np.abs(m1 - lam * m2))) <= tol * scale
 
 
+def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Stacked :func:`evert_conjugate`: the contragredients ``inv(T)^H`` of a
+    ``(B, n, n)`` stack of invertible matrices, from one ``inv``.
+
+    Every contragredient is checked finite and invertible at ``tol`` as
+    :class:`SemilinearMap` checks a matrix, with one SVD for the stack:
+    ``NonFiniteError`` or ``SingularMatrixError`` otherwise.
+    """
+    try:
+        out = adjoint(np.linalg.inv(matrices))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular; it has no contragredient") from exc
+    _require_invertible(_singular_values(out), tol)
+    return out
+
+
 def evert_conjugate(t: SemilinearMap, tol: float = DEFAULT_TOL) -> SemilinearMap:
     """The map that plays t's role on the everted side: U P^{-1} for t = U P,
-    which is the contragredient ``inv(t)^H``.
+    which is the contragredient ``inv(t)^H``; the batch of one of
+    :func:`evert_conjugate_stack`.
 
     Pushing a frame through this map and everting gives the same frame as
     everting first and pushing through t.
     """
-    return SemilinearMap(adjoint(np.linalg.inv(t.matrix)), t.automorphism, tol)
+    matrix = evert_conjugate_stack(t.matrix[None], tol)[0]
+    return SemilinearMap._invertible(matrix, t.automorphism)
 
 
 def random_semilinear_stack(

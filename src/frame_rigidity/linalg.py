@@ -157,6 +157,14 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
     return u, (s > tol * top).sum(axis=-1)
 
 
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    """The norm of every column, shaped to divide ``m``.  Each column is
+    summed as one contiguous vector, so its norm does not depend on the
+    memory layout of ``m`` or on the other columns, bit for bit."""
+    rows = np.ascontiguousarray(np.swapaxes(m, -1, -2))
+    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1))[..., None, :]
+
+
 def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Every column of a matrix or stack divided by its norm: the span of a
     single column, as in :func:`span`.
@@ -164,7 +172,7 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises ``ZeroInputError`` when a column has norm <= ``tol`` and
     ``NonFiniteError`` when an entry is NaN or infinite.
     """
-    norms = np.linalg.norm(m, axis=-2, keepdims=True)
+    norms = _column_norms(m)
     # false for a NaN norm too
     if not (tol < float(norms.min()) and float(norms.max()) < math.inf):
         if not np.isfinite(m).all():
@@ -175,7 +183,7 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
             # entry first
             largest = np.max(np.abs(m), axis=-2, keepdims=True)
             m = m / np.where(overflowed, largest, 1.0)
-            norms = np.linalg.norm(m, axis=-2, keepdims=True)
+            norms = _column_norms(m)
         if (norms <= tol).any():
             raise ZeroInputError("a column is numerically zero")
     return m / norms

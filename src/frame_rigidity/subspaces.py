@@ -52,6 +52,16 @@ class Subspace:
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "_complement", None)
 
+    @classmethod
+    def _view(cls, ambient: int, basis: np.ndarray) -> "Subspace":
+        """The subspace on a read-only ``ambient x d`` orthonormal basis,
+        kept as it is rather than copied."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient", ambient)
+        object.__setattr__(s, "basis", basis)
+        object.__setattr__(s, "_complement", None)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 

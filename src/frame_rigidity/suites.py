@@ -25,9 +25,12 @@ import numpy as np
 from .errors import ConfigError, InconsistencyError, NotSemilinearError
 from .frames import (
     FrameTuple,
+    _column_blocks,
+    _components_by_size,
     _frame,
-    evert,
+    _gather,
     bigobot,
+    evert_stack,
     linked_partner,
     linked_partner_stack,
     permute,
@@ -43,17 +46,24 @@ from .induced import (
     SemilinearMap,
     apply_to_subspace,
     cubic_line_distortion,
-    evert_conjugate,
+    evert_conjugate_stack,
     induced_line_map,
-    induced_on_frame,
     induced_on_frame_stack,
     random_semilinear,
     random_semilinear_stack,
-    random_unitary_map,
     reconstruct_from_line_images,
     scale_equivalent,
 )
-from .linalg import COMPLEX, DEFAULT_TOL, REAL, haar, span_stack, spectral_norm
+from .linalg import (
+    COMPLEX,
+    DEFAULT_TOL,
+    REAL,
+    adjoint,
+    gaussian_stack,
+    haar,
+    span_stack,
+    spectral_norm,
+)
 from .partitions import (
     IntPartition,
     Tableau,
@@ -267,13 +277,15 @@ def _random_maps(cfg: SuiteConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
 
 def _line_frames(cfg: SuiteConfig, orthogonal: bool, rngs) -> np.ndarray:
     return random_frame_stack(
-        cfg.ambient, _line_shape(cfg.ambient), cfg.field, orthogonal, rngs
+        cfg.ambient, [_line_shape(cfg.ambient)] * len(rngs), cfg.field, orthogonal, rngs
     )
 
 
 def _images(cfg: SuiteConfig, maps: tuple, frames: np.ndarray) -> np.ndarray:
     """Image line frames under stacked maps from :func:`_random_maps`."""
-    return induced_on_frame_stack(*maps, frames, _line_shape(cfg.ambient), cfg.tol)
+    return induced_on_frame_stack(
+        *maps, frames, [_line_shape(cfg.ambient)] * len(frames), cfg.tol
+    )
 
 
 def _partitions_for_trials(cfg: SuiteConfig, trials, rngs) -> list:
@@ -301,6 +313,27 @@ def _frame_distance(s: FrameTuple, t: FrameTuple) -> float:
     return max(
         _projector_distance(x, y) for x, y in zip(s.components, t.components)
     )
+
+
+def _frame_distances(a: np.ndarray, b: np.ndarray, shapes: list) -> np.ndarray:
+    """Stacked :func:`_frame_distance` of the stacked bases ``a[k]`` and
+    ``b[k]``, both of shape ``shapes[k]``.
+
+    For equal-dimensional subspaces with orthonormal bases A and B, the
+    projector distance is the residual ``|B - A A^H B|``, the sine of their
+    largest principal angle: its top singular value, and for lines its
+    vector norm.  All components of one dimension take one stack.
+    """
+    out = np.zeros(len(a))
+    for d, (t, c) in _components_by_size(shapes).items():
+        qa, qb = _gather(a, t, c), _gather(b, t, c)
+        residual = qb - qa @ (adjoint(qa) @ qb)
+        if d == 1:
+            norms = np.linalg.norm(residual[:, :, 0], axis=-1)
+        else:
+            norms = np.linalg.svd(residual, compute_uv=False)[:, 0]
+        np.maximum.at(out, t, norms)
+    return out
 
 
 def _contiguous_tableau(shape: IntPartition) -> Tableau:
@@ -453,59 +486,82 @@ def _pfrp_equivariance(cfg, trials, rngs):
 # -- pfr: the eversion branch -----------------------------------------------------
 
 
-def _pfr_involution(cfg, trial, rng):
-    shape = _random_shape(cfg.ambient, rng)
-    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
-    return _frame_distance(evert(evert(t)), t)
+def _random_shapes(cfg: SuiteConfig, rngs) -> list:
+    return [_random_shape(cfg.ambient, rng) for rng in rngs]
 
 
-def _pfr_fixes_orthogonal(cfg, trial, rng):
-    shape = _random_shape(cfg.ambient, rng)
-    t = random_frame(cfg.ambient, shape, cfg.field, True, rng)
-    return _frame_distance(evert(t), t)
+def _general_frames(cfg: SuiteConfig, shapes: list, rngs) -> np.ndarray:
+    return random_frame_stack(cfg.ambient, shapes, cfg.field, False, rngs)
 
 
-def _pfr_preserves_linkage(cfg, trial, rng):
-    n = cfg.ambient
-    pi = _partition_for_trial(n, trial, rng)
-    a = random_frame(n, _line_shape(n), cfg.field, False, rng)
-    b = linked_partner(a, pi, rng)
-    return pi_linked(evert(a), evert(b), pi, 10.0 * cfg.tol)
+def _pfr_involution(cfg, trials, rngs):
+    shapes = _random_shapes(cfg, rngs)
+    t = _general_frames(cfg, shapes, rngs)
+    return _frame_distances(evert_stack(evert_stack(t, shapes), shapes), t, shapes)
 
 
-def _pfr_permutations(cfg, trial, rng):
-    shape = _random_shape(cfg.ambient, rng)
-    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
-    sigma = _random_legal_permutation(shape, rng)
-    return _frame_distance(evert(permute(t, sigma)), permute(evert(t), sigma))
+def _pfr_fixes_orthogonal(cfg, trials, rngs):
+    shapes = _random_shapes(cfg, rngs)
+    t = random_frame_stack(cfg.ambient, shapes, cfg.field, True, rngs)
+    return _frame_distances(evert_stack(t, shapes), t, shapes)
+
+
+def _pfr_preserves_linkage(cfg, trials, rngs):
+    shape = _line_shape(cfg.ambient)
+    pis = _partitions_for_trials(cfg, trials, rngs)
+    a = _line_frames(cfg, False, rngs)
+    b = linked_partner_stack(a, shape, pis, rngs)
+    # both sides everted in one stack
+    both = evert_stack(np.concatenate([a, b]), [shape] * (2 * len(rngs)))
+    return pi_linked_stack(both[: len(rngs)], both[len(rngs) :], shape, pis, 10.0 * cfg.tol)
+
+
+def _pfr_permutations(cfg, trials, rngs):
+    shapes = _random_shapes(cfg, rngs)
+    t = _general_frames(cfg, shapes, rngs)
+    # each trial's legal permutation of the components, as a gather of columns
+    order = []
+    for shape, rng in zip(shapes, rngs):
+        blocks = _column_blocks(shape)
+        sigma = _random_legal_permutation(shape, rng)
+        order.append([c for i in sigma for c in range(blocks[i].start, blocks[i].stop)])
+    order = np.array(order)[:, None, :]
+    lhs = evert_stack(np.take_along_axis(t, order, axis=2), shapes)
+    rhs = np.take_along_axis(evert_stack(t, shapes), order, axis=2)
+    return _frame_distances(lhs, rhs, shapes)
 
 
 # -- eversion-order: transporting eversion through an induced map ----------------
 
 
-def _evorder_commutes(cfg, trial, rng):
-    m = _random_map(cfg, rng)
-    shape = _random_shape(cfg.ambient, rng)
-    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
-    lhs = induced_on_frame(evert_conjugate(m, cfg.tol), evert(t), cfg.tol)
-    rhs = evert(induced_on_frame(m, t, cfg.tol))
-    return _frame_distance(lhs, rhs)
+def _evorder_commutes(cfg, trials, rngs):
+    matrices, conj = _random_maps(cfg, rngs)
+    shapes = _random_shapes(cfg, rngs)
+    t = _general_frames(cfg, shapes, rngs)
+    image = induced_on_frame_stack(matrices, conj, t, shapes, cfg.tol)
+    # t and its image everted in one stack
+    everted = evert_stack(np.concatenate([t, image]), shapes + shapes)
+    lhs = induced_on_frame_stack(
+        evert_conjugate_stack(matrices, cfg.tol), conj, everted[: len(rngs)], shapes, cfg.tol
+    )
+    return _frame_distances(lhs, everted[len(rngs) :], shapes)
 
 
-def _evorder_unitary_fixed(cfg, trial, rng):
-    automorphism = _random_automorphism(cfg.field, rng)
-    u = random_unitary_map(cfg.ambient, cfg.field, rng, automorphism)
-    v = evert_conjugate(u, cfg.tol)
-    if v.automorphism != u.automorphism:
-        return False
-    return float(np.max(np.abs(v.matrix - u.matrix)))
+def _evorder_unitary_fixed(cfg, trials, rngs):
+    # the automorphism is drawn, as every map draws it, but the contragredient
+    # carries it through unchanged, so only the matrices are compared
+    for rng in rngs:
+        _random_automorphism(cfg.field, rng)
+    u = np.linalg.qr(gaussian_stack(rngs, (cfg.ambient, cfg.ambient), cfg.field)).Q
+    v = evert_conjugate_stack(u, cfg.tol)
+    return np.max(np.abs(v - u), axis=(1, 2))
 
 
-def _evorder_involution(cfg, trial, rng):
-    m = _random_map(cfg, rng)
-    back = evert_conjugate(evert_conjugate(m, cfg.tol), cfg.tol)
-    scale = float(np.max(np.abs(m.matrix)))
-    return float(np.max(np.abs(back.matrix - m.matrix))) / scale
+def _evorder_involution(cfg, trials, rngs):
+    matrices, _ = _random_maps(cfg, rngs)
+    back = evert_conjugate_stack(evert_conjugate_stack(matrices, cfg.tol), cfg.tol)
+    scale = np.max(np.abs(matrices), axis=(1, 2))
+    return np.max(np.abs(back - matrices), axis=(1, 2)) / scale
 
 
 # -- obot: frame-level commensurability ------------------------------------------
@@ -698,17 +754,15 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("permutation-equivariance", _pfrp_equivariance),
     ),
     "pfr": (
-        _Property("eversion-involution", _per_trial(_pfr_involution)),
-        _Property("eversion-fixes-orthogonal", _per_trial(_pfr_fixes_orthogonal)),
-        _Property("eversion-preserves-linkage", _per_trial(_pfr_preserves_linkage)),
-        _Property("eversion-commutes-with-permutations", _per_trial(_pfr_permutations)),
+        _Property("eversion-involution", _pfr_involution),
+        _Property("eversion-fixes-orthogonal", _pfr_fixes_orthogonal),
+        _Property("eversion-preserves-linkage", _pfr_preserves_linkage),
+        _Property("eversion-commutes-with-permutations", _pfr_permutations),
     ),
     "eversion-order": (
-        _Property(
-            "conjugate-transport-commutes", _per_trial(_evorder_commutes), band=100.0
-        ),
-        _Property("unitary-maps-fixed", _per_trial(_evorder_unitary_fixed)),
-        _Property("transport-involution", _per_trial(_evorder_involution), band=100.0),
+        _Property("conjugate-transport-commutes", _evorder_commutes, band=100.0),
+        _Property("unitary-maps-fixed", _evorder_unitary_fixed),
+        _Property("transport-involution", _evorder_involution, band=100.0),
     ),
     "obot": (
         _Property("matches-pairwise-commeasurability", _per_trial(_obot_matches_pairwise)),

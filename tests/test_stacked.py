@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from frame_rigidity import frames, suites
+from frame_rigidity.errors import (
+    FrameRigidityError,
+    NonFiniteError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from frame_rigidity.frames import (
+    evert,
+    evert_stack,
     linked_partner,
     linked_partner_stack,
     permute,
@@ -14,24 +22,31 @@ from frame_rigidity.frames import (
     pi_linked_stack,
     random_frame,
     random_frame_stack,
+    span_components,
 )
 from frame_rigidity.induced import (
     CONJUGATION,
     IDENTITY,
+    evert_conjugate,
+    evert_conjugate_stack,
     induced_on_frame,
     induced_on_frame_stack,
     random_semilinear,
     random_semilinear_stack,
+    random_unitary_map,
 )
 from frame_rigidity.linalg import COMPLEX, REAL, gaussian
-from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
+from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_partitions
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.suites import (
     SuiteConfig,
     _frame_distance,
     _line_shape,
     _partition_for_trial,
+    _random_automorphism,
+    _random_legal_permutation,
     _random_map,
+    _random_shape,
     run_suite,
 )
 
@@ -105,12 +120,71 @@ def _pfrp_equivariance(cfg, trial, rng):
     return _frame_distance(lhs, rhs)
 
 
+def _pfr_involution(cfg, trial, rng):
+    shape = _random_shape(cfg.ambient, rng)
+    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
+    return _frame_distance(evert(evert(t)), t)
+
+
+def _pfr_fixes_orthogonal(cfg, trial, rng):
+    shape = _random_shape(cfg.ambient, rng)
+    t = random_frame(cfg.ambient, shape, cfg.field, True, rng)
+    return _frame_distance(evert(t), t)
+
+
+def _pfr_preserves_linkage(cfg, trial, rng):
+    n = cfg.ambient
+    pi = _partition_for_trial(n, trial, rng)
+    a = random_frame(n, _line_shape(n), cfg.field, False, rng)
+    b = linked_partner(a, pi, rng)
+    return pi_linked(evert(a), evert(b), pi, 10.0 * cfg.tol)
+
+
+def _pfr_permutations(cfg, trial, rng):
+    shape = _random_shape(cfg.ambient, rng)
+    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
+    sigma = _random_legal_permutation(shape, rng)
+    return _frame_distance(evert(permute(t, sigma)), permute(evert(t), sigma))
+
+
+def _evorder_commutes(cfg, trial, rng):
+    m = _random_map(cfg, rng)
+    shape = _random_shape(cfg.ambient, rng)
+    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
+    lhs = induced_on_frame(evert_conjugate(m, cfg.tol), evert(t), cfg.tol)
+    rhs = evert(induced_on_frame(m, t, cfg.tol))
+    return _frame_distance(lhs, rhs)
+
+
+def _evorder_unitary_fixed(cfg, trial, rng):
+    automorphism = _random_automorphism(cfg.field, rng)
+    u = random_unitary_map(cfg.ambient, cfg.field, rng, automorphism)
+    v = evert_conjugate(u, cfg.tol)
+    if v.automorphism != u.automorphism:
+        return False
+    return float(np.max(np.abs(v.matrix - u.matrix)))
+
+
+def _evorder_involution(cfg, trial, rng):
+    m = _random_map(cfg, rng)
+    back = evert_conjugate(evert_conjugate(m, cfg.tol), cfg.tol)
+    scale = float(np.max(np.abs(m.matrix)))
+    return float(np.max(np.abs(back.matrix - m.matrix))) / scale
+
+
 ORACLES = {
     ("clr-bis", "image-lines-independent"): _clrbis_independent,
     ("clr-bis", "image-preserves-sum-dimension"): _clrbis_sum_dims,
     ("pfr-perp", "linkage-preserved-forward"): _pfrp_forward,
     ("pfr-perp", "linkage-agreement-both-directions"): _pfrp_both_directions,
     ("pfr-perp", "permutation-equivariance"): _pfrp_equivariance,
+    ("pfr", "eversion-involution"): _pfr_involution,
+    ("pfr", "eversion-fixes-orthogonal"): _pfr_fixes_orthogonal,
+    ("pfr", "eversion-preserves-linkage"): _pfr_preserves_linkage,
+    ("pfr", "eversion-commutes-with-permutations"): _pfr_permutations,
+    ("eversion-order", "conjugate-transport-commutes"): _evorder_commutes,
+    ("eversion-order", "unitary-maps-fixed"): _evorder_unitary_fixed,
+    ("eversion-order", "transport-involution"): _evorder_involution,
 }
 
 
@@ -146,12 +220,17 @@ class TestBatchedPropertiesMatchOracles:
                 _assert_same_outcomes(cfg, name, range(170))
 
     def test_every_batched_property_has_an_oracle(self):
+        # every property that does not run through the per-trial adapter
         batched = {
             (suite, p.name)
-            for suite in ("clr-bis", "pfr-perp")
-            for p in suites._REGISTRY[suite]
+            for suite, props in suites._REGISTRY.items()
+            for p in props
+            if not getattr(p.run, "__qualname__", "").startswith("_per_trial.")
         }
         assert batched == set(ORACLES)
+        assert {suite for suite, _ in batched} == {
+            "clr-bis", "pfr-perp", "pfr", "eversion-order"
+        }
 
     @pytest.mark.parametrize(
         "name", ["image-lines-independent", "image-preserves-sum-dimension"]
@@ -162,6 +241,21 @@ class TestBatchedPropertiesMatchOracles:
         monkeypatch.setattr(frames, "_CONDITION_FLOOR", 0.25)
         for field in FIELDS:
             cfg = SuiteConfig("clr-bis", 4, field, trials=60, seed=3)
+            _assert_same_outcomes(cfg, name, range(60))
+
+    @pytest.mark.parametrize(
+        "suite, name",
+        [
+            ("pfr", "eversion-involution"),
+            ("pfr", "eversion-commutes-with-permutations"),
+            ("eversion-order", "conjugate-transport-commutes"),
+        ],
+    )
+    def test_redraws_on_mixed_shape_chunks(self, suite, name, monkeypatch):
+        # the trials of one chunk draw different shapes, and most redraw
+        monkeypatch.setattr(frames, "_CONDITION_FLOOR", 0.25)
+        for field in FIELDS:
+            cfg = SuiteConfig(suite, 5, field, trials=60, seed=3)
             _assert_same_outcomes(cfg, name, range(60))
 
 
@@ -193,7 +287,7 @@ class TestStackedRejection:
         monkeypatch.setattr(frames, "_CONDITION_FLOOR", 0.25)
         n = 4
         rngs = [np.random.default_rng(k) for k in range(40)]
-        got = random_frame_stack(n, _line_shape(n), field, False, rngs)
+        got = random_frame_stack(n, [_line_shape(n)] * 40, field, False, rngs)
         redraws = 0
         for k in range(40):
             rng = np.random.default_rng(k)
@@ -228,7 +322,7 @@ class TestScalarIsBatchOfOne:
     @pytest.mark.parametrize("n", [4, 7])
     def test_random_frame(self, n, orthogonal, field):
         for shape in _shapes(n):
-            stack = random_frame_stack(n, shape, field, orthogonal, self._rngs())
+            stack = random_frame_stack(n, [shape] * self.B, field, orthogonal, self._rngs())
             for k, rng in enumerate(self._rngs()):
                 frame = random_frame(n, shape, field, orthogonal, rng)
                 assert frame.orthogonal == orthogonal and frame.shape == shape
@@ -245,7 +339,7 @@ class TestScalarIsBatchOfOne:
     def test_linked_partner(self, n, field):
         pis = _pis(n, self.B)
         shape = _line_shape(n)
-        bases = random_frame_stack(n, shape, field, False, self._rngs())
+        bases = random_frame_stack(n, [shape] * self.B, field, False, self._rngs())
         stack = linked_partner_stack(bases, shape, pis, self._rngs(100))
         for k, rng in enumerate(self._rngs(100)):
             frame = random_frame(n, shape, field, False, np.random.default_rng(k))
@@ -255,7 +349,7 @@ class TestScalarIsBatchOfOne:
     def test_linked_partner_of_block_frames(self):
         shape = IntPartition((2, 2, 1))
         pi = Tableau(3, (frozenset({1, 3}), frozenset({2})))
-        bases = random_frame_stack(5, shape, COMPLEX, True, self._rngs())
+        bases = random_frame_stack(5, [shape] * self.B, COMPLEX, True, self._rngs())
         stack = linked_partner_stack(bases, shape, [pi] * self.B, self._rngs(100))
         for k, rng in enumerate(self._rngs(100)):
             frame = random_frame(5, shape, COMPLEX, True, np.random.default_rng(k))
@@ -274,18 +368,19 @@ class TestScalarIsBatchOfOne:
         ]
         matrices = np.stack([m.matrix for m in maps])
         for shape in _shapes(n):
-            bases = random_frame_stack(n, shape, field, True, self._rngs(50))
-            stack = induced_on_frame_stack(matrices, conj, bases, shape)
+            bases = random_frame_stack(n, [shape] * self.B, field, True, self._rngs(50))
+            stack = induced_on_frame_stack(matrices, conj, bases, [shape] * self.B)
             for k, rng in enumerate(self._rngs(50)):
                 frame = random_frame(n, shape, field, True, rng)
                 image = induced_on_frame(maps[k], frame)
                 assert np.array_equal(image.stacked_basis(), stack[k])
 
     def test_real_frame_under_complex_maps_is_promoted(self):
-        bases = random_frame_stack(4, _line_shape(4), REAL, True, self._rngs())
+        lines = [_line_shape(4)] * self.B
+        bases = random_frame_stack(4, lines, REAL, True, self._rngs())
         matrices = random_semilinear_stack(4, COMPLEX, self._rngs(9))
         conj = np.ones(self.B, dtype=bool)
-        stack = induced_on_frame_stack(matrices, conj, bases, _line_shape(4))
+        stack = induced_on_frame_stack(matrices, conj, bases, lines)
         assert stack.dtype == np.complex128
         np.testing.assert_allclose(
             np.abs(np.sum(stack.conj() * (matrices @ bases), axis=1)),
@@ -297,10 +392,10 @@ class TestScalarIsBatchOfOne:
     def test_pi_linked(self, n, field):
         shape = _line_shape(n)
         pis = _pis(n, self.B)
-        a = random_frame_stack(n, shape, field, True, self._rngs())
+        a = random_frame_stack(n, [shape] * self.B, field, True, self._rngs())
         # alternate linked partners and independent frames
         b = linked_partner_stack(a, shape, pis, self._rngs(10))
-        b[1::2] = random_frame_stack(n, shape, field, True, self._rngs(20)[1::2])
+        b[1::2] = random_frame_stack(n, [shape] * (self.B // 2), field, True, self._rngs(20)[1::2])
         verdicts = pi_linked_stack(a, b, shape, pis, 1e-8)
         assert verdicts[0::2].all() and not verdicts[1::2].all()
         for k in range(self.B):
@@ -309,15 +404,169 @@ class TestScalarIsBatchOfOne:
             assert pi_linked(fa, fb, pis[k], 1e-8) == verdicts[k]
 
 
+def _mixed_shapes(n, count):
+    shapes = list(partitions_of(n))
+    return [shapes[(5 * k) % len(shapes)] for k in range(count)]
+
+
+class TestEversionIsBatchOfOne:
+    """Scalar eversion and its transport equal row k of the stacked calls, bit
+    for bit, on stacks of mixed shapes; a bad frame or map anywhere in a
+    stack raises a library error."""
+
+    B = 9
+
+    def _rngs(self, offset=0):
+        return [np.random.default_rng(offset + k) for k in range(self.B)]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_evert(self, n, orthogonal, field):
+        shapes = _mixed_shapes(n, self.B)
+        assert len(set(shapes)) > 2
+        bases = random_frame_stack(n, shapes, field, orthogonal, self._rngs())
+        stack = evert_stack(bases, shapes)
+        for k, rng in enumerate(self._rngs()):
+            frame = random_frame(n, shapes[k], field, orthogonal, rng)
+            assert np.array_equal(frame.stacked_basis(), bases[k])
+            out = evert(frame)
+            assert out.shape == shapes[k] and out.orthogonal == orthogonal
+            assert np.array_equal(out.stacked_basis(), stack[k])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_evert_conjugate(self, field):
+        maps = [
+            random_semilinear(6, field, rng, CONJUGATION if field == COMPLEX and k % 2 else IDENTITY)
+            for k, rng in enumerate(self._rngs())
+        ]
+        stack = evert_conjugate_stack(np.stack([m.matrix for m in maps]))
+        for k, m in enumerate(maps):
+            out = evert_conjugate(m)
+            assert out.automorphism == m.automorphism
+            assert np.array_equal(out.matrix, stack[k])
+
+    def test_induced_on_mixed_shapes(self):
+        n = 6
+        shapes = _mixed_shapes(n, self.B)
+        matrices = random_semilinear_stack(n, COMPLEX, self._rngs())
+        conj = np.arange(self.B) % 2 == 1
+        bases = random_frame_stack(n, shapes, COMPLEX, False, self._rngs(30))
+        stack = induced_on_frame_stack(matrices, conj, bases, shapes)
+        for k, rng in enumerate(self._rngs(30)):
+            m = random_semilinear(n, COMPLEX, self._rngs()[k], CONJUGATION if conj[k] else IDENTITY)
+            image = induced_on_frame(m, random_frame(n, shapes[k], COMPLEX, False, rng))
+            assert np.array_equal(image.stacked_basis(), stack[k])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_dependent_frame_raises(self, field):
+        shapes = _mixed_shapes(5, self.B)
+        bases = random_frame_stack(5, shapes, field, False, self._rngs())
+        bases[4, :, -1] = bases[4, :, 0]
+        with pytest.raises(SingularMatrixError):
+            evert_stack(bases, shapes)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_non_finite_frame_raises(self, field):
+        shapes = _mixed_shapes(5, self.B)
+        bases = random_frame_stack(5, shapes, field, False, self._rngs())
+        bases[4, 2, 1] = np.nan
+        with pytest.raises(SingularMatrixError):
+            evert_stack(bases, shapes)
+
+    def test_one_singular_or_non_finite_map_raises(self):
+        matrices = random_semilinear_stack(4, REAL, self._rngs())
+        singular = matrices.copy()
+        singular[3, :, 0] = 2.0 * singular[3, :, 1]
+        with pytest.raises(SingularMatrixError):
+            evert_conjugate_stack(singular)
+        nearly = matrices.copy()
+        nearly[3, :, 0] = singular[3, :, 0] + 1e-12 * matrices[3, :, 0]
+        with pytest.raises(SingularMatrixError):
+            evert_conjugate_stack(nearly)
+        for bad, error in ((np.nan, NonFiniteError), (np.inf, FrameRigidityError)):
+            non_finite = matrices.copy()
+            non_finite[3, 0, 0] = bad
+            with pytest.raises(error):
+                evert_conjugate_stack(non_finite)
+
+
+class TestFramesKeepTheirArrays:
+    """A frame built from a fresh stacked basis keeps that array, read-only,
+    and its components are read-only views of it."""
+
+    def _assert_read_only(self, frame):
+        stacked = frame.stacked_basis()
+        assert not stacked.flags.writeable
+        for c in frame.components:
+            assert not c.basis.flags.writeable
+            assert np.shares_memory(c.basis, stacked)
+            with pytest.raises(ValueError):
+                c.basis[0, 0] = 1.0
+
+    def test_sampled_and_derived_frames(self):
+        rng = np.random.default_rng(5)
+        shape = IntPartition((2, 2, 1))
+        t = random_frame(5, shape, COMPLEX, False, rng)
+        pi = Tableau(3, (frozenset({1, 3}), frozenset({2})))
+        m = random_semilinear(5, COMPLEX, rng)
+        for frame in (
+            t,
+            random_frame(5, shape, REAL, True, rng),
+            evert(t),
+            linked_partner(t, pi, rng),
+            induced_on_frame(m, t),
+        ):
+            self._assert_read_only(frame)
+
+    def test_the_basis_is_kept_not_copied(self):
+        basis = np.linalg.qr(np.random.default_rng(6).standard_normal((4, 4))).Q
+        frame = frames._frame(basis, IntPartition((2, 1, 1)), True)
+        assert frame.stacked_basis() is basis
+        assert not basis.flags.writeable
+
+
+class TestSpanComponentsErrors:
+    """A component that loses rank raises ShapeMismatchError, whether it is
+    a line or a block."""
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1)])
+    def test_zeroed_column(self, parts):
+        m = np.stack([np.eye(3), np.eye(3)])
+        m[1, :, 0] = 0.0
+        with pytest.raises(ShapeMismatchError):
+            span_components(m, [IntPartition(parts)] * 2)
+
+    def test_zeroed_block(self):
+        m = np.stack([np.eye(3), np.eye(3)])
+        m[1, :, :2] = 0.0
+        with pytest.raises(ShapeMismatchError):
+            span_components(m, [IntPartition((2, 1))] * 2)
+
+    def test_non_finite_entry(self):
+        m = np.stack([np.eye(3), np.eye(3)])
+        m[1, 2, 2] = np.nan
+        for parts in [(1, 1, 1), (3,)]:
+            with pytest.raises(NonFiniteError):
+                span_components(m, [IntPartition(parts)] * 2)
+
+    def test_one_shape_per_basis(self):
+        with pytest.raises(ShapeMismatchError):
+            span_components(np.stack([np.eye(3)] * 2), [IntPartition((2, 1))])
+
+
 class TestChunking:
     @pytest.mark.parametrize("field", FIELDS)
-    @pytest.mark.parametrize("suite", ["pfr-perp", "clr-bis", "falsify"])
+    @pytest.mark.parametrize(
+        "suite", ["pfr-perp", "clr-bis", "pfr", "eversion-order", "falsify"]
+    )
     def test_reports_do_not_depend_on_the_chunk(self, suite, field, monkeypatch):
         cfg = SuiteConfig(suite, 7, field, trials=20, seed=4)
-        default = run_suite(cfg).determinism_bytes()
-        for chunk in (1, 7):
+        reports = set()
+        for chunk in (1, 7, 128):
             monkeypatch.setattr(suites, "_CHUNK", chunk)
-            assert run_suite(cfg).determinism_bytes() == default
+            reports.add(run_suite(cfg).determinism_bytes())
+        assert len(reports) == 1
 
     def test_a_batch_must_return_one_outcome_per_trial(self):
         prop = suites._Property("short", lambda cfg, trials, rngs: [True] * (len(trials) - 1))
