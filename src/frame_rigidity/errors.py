@@ -25,10 +25,6 @@ class SingularMatrixError(FrameRigidityError):
     """A matrix required to be invertible is singular at the working tolerance."""
 
 
-class NotContainedError(FrameRigidityError):
-    """Relative complement requested for a subspace that is not contained."""
-
-
 class ShapeMismatchError(FrameRigidityError):
     """Frame shapes, tableau sizes or component counts do not line up."""
 

@@ -32,6 +32,8 @@ from .linalg import (
     gaussian,
     gaussian_stack,
     require_same_field,
+    require_tol,
+    residual_norms,
     span_stack,
     unit_columns,
 )
@@ -250,6 +252,7 @@ def span_components(
     """
     if len(shapes) != len(m):
         raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
+    require_tol(tol)
     out = np.empty_like(m)
     if shapes.count(shapes[0]) == len(shapes):
         start = 0
@@ -301,6 +304,7 @@ def pi_linked_stack(
     if a.shape != b.shape:
         raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
     require_same_field(a, b)
+    require_tol(tol)
     linked = np.ones(len(pis), dtype=bool)
     for k, (trials, columns) in _blocks_by_size(shape, pis).items():
         t, c = np.array(trials), np.array(columns)
@@ -318,13 +322,8 @@ def pi_linked_stack(
             # only the leading rank_a columns span; equal ranks are compared
             kept = (np.arange(k) < rank_a[:, None])[:, None, :]
             qa, qb = qa * kept, qb * kept
-        # equal spans: the containment residual |B - A A^H B| is at most tol;
-        # the spans are finite, so a residual is never NaN
-        residual = qb - qa @ (adjoint(qa) @ qb)
-        if k == 1:
-            norms = np.linalg.norm(residual[:, :, 0], axis=-1)
-        else:
-            norms = np.linalg.svd(residual, compute_uv=False)[:, 0]
+        # equal spans: the largest principal-angle sine is at most tol
+        norms = residual_norms(qb, qa)
         linked[t[(rank_a != rank_b) | (norms > tol)]] = False
     return linked
 
@@ -430,6 +429,7 @@ def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("frames live in different ambients")
+    require_tol(tol)
 
     @functools.cache
     def meet(i: int, j: int) -> Subspace:

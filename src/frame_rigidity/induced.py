@@ -37,6 +37,7 @@ from .linalg import (
     haar,
     matrix_from_json,
     matrix_to_json,
+    require_tol,
     spectral_norm,
     unit_columns,
 )
@@ -84,6 +85,7 @@ class SemilinearMap:
     __slots__ = ("matrix", "automorphism")
 
     def __init__(self, matrix, automorphism: str = IDENTITY, tol: float = DEFAULT_TOL):
+        require_tol(tol)
         m = as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got {m.shape}")
@@ -147,6 +149,7 @@ def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -
     A real subspace fed to a complex map is promoted along the standard
     embedding; a complex subspace cannot be pushed through a real-tagged map.
     """
+    require_tol(tol)
     if t.ambient != a.ambient:
         raise AmbientMismatchError(f"map on {t.ambient} dims, subspace in {a.ambient}")
     if a.field == COMPLEX and t.field == REAL:
@@ -159,6 +162,7 @@ def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -
 
 
 def is_unitary_up_to_scale(t: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
+    require_tol(tol)
     gram = adjoint(t.matrix) @ t.matrix
     lam = np.trace(gram).real / t.ambient
     return spectral_norm(gram - lam * np.eye(t.ambient)) <= 10.0 * tol * abs(lam)
@@ -214,6 +218,7 @@ def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_
     matrix (avoiding division by near-zeros), then the whole matrix is
     verified entrywise.
     """
+    require_tol(tol)
     if t1.automorphism != t2.automorphism:
         return False
     if t1.ambient != t2.ambient:
@@ -238,6 +243,7 @@ def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.
     :class:`SemilinearMap` checks a matrix, with one SVD for the stack:
     ``NonFiniteError`` or ``SingularMatrixError`` otherwise.
     """
+    require_tol(tol)
     try:
         out = adjoint(np.linalg.inv(matrices))
     except np.linalg.LinAlgError as exc:
@@ -355,6 +361,7 @@ def reconstruct_from_line_images(
     """
     if ambient < 2:
         raise ValueError("need ambient dimension at least 2")
+    require_tol(tol)
     eye = np.eye(ambient)
     columns = [_probe(oracle, ambient, eye[:, k], field) for k in range(ambient)]
     matrix = np.zeros(
@@ -419,6 +426,7 @@ def cubic_line_distortion(eps: float, tol: float = DEFAULT_TOL):
     are fixed, so the distortion slips past columnwise probes and must be
     caught by genuinely random ones.
     """
+    require_tol(tol)
 
     def distort(line: Subspace) -> Subspace:
         if line.dim != 1:

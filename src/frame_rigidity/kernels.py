@@ -2,24 +2,24 @@
 
 The pairwise commensurability cross-check has to cover tens of thousands of
 pairs per dimension/field cell, which is too slow one pair at a time in
-Python.  This module re-implements BOTH characterizations of the relation on
-stacked arrays while keeping the two computation routes strictly independent
-of each other: the projector-commutator route forms both projectors and
-their commutator, the strip-the-meet orthogonality route reads the principal
-angles between the operands from one thin SVD per pair (Bjorck-Golub 1973).
-They share nothing but the sampled inputs.  Spectral norms come from the
-largest eigenvalue of a Gram matrix.
+Python.  This module samples the pairs and runs BOTH characterizations of
+the relation on stacked arrays, through the two route functions that the
+scalar ``commeasurable`` and ``commeasurable_via_complements`` call on single
+bases: the projector commutator (:func:`subspaces.commutator_norms`) and the
+strip-the-meet orthogonality read from principal angles
+(:func:`subspaces.remainder_norms`).  Neither route calls the other or reads
+its results: they share only the sampled inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .linalg import COMPLEX, REAL, adjoint, haar
+from .linalg import COMPLEX, REAL, haar, require_tol
+from .subspaces import commutator_norms, remainder_norms
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
 
@@ -44,54 +44,12 @@ class DualPathBatch:
         return int(np.sum(self.via_commutator != self.via_complements))
 
 
-def _spectral_norms(batch: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack.
-
-    The square root of the top eigenvalue of ``M^H M``: the Gram matrix
-    scales with ``M``, so the largest singular value keeps its relative
-    accuracy, and a zero matrix gives exactly 0.
-    """
-    gram = adjoint(batch) @ batch
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-
-
-def _dual_paths_for_bucket(
-    qa: np.ndarray, qb: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both commensurability tests for stacked orthonormal bases.
-
-    Route 1 forms the projectors and accepts when their commutator has norm
-    at most ``10*tol``.
-
-    Route 2 strips the meet ``C`` of A and B and accepts when the remainders
-    ``A ominus C`` and ``B ominus C`` are orthogonal, i.e. when
-    ``|(P_A - P_C)(P_B - P_C)| <= 10*tol``.  It reads the meet from the
-    principal angles of A against B (Bjorck-Golub 1973): with
-    ``G = Q_B^H Q_A``, the thin SVD ``Q_A - Q_B G = (I - P_B) Q_A = U S V^H``
-    has the sines of the angles in ``S`` and the principal directions in
-    ``Q_A V``.  The directions with sine at most ``tol`` (the convention of
-    ``Subspace.contains`` and ``equals``) span C, the others ``Q_A V_r`` span
-    ``A ominus C``.  Because ``A ominus C`` is orthogonal to C,
-    ``(P_A - P_C) P_C = 0`` and so ``(P_A - P_C)(P_B - P_C) = (P_A - P_C) P_B``,
-    whose norm is ``|Q_B^H Q_A V_r| = |G V_r|``.  When B is the full space
-    every sine is zero and ``V_r`` is empty, so the norm is 0 without a
-    special case.
-    """
+def _dual_paths_for_bucket(qa: np.ndarray, qb: np.ndarray, tol: float) -> tuple:
+    """Both commensurability verdicts, at band ``10*tol``, and the commutator
+    norms for ``(B, n, k)`` stacks of orthonormal bases."""
     band = 10.0 * tol
-
-    # route 1: commutator of the orthogonal projectors
-    pa = qa @ adjoint(qa)
-    pb = qb @ adjoint(qb)
-    comm = pa @ pb - pb @ pa
-    comm_norms = _spectral_norms(comm)
-    via_commutator = comm_norms <= band
-
-    # route 2: principal angles of A against B; the zero angles span the meet
-    g = adjoint(qb) @ qa
-    _, sines, vh = np.linalg.svd(qa - qb @ g, full_matrices=False)
-    beyond_meet = adjoint(vh) * (sines > tol)[:, None, :]
-    via_complements = _spectral_norms(g @ beyond_meet) <= band
-    return via_commutator, via_complements, comm_norms
+    comm_norms = commutator_norms(qa, qb)
+    return comm_norms <= band, remainder_norms(qa, qb, tol) <= band, comm_norms
 
 
 def _adversarial_bases(
@@ -111,17 +69,21 @@ def _adversarial_bases(
     return q, dims_a, dims_b, eps
 
 
+def _integer(value) -> bool:
+    # a bool is an Integral, but no dimension or count
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_arguments(
     ambient: int, field: str, count: int, tol: float, adversarial_fraction: float
 ) -> None:
-    if not isinstance(ambient, Integral) or ambient < 2:
+    if not _integer(ambient) or ambient < 2:
         raise ValueError(f"ambient must be an integer >= 2, got {ambient!r}")
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
-    if not isinstance(count, Integral) or count < 0:
+    if not _integer(count) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    require_tol(tol)
     if not 0.0 <= adversarial_fraction <= 1.0:
         raise ValueError(
             f"adversarial_fraction must lie in [0, 1], got {adversarial_fraction!r}"

@@ -1,5 +1,5 @@
 """Dense-matrix substrate: field tags, rank-revealing spans, spectral norms,
-polar factors, sampling and the ``[re, im]`` matrix codec.
+principal angles, polar factors, sampling and the ``[re, im]`` matrix codec.
 
 Everything here works on plain numpy arrays.  A matrix is "real-tagged" when
 its dtype is a float type and "complex-tagged" when it is a complex type;
@@ -70,35 +70,90 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; 0.0 for an empty matrix.
+def require_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``0 < tol < inf``; a NaN is refused too."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def spectral_norm(m: np.ndarray):
+    """Largest singular value of a matrix, as a float, or of every matrix in a
+    ``(..., r, c)`` stack, as an array; 0 for an empty matrix.
 
     A vector or a single column has one singular value, its Euclidean norm.
-    Raises ``NonFiniteError`` when an entry is NaN or infinite.
+    A lone matrix takes its SVD.  A stack takes the square root of the top
+    eigenvalue of each ``M^H M``, which beats an SVD per matrix and keeps the
+    relative accuracy of the largest singular value; one with a non-finite
+    norm or Gram entry takes the SVD, which scales an overflowed finite matrix
+    and refuses a NaN or infinite one with ``NonFiniteError``.
     """
     m = np.asarray(m)
+    if m.ndim == 1:
+        m = m[:, None]
     if m.size == 0:
-        return 0.0
-    if m.ndim == 1 or m.shape[1] == 1:
-        r = float(np.linalg.norm(m))
-        if np.isfinite(r):
-            return r
-        # a non-finite norm goes to the SVD, which scales an overflowed finite
-        # vector and refuses a NaN or infinite one
-        m = m.reshape(-1, 1)
-    return float(_finite_svd(m, compute_uv=False)[0])
+        return np.zeros(m.shape[:-2]) if m.ndim > 2 else 0.0
+    if m.ndim == 2:
+        if m.shape[1] == 1:
+            norm = float(np.linalg.norm(m))
+            if math.isfinite(norm):
+                return norm
+        return float(_finite_svd(m, compute_uv=False)[0])
+    if m.shape[-1] == 1:
+        norms = np.linalg.norm(m[..., 0], axis=-1)
+        if math.isfinite(norms.sum()):
+            return norms
+    else:
+        gram = adjoint(m) @ m
+        # the eigensolver ignores a NaN; the sum of the Gram entries does not
+        if math.isfinite(abs(gram.sum())):
+            return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return _finite_svd(m, compute_uv=False)[..., 0]
 
 
 def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
-    """SVD, thin unless ``full_matrices``; NaN or infinite entries raise
-    ``NonFiniteError``."""
+    """SVD of a matrix or stack, thin unless ``full_matrices``; NaN or
+    infinite entries raise ``NonFiniteError``."""
     try:
         out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NonFiniteError("matrix has non-finite entries") from exc
-    if not math.isfinite((out[1] if compute_uv else out)[0]):
+    s = out[1] if compute_uv else out
+    if s.size and not math.isfinite(s[0] if s.ndim == 1 else s[..., 0].max()):
         raise NonFiniteError("matrix has non-finite entries")
     return out
+
+
+def _outside(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """``Q_A - Q_B (Q_B^H Q_A)``: the part of each column of ``Q_A`` outside
+    the span of the orthonormal ``Q_B``, for two bases or two stacks."""
+    return qa - qb @ (adjoint(qb) @ qa)
+
+
+def residual_norms(qa: np.ndarray, qb: np.ndarray):
+    """Sine of the largest principal angle of span ``Q_A`` against span
+    ``Q_B``: the :func:`spectral_norm` of ``Q_A - Q_B (Q_B^H Q_A)``.
+
+    ``Q_A`` and ``Q_B`` are orthonormal bases, or ``(B, n, k)`` stacks of
+    them, one sine per pair.  It is at most ``tol`` when A lies in B within
+    ``tol``, and at equal dimensions it is the projector distance
+    ``|P_A - P_B|`` (Bjorck-Golub 1973).  NaN or infinite entries raise
+    ``NonFiniteError``.
+    """
+    return spectral_norm(_outside(qa, qb))
+
+
+def principal_angles(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal angles of span ``Q_A`` against span ``Q_B`` (Bjorck-Golub
+    1973), for two orthonormal bases or two ``(B, n, k)`` stacks of them.
+
+    From one thin SVD ``Q_A - Q_B (Q_B^H Q_A) = U S V^H``: returns the sines
+    ``S``, descending along the last axis, and the principal vectors
+    ``Q_A V`` of A, column j at sine ``S[j]``.  The vectors at sine at most
+    ``tol`` span the meet of A and B at ``tol``.  NaN or infinite entries
+    raise ``NonFiniteError``.
+    """
+    _, sines, vh = _finite_svd(_outside(qa, qb), compute_uv=True)
+    return sines, qa @ adjoint(vh)
 
 
 def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -114,8 +169,7 @@ def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     m = np.asarray(cols)
     if m.ndim != 2 or m.shape[1] < 1:
         raise ValueError("need a matrix with at least one column")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_tol(tol)
     if m.shape[1] == 1:
         # an overflowed norm of a finite column goes to the SVD, which scales
         top = float(np.linalg.norm(m))
@@ -144,15 +198,10 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
     m = np.asarray(cols)
     if m.shape[-1] == 1:
         return unit_columns(m, tol), np.ones(m.shape[0], dtype=np.intp)
-    try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError("matrix has non-finite entries") from exc
+    require_tol(tol)
+    u, s, _ = _finite_svd(m, compute_uv=True)
     top = s[:, :1]
-    # false for a NaN top singular value too
-    if not (tol < float(top.min()) and float(top.max()) < math.inf):
-        if not np.isfinite(top).all():
-            raise NonFiniteError("matrix has non-finite entries")
+    if not tol < float(top.min()):
         raise ZeroInputError("all columns are numerically zero")
     return u, (s > tol * top).sum(axis=-1)
 
@@ -172,6 +221,7 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises ``ZeroInputError`` when a column has norm <= ``tol`` and
     ``NonFiniteError`` when an entry is NaN or infinite.
     """
+    require_tol(tol)
     norms = _column_norms(m)
     # false for a NaN norm too
     if not (tol < float(norms.min()) and float(norms.max()) < math.inf):
@@ -263,6 +313,7 @@ def polar_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
     Raises ``SingularMatrixError`` when the smallest singular value is
     <= ``tol`` times the largest.
     """
+    require_tol(tol)
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("polar decomposition needs a square matrix")

@@ -1,10 +1,13 @@
 """Points of the Grassmannian and their lattice arithmetic.
 
 A ``Subspace`` is an ambient dimension together with an orthonormal basis,
-stored column-wise.  Identity of a subspace is basis-independent: equality,
-containment and the commensurability relation are all decided through
-orthogonal projectors or, equivalently, residuals of one basis against the
-other, never by comparing basis entries.
+stored column-wise.  Identity of a subspace is basis-independent: the meet,
+equality, containment and the strip-the-meet commensurability route are all
+read from the principal angles of one basis against the other
+(:func:`linalg.principal_angles` and :func:`linalg.residual_norms`), and the
+other commensurability route from the projector commutator; nothing compares
+basis entries.  Both routes take two bases or two ``(B, n, k)`` stacks of
+them, so the batched kernel runs the same two functions.
 
 The zero subspace (a basis with no columns) is a first-class value: it is
 what intersections return when they collapse, and it is the bottom element
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbientMismatchError, NotContainedError
+from .errors import AmbientMismatchError
 from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
@@ -27,7 +30,10 @@ from .linalg import (
     haar,
     matrix_from_json,
     matrix_to_json,
+    principal_angles,
     require_same_field,
+    require_tol,
+    residual_norms,
     span,
     spectral_norm,
 )
@@ -36,12 +42,12 @@ from .linalg import (
 class Subspace:
     """A linear subspace of k^n, k real or complex, held as an orthonormal basis.
 
-    Instances are immutable, so the orthocomplement is computed once and
-    kept.  Use :meth:`from_columns` to build one from an arbitrary spanning
-    set; the plain constructor trusts its input to be orthonormal already.
+    Instances are immutable.  Use :meth:`from_columns` to build one from an
+    arbitrary spanning set; the plain constructor trusts its input to be
+    orthonormal already.
     """
 
-    __slots__ = ("ambient", "basis", "_complement")
+    __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, basis: np.ndarray):
         if basis.ndim != 2 or basis.shape[0] != ambient:
@@ -50,7 +56,6 @@ class Subspace:
         b = np.array(basis)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "_complement", None)
 
     @classmethod
     def _view(cls, ambient: int, basis: np.ndarray) -> "Subspace":
@@ -59,7 +64,6 @@ class Subspace:
         s = object.__new__(cls)
         object.__setattr__(s, "ambient", ambient)
         object.__setattr__(s, "basis", basis)
-        object.__setattr__(s, "_complement", None)
         return s
 
     def __setattr__(self, name, value):
@@ -111,19 +115,16 @@ class Subspace:
         The trailing left singular vectors of one full SVD of the basis.
         Raises ``NonFiniteError`` when the basis holds NaN or infinite entries.
         """
-        if self._complement is None:
-            n, d = self.basis.shape
-            if d == 0:
-                complement = Subspace.full(n, self.field)
-            else:
-                u = _finite_svd(self.basis, compute_uv=True, full_matrices=True)[0]
-                complement = Subspace(n, u[:, d:])
-            object.__setattr__(self, "_complement", complement)
-        return self._complement
+        n, d = self.basis.shape
+        if d == 0:
+            return Subspace.full(n, self.field)
+        u = _finite_svd(self.basis, compute_uv=True, full_matrices=True)[0]
+        return Subspace(n, u[:, d:])
 
     def sum(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
         """Smallest subspace containing both operands (the lattice join)."""
         self._check_compatible(other)
+        require_tol(tol)
         stacked = np.hstack([self.basis, other.basis])
         if stacked.shape[1] == 0:
             return Subspace.zero(self.ambient, self.field)
@@ -131,61 +132,35 @@ class Subspace:
         return Subspace(self.ambient, q)
 
     def intersect(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
-        """Lattice meet, the null space of ``[A^perp B^perp]^H``.
-
-        One full SVD of the stacked complements: the left singular vectors
-        beyond the rank, counted by :func:`linalg.span`'s rule (singular
-        values above ``tol`` times the largest), span the vectors orthogonal
-        to both complements (Bjorck-Golub 1973).
+        """Lattice meet: the principal vectors of ``self`` whose angle to
+        ``other`` has sine at most ``tol`` (:func:`linalg.principal_angles`,
+        Bjorck-Golub 1973).
         """
         self._check_compatible(other)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        stacked = np.hstack([self.orthocomplement().basis, other.orthocomplement().basis])
-        if stacked.shape[1] == 0:
-            return Subspace.full(self.ambient, self.field)
-        u, s, _ = _finite_svd(stacked, compute_uv=True, full_matrices=True)
-        rank = int(np.count_nonzero(s > tol * s[0]))
-        return Subspace(self.ambient, u[:, rank:])
-
-    def ominus(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
-        """Relative orthocomplement of ``other`` inside ``self``.
-
-        Raises ``NotContainedError`` unless ``other`` is contained in
-        ``self`` at the given tolerance.
-        """
-        self._check_compatible(other)
-        if not self.contains(other, tol):
-            raise NotContainedError("relative complement of a non-contained subspace")
-        if self.dim == other.dim:
-            return Subspace.zero(self.ambient, self.field)
-        residual = self.basis - other.basis @ (adjoint(other.basis) @ self.basis)
-        q, _ = span(residual, tol)
-        return Subspace(self.ambient, q)
+        require_tol(tol)
+        sines, vectors = principal_angles(self.basis, other.basis)
+        return Subspace(self.ambient, vectors[:, sines <= tol])
 
     # -- relations ----------------------------------------------------------
 
     def contains(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
-        """True when every vector of ``other`` lies in ``self`` within ``tol``."""
+        """True when every vector of ``other`` lies in ``self`` within ``tol``:
+        the sine of the largest principal angle of ``other`` against ``self``
+        is at most ``tol``."""
         self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        if other.dim > self.dim:
-            return False
-        residual = other.basis - self.basis @ (adjoint(self.basis) @ other.basis)
-        return spectral_norm(residual) <= tol
+        require_tol(tol)
+        return other.dim <= self.dim and residual_norms(other.basis, self.basis) <= tol
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         """Basis-independent equality: projector distance at most ``tol``.
 
-        For equal dimensions the projector distance |P_a - P_b| is the sine
-        of the largest principal angle, which is the containment residual
-        |B - A A^H B| (Bjorck-Golub 1973); that residual is what is measured.
+        At equal dimensions the projector distance |P_a - P_b| is the sine of
+        the largest principal angle (Bjorck-Golub 1973), which :meth:`contains`
+        measures; at unequal ones it is 1.
         """
-        if self.dim != other.dim:
-            self._check_compatible(other)
-            return False
-        return self.contains(other, tol)
+        self._check_compatible(other)
+        require_tol(tol)
+        return self.dim == other.dim and residual_norms(other.basis, self.basis) <= tol
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
@@ -212,6 +187,7 @@ class Subspace:
         rank of the given basis, and real-tagged payloads with nonzero
         imaginary parts.
         """
+        require_tol(tol)
         ambient = int(obj["ambient"])
         field = obj["field"]
         if field not in (REAL, COMPLEX):
@@ -234,39 +210,48 @@ class Subspace:
 # -- the commensurability relation, both characterizations ---------------------
 
 
-def commutator_norm(a: Subspace, b: Subspace) -> float:
-    """Spectral norm of the commutator of the two orthogonal projectors."""
-    pa, pb = a.projector(), b.projector()
-    return spectral_norm(pa @ pb - pb @ pa)
+def commutator_norms(qa: np.ndarray, qb: np.ndarray):
+    """Route 1: the spectral norm of the commutator of the orthogonal
+    projectors onto span ``Q_A`` and span ``Q_B``, for two orthonormal bases
+    (a float) or for each pair of two ``(B, n, k)`` stacks (an array).
+    The projectors are Hermitian, so ``P_B P_A`` is the adjoint of
+    ``P_A P_B``."""
+    product = (qa @ adjoint(qa)) @ (qb @ adjoint(qb))
+    return spectral_norm(product - adjoint(product))
+
+
+def remainder_norms(qa: np.ndarray, qb: np.ndarray, tol: float):
+    """Route 2: ``|(P_A - P_C)(P_B - P_C)|`` for the meet C of span ``Q_A``
+    and span ``Q_B`` at ``tol``, for two orthonormal bases or two stacks.
+
+    The principal vectors of A at sine above ``tol`` span the part of A
+    orthogonal to C (:func:`linalg.principal_angles`), whose projector is
+    ``P_A - P_C``.  So ``(P_A - P_C) P_C = 0`` and ``(P_A - P_C)(P_B - P_C) =
+    (P_A - P_C) P_B``, whose norm is that of ``Q_B^H`` times those vectors.
+    """
+    sines, vectors = principal_angles(qa, qb)
+    beyond_meet = vectors * (sines > tol)[..., None, :]
+    return spectral_norm(adjoint(qb) @ beyond_meet)
 
 
 def commeasurable(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
-    """Projector test: the two orthogonal projectors commute within 10*tol."""
-    return commutator_norm(a, b) <= 10.0 * tol
+    """Projector test: the two orthogonal projectors commute within 10*tol
+    (:func:`commutator_norms`)."""
+    a._check_compatible(b)
+    require_tol(tol)
+    return commutator_norms(a.basis, b.basis) <= 10.0 * tol
 
 
 def commeasurable_via_complements(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
-    """Lattice test: the parts of each operand beyond the meet are orthogonal.
+    """Lattice test: the parts of each operand beyond the meet are orthogonal
+    within 10*tol (:func:`remainder_norms`).
 
-    Strips the intersection from both sides and checks the remainders for
-    orthogonality (largest cosine of a principal angle at most 10*tol).
     Kept deliberately independent of the projector-commutator route so the
     two can cross-check each other.
     """
-    c = a.intersect(b, tol)
-    x = a.ominus(c, _containment_slack(tol))
-    y = b.ominus(c, _containment_slack(tol))
-    if x.dim == 0 or y.dim == 0:
-        return True
-    return spectral_norm(adjoint(x.basis) @ y.basis) <= 10.0 * tol
-
-
-def _containment_slack(tol: float) -> float:
-    # the meet keeps directions whose singular values in [A^perp B^perp] reach
-    # tol times the largest, which is at most sqrt(2), so it sits inside each
-    # operand only up to about 1.4*tol and the containment precheck gets a
-    # looser band
-    return 100.0 * tol
+    a._check_compatible(b)
+    require_tol(tol)
+    return remainder_norms(a.basis, b.basis, tol) <= 10.0 * tol
 
 
 def random_subspace(ambient: int, dim: int, field: str, rng: np.random.Generator) -> Subspace:

@@ -58,11 +58,10 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
-    adjoint,
     gaussian_stack,
     haar,
+    residual_norms,
     span_stack,
-    spectral_norm,
 )
 from .partitions import (
     IntPartition,
@@ -305,35 +304,29 @@ def _commuting_pair(
     return a, b
 
 
-def _projector_distance(a: Subspace, b: Subspace) -> float:
-    return spectral_norm(a.projector() - b.projector())
-
-
-def _frame_distance(s: FrameTuple, t: FrameTuple) -> float:
-    return max(
-        _projector_distance(x, y) for x, y in zip(s.components, t.components)
-    )
+def _distance(a: Subspace, b: Subspace) -> float:
+    """The projector distance ``|P_a - P_b|``: the largest principal-angle
+    sine at equal dimensions (:func:`linalg.residual_norms`), and exactly 1
+    at unequal ones, where a unit vector of the larger one is orthogonal to
+    the smaller."""
+    return residual_norms(b.basis, a.basis) if a.dim == b.dim else 1.0
 
 
 def _frame_distances(a: np.ndarray, b: np.ndarray, shapes: list) -> np.ndarray:
-    """Stacked :func:`_frame_distance` of the stacked bases ``a[k]`` and
-    ``b[k]``, both of shape ``shapes[k]``.
-
-    For equal-dimensional subspaces with orthonormal bases A and B, the
-    projector distance is the residual ``|B - A A^H B|``, the sine of their
-    largest principal angle: its top singular value, and for lines its
-    vector norm.  All components of one dimension take one stack.
-    """
+    """The largest :func:`_distance` between matching components of the
+    stacked bases ``a[k]`` and ``b[k]``, both of shape ``shapes[k]``.  All
+    components of one dimension take one :func:`linalg.residual_norms`."""
     out = np.zeros(len(a))
-    for d, (t, c) in _components_by_size(shapes).items():
-        qa, qb = _gather(a, t, c), _gather(b, t, c)
-        residual = qb - qa @ (adjoint(qa) @ qb)
-        if d == 1:
-            norms = np.linalg.norm(residual[:, :, 0], axis=-1)
-        else:
-            norms = np.linalg.svd(residual, compute_uv=False)[:, 0]
-        np.maximum.at(out, t, norms)
+    for t, c in _components_by_size(shapes).values():
+        np.maximum.at(out, t, residual_norms(_gather(b, t, c), _gather(a, t, c)))
     return out
+
+
+def _frames_distance(s: FrameTuple, t: FrameTuple) -> float:
+    """:func:`_frame_distances` of two frames; 1 when their shapes differ."""
+    if s.shape != t.shape:
+        return 1.0
+    return float(_frame_distances(s.stacked_basis()[None], t.stacked_basis()[None], [s.shape])[0])
 
 
 def _contiguous_tableau(shape: IntPartition) -> Tableau:
@@ -376,7 +369,7 @@ def _clr_joins(cfg, trial, rng):
     t = _random_map(cfg, rng)
     lhs = apply_to_subspace(t, a.sum(b, cfg.tol), cfg.tol)
     rhs = apply_to_subspace(t, a, cfg.tol).sum(apply_to_subspace(t, b, cfg.tol), cfg.tol)
-    return _projector_distance(lhs, rhs)
+    return _distance(lhs, rhs)
 
 
 def _clr_meets(cfg, trial, rng):
@@ -386,18 +379,17 @@ def _clr_meets(cfg, trial, rng):
     rhs = apply_to_subspace(t, a, cfg.tol).intersect(
         apply_to_subspace(t, b, cfg.tol), cfg.tol
     )
-    return _projector_distance(lhs, rhs)
+    return _distance(lhs, rhs)
 
 
 def _clr_containment(cfg, trial, rng):
     a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
     t = _random_map(cfg, rng)
     inner = apply_to_subspace(t, a.intersect(b, cfg.tol), cfg.tol)
-    residual = 0.0
-    for outer in (apply_to_subspace(t, a, cfg.tol), apply_to_subspace(t, b, cfg.tol)):
-        leak = spectral_norm(inner.basis - outer.projector() @ inner.basis)
-        residual = max(residual, leak)
-    return residual
+    return max(
+        residual_norms(inner.basis, apply_to_subspace(t, outer, cfg.tol).basis)
+        for outer in (a, b)
+    )
 
 
 # -- clr-bis: independence of line systems survives ------------------------------
@@ -477,10 +469,10 @@ def _pfrp_equivariance(cfg, trials, rngs):
     sigma = np.array([rng.permutation(n) for rng in rngs])[:, None, :]
     lhs = _images(cfg, maps, np.take_along_axis(a, sigma, axis=2))
     rhs = np.take_along_axis(_images(cfg, maps, a), sigma, axis=2)
-    # the largest projector distance between matching lines: for unit x, y
-    # |P_x - P_y| is the sine of their angle, |y - x (x^H y)|
-    cos = np.sum(lhs.conj() * rhs, axis=1, keepdims=True)
-    return np.linalg.norm(rhs - lhs * cos, axis=1).max(axis=1)
+    # the largest projector distance between matching lines, each line a
+    # single-column basis
+    lines = (rhs.swapaxes(1, 2)[..., None], lhs.swapaxes(1, 2)[..., None])
+    return residual_norms(*lines).max(axis=1)
 
 
 # -- pfr: the eversion branch -----------------------------------------------------
@@ -620,7 +612,7 @@ def _refinement_identity(cfg, trial, rng):
     shape = _random_shape(cfg.ambient, rng)
     t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
     arrow = identity_refinement(_contiguous_tableau(shape))
-    return _frame_distance(refine_map(t, arrow), t)
+    return _frames_distance(refine_map(t, arrow), t)
 
 
 def _refinement_functorial(cfg, trial, rng):
@@ -634,7 +626,7 @@ def _refinement_functorial(cfg, trial, rng):
     t = random_frame(n, fine.shape, cfg.field, False, rng)
     chained = refine_map(refine_map(t, f), g)
     direct = refine_map(t, compose_refinements(f, g))
-    return _frame_distance(chained, direct)
+    return _frames_distance(chained, direct)
 
 
 def _refinement_lift_equivariance(cfg, trial, rng):
@@ -653,7 +645,7 @@ def _refinement_lift_equivariance(cfg, trial, rng):
         return True
     lhs = refine_map(permute(t, sigma_fine), arrow)
     rhs = permute(coarse_frame, sigma_coarse)
-    return _frame_distance(lhs, rhs)
+    return _frames_distance(lhs, rhs)
 
 
 # -- partitions: pure combinatorics -----------------------------------------------

@@ -1,8 +1,8 @@
 """Cross-checks for the batched commensurability kernel.
 
 The batched code must reproduce, pair for pair, the decisions of the
-single-pair implementations in ``subspaces``; these tests drive both on the
-same bases.
+single-pair calls in ``subspaces`` and of the complement-route oracle of
+``test_subspaces``; these tests drive them on the same bases.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ from frame_rigidity import kernels
 from frame_rigidity.kernels import (
     ADVERSARIAL_ANGLES,
     _dual_paths_for_bucket,
-    _spectral_norms,
     batched_commeasurability_check,
 )
-from frame_rigidity.linalg import COMPLEX, REAL, adjoint, gaussian, haar
+from frame_rigidity.linalg import COMPLEX, REAL, adjoint, gaussian, haar, spectral_norm
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.subspaces import (
     Subspace,
@@ -23,6 +22,7 @@ from frame_rigidity.subspaces import (
     commeasurable_via_complements,
     random_subspace,
 )
+from test_subspaces import commeasurable_by_complements
 
 TOL = 1e-8
 
@@ -78,6 +78,7 @@ class TestBucketAgainstSequential:
                 for k, (a, b) in enumerate(pairs):
                     assert via_a[k] == commeasurable(a, b, TOL)
                     assert via_b[k] == commeasurable_via_complements(a, b, TOL)
+                    assert via_b[k] == commeasurable_by_complements(a, b, TOL)
                     assert norms[k] >= 0.0
 
     def test_commuting_pairs_accepted_by_both_routes(self):
@@ -96,6 +97,7 @@ class TestBucketAgainstSequential:
             assert via_a[0] and via_b[0]
             assert norms[0] < 1e-12
             assert commeasurable(a, b, TOL) and commeasurable_via_complements(a, b, TOL)
+            assert commeasurable_by_complements(a, b, TOL)
 
     def test_skew_plane_pair_rejected_by_both_routes(self):
         e1 = np.array([[1.0], [0.0]])
@@ -211,17 +213,19 @@ class TestMeetThreshold:
 
 
 class TestSpectralNorms:
+    """The stacked spectral norm both routes read their norms from."""
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
     @pytest.mark.parametrize("shape", [(50, 4, 4), (50, 6, 2), (50, 2, 5)])
     def test_matches_svd_norm(self, shape, scale, field):
         stack = scale * gaussian(np.random.default_rng(len(shape) + shape[2]), shape, field)
         expected = np.linalg.norm(stack, 2, axis=(1, 2))
-        assert np.allclose(_spectral_norms(stack), expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(spectral_norm(stack), expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_zero_stack_is_exactly_zero(self, dtype):
-        norms = _spectral_norms(np.zeros((3, 4, 2), dtype=dtype))
+        norms = spectral_norm(np.zeros((3, 4, 2), dtype=dtype))
         assert norms.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -241,6 +245,8 @@ class TestArgumentValidation:
             {"ambient": 3.0},
             {"count": -5},
             {"count": 2.5},
+            {"count": True},
+            {"ambient": True},
         ],
     )
     def test_bad_argument_refused_before_any_draw(self, override):

@@ -1,5 +1,6 @@
 """Tests for the matrix substrate: spans against a Gram-Schmidt reference,
-spectral norms, adjoint, field tags, sampling and the polar factors."""
+spectral norms, principal angles, adjoint, field tags, sampling, the polar
+factors, and the tolerance every public entry refuses."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,28 @@ from frame_rigidity.errors import (
     SingularMatrixError,
     ZeroInputError,
 )
+from frame_rigidity.frames import (
+    FrameTuple,
+    bigobot,
+    pi_linked,
+    pi_linked_stack,
+    random_frame,
+    span_components,
+)
+from frame_rigidity.induced import (
+    SemilinearMap,
+    apply_to_subspace,
+    cubic_line_distortion,
+    evert_conjugate,
+    evert_conjugate_stack,
+    induced_line_map,
+    induced_on_frame,
+    induced_on_frame_stack,
+    is_unitary_up_to_scale,
+    reconstruct_from_line_images,
+    scale_equivalent,
+)
+from frame_rigidity.kernels import batched_commeasurability_check
 from frame_rigidity.linalg import (
     COMPLEX,
     REAL,
@@ -21,9 +44,19 @@ from frame_rigidity.linalg import (
     gaussian,
     haar,
     polar_decompose,
+    principal_angles,
     require_same_field,
+    residual_norms,
     span,
+    span_stack,
     spectral_norm,
+    unit_columns,
+)
+from frame_rigidity.partitions import IntPartition, Tableau
+from frame_rigidity.subspaces import (
+    Subspace,
+    commeasurable,
+    commeasurable_via_complements,
 )
 
 # 1/sqrt(2) rounded to double precision, pinned by hand
@@ -350,3 +383,114 @@ class TestFieldTags:
 
     def test_spectral_norm_of_empty_is_zero(self):
         assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+
+class TestPrincipalAngles:
+    def test_hand_lines(self):
+        # e1 against the line at angle 0.3 in the e1e2-plane of R^3
+        qa = np.array([[1.0], [0.0], [0.0]])
+        qb = np.array([[np.cos(0.3)], [np.sin(0.3)], [0.0]])
+        sines, vectors = principal_angles(qa, qb)
+        assert abs(sines[0] - np.sin(0.3)) <= 1e-15
+        assert np.array_equal(np.abs(vectors), qa)
+        assert abs(residual_norms(qa, qb) - np.sin(0.3)) <= 1e-15
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_sines_and_vectors_against_scipy(self, field):
+        rng = np.random.default_rng(4242)
+        for n in range(2, 9):
+            for da in range(1, n + 1):
+                for db in range(1, n + 1):
+                    qa, qb = haar(rng, (n, da), field), haar(rng, (n, db), field)
+                    sines, vectors = principal_angles(qa, qb)
+                    # scipy gives the min(da, db) angles, a zero one only to
+                    # about sqrt(eps); A's further principal vectors are
+                    # orthogonal to B, at sine 1
+                    want = np.sort(np.sin(scipy.linalg.subspace_angles(qa, qb)))
+                    got = np.sort(sines)
+                    assert np.abs(got[: len(want)] - want).max() <= 1e-7
+                    assert np.abs(got[len(want) :] - 1.0).max(initial=0.0) <= 1e-12
+                    assert abs(residual_norms(qa, qb) - sines[0]) <= 1e-13
+                    # orthonormal vectors of A, each at its sine from B
+                    assert np.abs(adjoint(vectors) @ vectors - np.eye(da)).max() <= 1e-13
+                    outside = vectors - qb @ (adjoint(qb) @ vectors)
+                    assert np.abs(np.linalg.norm(outside, axis=0) - sines).max() <= 1e-13
+
+    def test_empty_operands(self):
+        qa, zero = np.eye(3)[:, :2], np.zeros((3, 0))
+        sines, vectors = principal_angles(zero, qa)
+        assert sines.shape == (0,) and vectors.shape == (3, 0)
+        assert residual_norms(zero, qa) == 0.0
+        assert residual_norms(qa, zero) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_refused(self, bad, stacked):
+        qa, qb = np.eye(3)[:, :2].copy(), np.eye(3)[:, 1:].copy()
+        qb[0, 0] = bad
+        if stacked:
+            qa, qb = np.stack([qa, qa]), np.stack([np.eye(3)[:, 1:], qb])
+        for call in (principal_angles, residual_norms):
+            with pytest.raises(NonFiniteError):
+                call(qa, qb)
+
+
+def _tol_entries():
+    """Every public entry that takes a tolerance, as a call of ``tol`` alone."""
+    e = np.eye(3)
+    plane, line = Subspace(3, e[:, :2]), Subspace(3, e[:, 1:2])
+    lines = IntPartition((1, 1, 1))
+    frame = random_frame(3, lines, REAL, False, np.random.default_rng(0))
+    t = SemilinearMap(e)
+    pi = Tableau(3, ((1, 2), (3,)))
+    return {
+        "span": lambda tol: span(e, tol),
+        "span_stack": lambda tol: span_stack(e[None], tol),
+        "unit_columns": lambda tol: unit_columns(e, tol),
+        "polar_decompose": lambda tol: polar_decompose(e, tol),
+        "from_columns": lambda tol: Subspace.from_columns(e, tol),
+        "sum": lambda tol: plane.sum(Subspace.zero(3), tol),
+        "intersect": lambda tol: plane.intersect(line, tol),
+        "contains": lambda tol: plane.contains(line, tol),
+        "equals": lambda tol: plane.equals(line, tol),
+        "subspace_from_json": lambda tol: Subspace.from_json(line.to_json(), tol),
+        "commeasurable": lambda tol: commeasurable(plane, line, tol),
+        "via_complements": lambda tol: commeasurable_via_complements(plane, line, tol),
+        "frame_from_json": lambda tol: FrameTuple.from_json(frame.to_json(), tol),
+        "span_components": lambda tol: span_components(e[None], [lines], tol),
+        "pi_linked_stack": lambda tol: pi_linked_stack(e[None], e[None], lines, [pi], tol),
+        "pi_linked": lambda tol: pi_linked(frame, frame, pi, tol),
+        "bigobot": lambda tol: bigobot(frame, frame, tol),
+        "semilinear_map": lambda tol: SemilinearMap(e, tol=tol),
+        "map_from_json": lambda tol: SemilinearMap.from_json(t.to_json(), tol),
+        "apply_to_subspace": lambda tol: apply_to_subspace(t, Subspace.zero(3), tol),
+        "is_unitary_up_to_scale": lambda tol: is_unitary_up_to_scale(t, tol),
+        "induced_on_frame_stack": lambda tol: induced_on_frame_stack(
+            e[None], np.array([False]), e[None], [lines], tol
+        ),
+        "induced_on_frame": lambda tol: induced_on_frame(t, frame, tol),
+        "scale_equivalent": lambda tol: scale_equivalent(t, t, tol),
+        "evert_conjugate_stack": lambda tol: evert_conjugate_stack(e[None], tol),
+        "evert_conjugate": lambda tol: evert_conjugate(t, tol),
+        "reconstruct": lambda tol: reconstruct_from_line_images(
+            induced_line_map(t), 3, REAL, tol
+        ),
+        "cubic_line_distortion": lambda tol: cubic_line_distortion(0.1, tol),
+        "kernel": lambda tol: batched_commeasurability_check(
+            3, REAL, 4, np.random.default_rng(0), tol
+        ),
+    }
+
+
+class TestToleranceRefused:
+    """A NaN, infinite, zero or negative tolerance is a ``ValueError`` at every
+    public entry, never a verdict, a subspace or another error."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    @pytest.mark.parametrize("entry", sorted(_tol_entries()))
+    def test_bad_tol_refused(self, entry, tol):
+        call = _tol_entries()[entry]
+        call(1e-9)
+        with pytest.raises(ValueError):
+            call(tol)

@@ -29,6 +29,27 @@ EXPORTED = [
     "__version__",
 ]
 
+# the public surface of Subspace: one meet, one containment and one equality,
+# all read from principal angles; a relative complement or a second route
+# added beside them shows up here
+SUBSPACE_SURFACE = [
+    "ambient",
+    "basis",
+    "contains",
+    "dim",
+    "equals",
+    "field",
+    "from_columns",
+    "from_json",
+    "full",
+    "intersect",
+    "orthocomplement",
+    "projector",
+    "sum",
+    "to_json",
+    "zero",
+]
+
 BENCHMARK_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
@@ -56,3 +77,8 @@ def test_benchmark_imports_are_exported():
     imported = _top_level_imports(BENCHMARK_CHECKS)
     assert imported, "the benchmark's checks import nothing from frame_rigidity"
     assert imported <= set(frame_rigidity.__all__)
+
+
+def test_subspace_surface_is_pinned():
+    public = sorted(name for name in dir(frame_rigidity.Subspace) if not name.startswith("_"))
+    assert public == SUBSPACE_SURFACE

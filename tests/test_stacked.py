@@ -35,12 +35,11 @@ from frame_rigidity.induced import (
     random_semilinear_stack,
     random_unitary_map,
 )
-from frame_rigidity.linalg import COMPLEX, REAL, gaussian
+from frame_rigidity.linalg import COMPLEX, REAL, gaussian, spectral_norm
 from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_partitions
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.suites import (
     SuiteConfig,
-    _frame_distance,
     _line_shape,
     _partition_for_trial,
     _random_automorphism,
@@ -54,6 +53,12 @@ FIELDS = (REAL, COMPLEX)
 
 
 # -- the one-trial forms of the batched properties, kept as oracles ---------------
+
+
+def _frame_distance(s, t):
+    """The largest projector distance ``|P_x - P_y|`` between matching
+    components, from the projectors themselves."""
+    return max(spectral_norm(x.projector() - y.projector()) for x, y in zip(s, t))
 
 
 def _clrbis_independent(cfg, trial, rng):

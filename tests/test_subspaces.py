@@ -9,17 +9,25 @@ from frame_rigidity.errors import (
     FieldMismatchError,
     FrameRigidityError,
     NonFiniteError,
-    NotContainedError,
 )
-from frame_rigidity.linalg import COMPLEX, REAL
+from frame_rigidity.kernels import _dual_paths_for_bucket
+from frame_rigidity.linalg import (
+    COMPLEX,
+    REAL,
+    adjoint,
+    haar,
+    principal_angles,
+    residual_norms,
+    spectral_norm,
+)
 from frame_rigidity.subspaces import (
     Subspace,
     commeasurable,
     commeasurable_via_complements,
-    commutator_norm,
+    commutator_norms,
     random_subspace,
+    remainder_norms,
 )
-from frame_rigidity.linalg import adjoint, spectral_norm
 
 
 def span(*vectors) -> Subspace:
@@ -80,7 +88,7 @@ class TestIntersect:
     def test_disjoint_lines_meet_in_zero(self):
         assert span(E1).intersect(span(E2)).dim == 0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             span(E1, E2).intersect(span(E2, E3), tol)
@@ -108,18 +116,26 @@ class TestIntersect:
                 assert _projector_distance(got, want) <= 1e-12
             assert f.intersect(v).equals(v) and z.intersect(v).dim == 0
 
-    @pytest.mark.parametrize("eps,kept", [(1e-6, False), (1e-12, True)])
+    @pytest.mark.parametrize(
+        "eps,kept", [(1e-6, False), (2e-9, False), (5e-10, True), (1e-12, True)]
+    )
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_rotated_shared_direction(self, eps, kept, field):
-        # at tol 1e-9 a shared direction tilted by 1e-6 leaves the meet and
-        # one tilted by 1e-12 stays in it, on both routes
+        # at tol 1e-9 a shared direction tilted by more than tol leaves the
+        # meet and one tilted by less stays in it, and kernel route 2 strips
+        # the same meet; far from the threshold the De Morgan meet agrees
         rng = np.random.default_rng(5152)
         for _ in range(50):
             n = int(rng.integers(2, 9))
             a, b = adversarial_pair(n, field, eps, rng)
-            got, want = a.intersect(b, 1e-9), _intersect_by_complements(a, b, 1e-9)
-            assert got.dim == want.dim == int(kept)
-            assert _projector_distance(got, want) <= 1e-12
+            got = a.intersect(b, 1e-9)
+            assert got.dim == int(kept)
+            _, via_complements, _ = _dual_paths_for_bucket(a.basis[None], b.basis[None], 1e-9)
+            assert bool(via_complements[0]) is kept
+            if eps in (1e-6, 1e-12):
+                want = _intersect_by_complements(a, b, 1e-9)
+                assert want.dim == got.dim
+                assert _projector_distance(got, want) <= 1e-12
 
 
 def _qr_complement(v: Subspace) -> Subspace:
@@ -132,6 +148,31 @@ def _qr_complement(v: Subspace) -> Subspace:
 def _intersect_by_complements(a: Subspace, b: Subspace, tol: float = 1e-9) -> Subspace:
     """The meet by De Morgan: the QR complement of the sum of QR complements."""
     return _qr_complement(_qr_complement(a).sum(_qr_complement(b), tol))
+
+
+def _ominus(a: Subspace, c: Subspace, tol: float = 1e-9) -> Subspace:
+    """Relative orthocomplement of ``c`` inside ``a``: the span of the part
+    of a's basis outside ``c``.  Raises ``ValueError`` unless ``c`` lies in
+    ``a`` within ``tol``."""
+    leak = c.basis - a.basis @ (adjoint(a.basis) @ c.basis)
+    if c.dim > a.dim or (c.dim and spectral_norm(leak) > tol):
+        raise ValueError("relative complement of a non-contained subspace")
+    if c.dim == a.dim:
+        return Subspace.zero(a.ambient, a.field)
+    return Subspace.from_columns(a.basis - c.basis @ (adjoint(c.basis) @ a.basis), tol)
+
+
+def commeasurable_by_complements(a: Subspace, b: Subspace, tol: float) -> bool:
+    """The strip-the-meet route by complements, an oracle independent of
+    principal angles: the De Morgan meet C, the relative complements of C in
+    A and in B, and their largest cosine at most 10*tol."""
+    c = _intersect_by_complements(a, b, tol)
+    # the De Morgan meet keeps directions up to about 2*tol away from each
+    # operand, so containment and the remainders' rank get a looser band
+    x, y = _ominus(a, c, 100.0 * tol), _ominus(b, c, 100.0 * tol)
+    if x.dim == 0 or y.dim == 0:
+        return True
+    return spectral_norm(adjoint(x.basis) @ y.basis) <= 10.0 * tol
 
 
 def _pair_sharing(n, field, rng):
@@ -170,10 +211,9 @@ class TestOrthocomplement:
         assert abs(np.array([1.0, 1.0]) @ c.basis[:, 0]) < 1e-12
         assert c.equals(Subspace.from_columns(np.array([[1.0], [-1.0]])))
 
-    def test_complement_is_cached_and_read_only(self):
+    def test_complement_is_read_only(self):
         v = random_subspace(5, 2, COMPLEX, np.random.default_rng(77))
         comp = v.orthocomplement()
-        assert comp is v.orthocomplement()
         assert comp.dim == 3 and not comp.basis.flags.writeable
         with pytest.raises(ValueError):
             comp.basis[0, 0] = 1.0
@@ -189,20 +229,22 @@ class TestOrthocomplement:
 
 
 class TestOminus:
+    """The relative complement of the complement-route oracle."""
+
     def test_plane_minus_line(self):
-        assert span(E1, E2).ominus(span(E1)).equals(span(E2))
+        assert _ominus(span(E1, E2), span(E1)).equals(span(E2))
 
     def test_self_gives_zero(self):
         v = span(E1, E2)
-        assert v.ominus(v).dim == 0
+        assert _ominus(v, v).dim == 0
 
     def test_hand_diagonal(self):
-        got = span(E1, E2).ominus(span([1, 1, 0]))
+        got = _ominus(span(E1, E2), span([1, 1, 0]))
         assert got.equals(span([1, -1, 0]))
 
     def test_not_contained_raises(self):
-        with pytest.raises(NotContainedError):
-            span(E1).ominus(span(E2))
+        with pytest.raises(ValueError):
+            _ominus(span(E1), span(E2))
 
     def test_dimension_formula(self):
         rng = np.random.default_rng(17)
@@ -211,7 +253,7 @@ class TestOminus:
             # build b inside a by combining a's basis columns
             coeffs = rng.standard_normal((4, 2))
             b = Subspace.from_columns(a.basis @ coeffs)
-            assert a.ominus(b).dim == a.dim - b.dim
+            assert _ominus(a, b).dim == a.dim - b.dim
 
 
 class TestContains:
@@ -331,7 +373,7 @@ class TestCommeasurable:
         # projectors of span{e1} and span{e1+e2} in R^2: commutator norm 1/2
         a = Subspace.from_columns(np.array([[1.0], [0.0]]))
         b = Subspace.from_columns(np.array([[1.0], [1.0]]))
-        assert abs(commutator_norm(a, b) - 0.5) < 1e-12
+        assert abs(commutator_norms(a.basis, b.basis) - 0.5) < 1e-12
         assert not commeasurable(a, b, 1e-9)
         assert not commeasurable_via_complements(a, b, 1e-9)
 
@@ -371,6 +413,7 @@ class TestDualPathAgreement:
             a = random_subspace(n, int(rng.integers(1, n + 1)), field, rng)
             b = random_subspace(n, int(rng.integers(1, n + 1)), field, rng)
             assert commeasurable(a, b, tol) == commeasurable_via_complements(a, b, tol)
+            assert commeasurable(a, b, tol) == commeasurable_by_complements(a, b, tol)
 
     @pytest.mark.parametrize("eps,expected", [(1e-12, True), (1e-6, False), (1e-3, False)])
     def test_adversarial_near_commuting_pairs(self, eps, expected):
@@ -380,9 +423,10 @@ class TestDualPathAgreement:
             n = int(rng.integers(2, 7))
             field = REAL if rng.integers(2) == 0 else COMPLEX
             a, b = adversarial_pair(n, field, eps, rng)
-            assert abs(commutator_norm(a, b) - np.cos(eps) * np.sin(eps)) < 1e-10
+            assert abs(commutator_norms(a.basis, b.basis) - np.cos(eps) * np.sin(eps)) < 1e-10
             assert commeasurable(a, b, tol) is expected
             assert commeasurable_via_complements(a, b, tol) is expected
+            assert commeasurable_by_complements(a, b, tol) is expected
 
     def test_exactly_commuting_block_pairs(self):
         rng = np.random.default_rng(808)
@@ -391,6 +435,7 @@ class TestDualPathAgreement:
             a, b = _block_commuting_pair(6, COMPLEX, rng)
             assert commeasurable(a, b, tol)
             assert commeasurable_via_complements(a, b, tol)
+            assert commeasurable_by_complements(a, b, tol)
 
 
 def _block_commuting_pair(ambient, field, rng):
@@ -405,6 +450,76 @@ def _block_commuting_pair(ambient, field, rng):
     a = Subspace(ambient, q[:, : k + ta])
     b_cols = np.hstack([q[:, :k], q[:, k + ta : k + ta + tb]])
     return a, Subspace(ambient, b_cols)
+
+
+def _mixed_pairs(n, da, db, field, rng, count=6):
+    """``count`` pairs of bases, of dimensions ``da`` and ``db``, stacked:
+    the even rows cut from one Haar basis (commuting, with a random overlap
+    where the dimensions allow one), the odd rows independent Haar bases."""
+    q = haar(rng, (count, n, n), field)
+    qa, qb = q[:, :, :da].copy(), haar(rng, (count, n, db), field)
+    for k in range(0, count, 2):
+        overlap = int(rng.integers(max(0, da + db - n), min(da, db) + 1))
+        qb[k] = q[k, :, da - overlap : da - overlap + db]
+    return qa, qb
+
+
+class TestRoutesAgainstComplementOracle:
+    """Each commensurability route against the complement-route oracle, on
+    single bases and on stacks."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_single_bases_and_stacks(self, field):
+        rng = np.random.default_rng(1717)
+        tol = 1e-8
+        for n in range(2, 8):
+            for da in range(1, n + 1):
+                for db in range(1, n + 1):
+                    qa, qb = _mixed_pairs(n, da, db, field, rng)
+                    want = [
+                        commeasurable_by_complements(Subspace(n, x), Subspace(n, y), tol)
+                        for x, y in zip(qa, qb)
+                    ]
+                    route_one = commutator_norms(qa, qb) <= 10.0 * tol
+                    route_two = remainder_norms(qa, qb, tol) <= 10.0 * tol
+                    assert route_one.tolist() == want == route_two.tolist()
+                    for x, y, verdict in zip(qa, qb, want):
+                        assert (commutator_norms(x, y) <= 10.0 * tol) is verdict
+                        assert (remainder_norms(x, y, tol) <= 10.0 * tol) is verdict
+
+
+class TestStackIsItsRows:
+    """On a ``(B, n, k)`` stack the primitive and both routes give, row by
+    row, what their calls on single bases give."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_rows_match_single_calls(self, field):
+        rng = np.random.default_rng(3141)
+        tol = 1e-9
+        for n in range(2, 9):
+            # single columns and the full space included
+            dims = sorted({1, max(1, n // 2), n - 1 or 1, n})
+            for da in dims:
+                for db in dims:
+                    qa, qb = _mixed_pairs(n, da, db, field, rng)
+                    sines, vectors = principal_angles(qa, qb)
+                    stacked = (
+                        residual_norms(qa, qb),
+                        commutator_norms(qa, qb),
+                        remainder_norms(qa, qb, tol),
+                    )
+                    for k, (x, y) in enumerate(zip(qa, qb)):
+                        row_sines, row_vectors = principal_angles(x, y)
+                        assert np.abs(sines[k] - row_sines).max() <= 1e-14
+                        assert np.abs(vectors[k] - row_vectors).max() <= 1e-14
+                        single = (
+                            residual_norms(x, y),
+                            commutator_norms(x, y),
+                            remainder_norms(x, y, tol),
+                        )
+                        for norms, value in zip(stacked, single):
+                            assert isinstance(value, float)
+                            assert abs(norms[k] - value) <= 1e-14
 
 
 class TestLatticeInvariants:
