@@ -31,6 +31,8 @@ from .linalg import (
     field_of,
     gaussian,
     gaussian_stack,
+    masked_span_stack,
+    principal_angles,
     require_same_field,
     require_tol,
     residual_norms,
@@ -140,13 +142,6 @@ class FrameTuple:
         return frame
 
 
-def _sum_components(components: Sequence[Subspace], ambient: int, field: str) -> Subspace:
-    cols = [c.basis for c in components if c.dim > 0]
-    if not cols:
-        return Subspace.zero(ambient, field)
-    return Subspace.from_columns(np.hstack(cols))
-
-
 def _shaped(
     components: Sequence[Subspace],
     orthogonal: bool,
@@ -216,21 +211,37 @@ def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.nd
     return stack[trials[:, None], :, columns].swapaxes(1, 2)
 
 
+def _component_table(shapes: Sequence[IntPartition]) -> tuple[np.ndarray, ...]:
+    """``(trials, starts, dims)``: the basis, first column and dimension of
+    every component of the stacked bases, basis k of shape ``shapes[k]``, as
+    ``(P,)`` arrays in trial and then component order."""
+    dims = np.fromiter(itertools.chain.from_iterable(s.parts for s in shapes), np.intp)
+    # every basis has n columns, so the bases lie side by side
+    return (*np.divmod(np.cumsum(dims) - dims, shapes[0].n), dims)
+
+
 def _components_by_size(shapes: Sequence[IntPartition]) -> dict:
     """``{d: (trials, columns)}``: every ``d``-dimensional component of every
     stacked basis, basis k of shape ``shapes[k]``, as a ``(P,)`` array of
     trials and a ``(P, d)`` array of the component's columns, in trial and
     then component order."""
-    groups: dict[int, tuple[list, list]] = {}
-    for trial, shape in enumerate(shapes):
-        for sl in _column_blocks(shape):
-            trials, columns = groups.setdefault(sl.stop - sl.start, ([], []))
-            trials.append(trial)
-            columns.extend(range(sl.start, sl.stop))
-    return {
-        d: (np.array(trials), np.array(columns).reshape(-1, d))
-        for d, (trials, columns) in groups.items()
-    }
+    trials, starts, dims = _component_table(shapes)
+    # a stable sort keeps each dimension's components in trial order
+    order = np.argsort(dims, kind="stable")
+    trials, starts = trials[order], starts[order]
+    groups, lo = {}, 0
+    for d, count in enumerate(np.bincount(dims).tolist()):
+        if count:
+            groups[d] = (trials[lo : lo + count], starts[lo : lo + count, None] + np.arange(d))
+            lo += count
+    return groups
+
+
+def _in_slots(n: int, starts: np.ndarray, widths) -> np.ndarray:
+    """``(P, 1, n)`` masks of the columns ``starts[p]`` to ``starts[p] +
+    widths[p] - 1``."""
+    cols = np.arange(n)
+    return ((cols >= starts[:, None]) & (cols < (starts + widths)[:, None]))[:, None, :]
 
 
 def span_components(
@@ -357,10 +368,12 @@ def refine_map(t: FrameTuple, arrow: RefinementArrow) -> FrameTuple:
         raise ShapeMismatchError(
             f"fine block sizes {fine_sizes} do not match component dims"
         )
-    coarse_components = []
-    for k in range(len(arrow.coarse.blocks)):
-        members = [t.components[j] for j, m in enumerate(arrow.block_map) if m == k]
-        coarse_components.append(_sum_components(members, t.ambient, t.field))
+    coarse_components = [
+        Subspace.from_columns(
+            np.hstack([c.basis for c, m in zip(t.components, arrow.block_map) if m == k])
+        )
+        for k in range(len(arrow.coarse.blocks))
+    ]
     return FrameTuple(coarse_components, t.orthogonal)
 
 
@@ -417,37 +430,67 @@ def evert(t: FrameTuple) -> FrameTuple:
     return _frame(evert_stack(t.stacked_basis()[None], [shape])[0], shape, t.orthogonal)
 
 
+def bigobot_stack(
+    a: np.ndarray,
+    b: np.ndarray,
+    shapes_a: Sequence[IntPartition],
+    shapes_b: Sequence[IntPartition],
+    tol: float = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`bigobot`: ``(B,)`` masks of whether every component of
+    frame k of the ``(B, n, n)`` stacked bases ``a``, of shape ``shapes_a[k]``,
+    is the sum of its meets with the components of ``b[k]`` (forward), and
+    the converse (backward).
+
+    The meets of all pairs whose ``a`` component has one dimension take one
+    principal-angle SVD, ``b`` padded with zero columns.  A component's sum
+    holds each meet in the other component's column slots; all sums take one
+    span (as ``Subspace.from_columns``) and one residual against their
+    component (as ``Subspace.equals``).
+    """
+    if a.shape != b.shape:
+        raise AmbientMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
+    require_same_field(a, b)
+    require_tol(tol)
+    size, n = len(a), a.shape[-1]
+    ta, sa, da = _component_table(shapes_a)
+    tb, sb, db = _component_table(shapes_b)
+    # the dimension and table row of the component of b[k] at column c
+    dim_b, row_b = np.zeros((2, size, n), dtype=np.intp)
+    dim_b[tb, sb], row_b[tb, sb] = db, np.arange(len(tb))
+    # forward sums, then backward ones
+    sums = np.zeros((len(ta) + len(tb), n, n), dtype=a.dtype)
+    for d in dict.fromkeys(da.tolist()):
+        # each d-dimensional component of a, row i, against the component of
+        # b at column j
+        i, j = np.nonzero((da == d)[:, None] & (dim_b[ta] > 0))
+        t, dj, slot = ta[i], dim_b[ta[i], j], sa[i, None] + np.arange(d)
+        sines, vectors = principal_angles(_gather(a, t, slot), b[t] * _in_slots(n, j, dj))
+        meets = vectors * (sines <= tol)[:, None, :]
+        sums[len(ta) + row_b[t, j][:, None], :, slot] = meets.swapaxes(1, 2)
+        # only the last min(d, dj) sines can lie below 1: they end the slot
+        p, r = np.nonzero(np.arange(d) >= (d - dj)[:, None])
+        sums[i[p], :, (j + dj - d)[p] + r] = meets[p, :, r]
+    starts, dims = np.concatenate([sa, sb]), np.concatenate([da, db])
+    components = np.concatenate([a[ta], b[tb]]) * _in_slots(n, starts, dims)
+    q, rank = masked_span_stack(sums, DEFAULT_TOL)
+    split = (rank == dims) & (residual_norms(components, q) <= tol)
+    failed = np.bincount(np.concatenate([ta, tb + size])[~split], minlength=2 * size)
+    return failed[:size] == 0, failed[size:] == 0
+
+
 def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
     """Block-intersection splitting: every component of each frame is the
-    sum of its intersections with the other frame's components.
-
-    The relation is symmetric for genuinely independent frames; both
-    directions are evaluated and a disagreement raises an inconsistency
-    error rather than silently picking a side.  The directions read the same
-    meets, each computed when first needed, so a direction stops at its
-    first component that does not split.
+    sum of its intersections with the other frame's components.  The batch
+    of one of :func:`bigobot_stack`; the two directions agree on genuinely
+    independent frames, and a disagreement raises ``InconsistencyError``.
     """
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError("frames live in different ambients")
-    require_tol(tol)
-
-    @functools.cache
-    def meet(i: int, j: int) -> Subspace:
-        return a.components[i].intersect(b.components[j], tol)
-
-    def splits(t: FrameTuple, pieces) -> bool:
-        return all(
-            _sum_components(pieces(k), t.ambient, t.field).equals(comp, tol)
-            for k, comp in enumerate(t.components)
-        )
-
-    forward = splits(a, lambda i: [meet(i, j) for j in range(len(b))])
-    backward = splits(b, lambda j: [meet(i, j) for i in range(len(a))])
-    if forward != backward:
-        raise InconsistencyError(
-            "block-intersection relation is asymmetric at this tolerance"
-        )
-    return forward
+    forward, backward = bigobot_stack(
+        a.stacked_basis()[None], b.stacked_basis()[None], [a.shape], [b.shape], tol
+    )
+    if forward[0] != backward[0]:
+        raise InconsistencyError("block-intersection relation is asymmetric at this tolerance")
+    return bool(forward[0])
 
 
 def random_frame_stack(

@@ -123,10 +123,12 @@ def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
     return out
 
 
-def _outside(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """``Q_A - Q_B (Q_B^H Q_A)``: the part of each column of ``Q_A`` outside
-    the span of the orthonormal ``Q_B``, for two bases or two stacks."""
-    return qa - qb @ (adjoint(qb) @ qa)
+def _outside(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G = Q_B^H Q_A`` and ``Q_A - Q_B G``, the part of each column of
+    ``Q_A`` outside the span of the orthonormal ``Q_B``, for two bases or two
+    stacks."""
+    g = adjoint(qb) @ qa
+    return g, qa - qb @ g
 
 
 def residual_norms(qa: np.ndarray, qb: np.ndarray):
@@ -139,7 +141,15 @@ def residual_norms(qa: np.ndarray, qb: np.ndarray):
     ``|P_A - P_B|`` (Bjorck-Golub 1973).  NaN or infinite entries raise
     ``NonFiniteError``.
     """
-    return spectral_norm(_outside(qa, qb))
+    return spectral_norm(_outside(qa, qb)[1])
+
+
+def _principal(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``G = Q_B^H Q_A`` and, from one thin SVD ``Q_A - Q_B G = U S V^H``, the
+    sines ``S`` and principal directions ``V`` of span ``Q_A`` against ``Q_B``."""
+    g, outside = _outside(qa, qb)
+    _, sines, vh = _finite_svd(outside, compute_uv=True)
+    return g, sines, adjoint(vh)
 
 
 def principal_angles(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +162,8 @@ def principal_angles(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.nda
     ``tol`` span the meet of A and B at ``tol``.  NaN or infinite entries
     raise ``NonFiniteError``.
     """
-    _, sines, vh = _finite_svd(_outside(qa, qb), compute_uv=True)
-    return sines, qa @ adjoint(vh)
+    _, sines, v = _principal(qa, qb)
+    return sines, qa @ v
 
 
 def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -204,6 +214,17 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
     if not tol < float(top.min()):
         raise ZeroInputError("all columns are numerically zero")
     return u, (s > tol * top).sum(axis=-1)
+
+
+def masked_span_stack(cols: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`span_stack` for stacks of any leading shape, with rank 0 for a
+    numerically zero matrix: the left singular vectors, those beyond each
+    rank zeroed, and the ranks.  Zero columns in ``cols`` change neither."""
+    require_tol(tol)
+    u, s, _ = _finite_svd(cols, compute_uv=True)
+    top = s[..., :1]
+    rank = ((s > tol * top) & (top > tol)).sum(axis=-1)
+    return u * (np.arange(u.shape[-1]) < rank[..., None])[..., None, :], rank
 
 
 def _column_norms(m: np.ndarray) -> np.ndarray:

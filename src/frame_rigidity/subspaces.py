@@ -24,10 +24,10 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     _finite_svd,
+    _principal,
     adjoint,
     as_matrix,
     field_of,
-    haar,
     matrix_from_json,
     matrix_to_json,
     principal_angles,
@@ -224,14 +224,14 @@ def remainder_norms(qa: np.ndarray, qb: np.ndarray, tol: float):
     """Route 2: ``|(P_A - P_C)(P_B - P_C)|`` for the meet C of span ``Q_A``
     and span ``Q_B`` at ``tol``, for two orthonormal bases or two stacks.
 
-    The principal vectors of A at sine above ``tol`` span the part of A
-    orthogonal to C (:func:`linalg.principal_angles`), whose projector is
-    ``P_A - P_C``.  So ``(P_A - P_C) P_C = 0`` and ``(P_A - P_C)(P_B - P_C) =
-    (P_A - P_C) P_B``, whose norm is that of ``Q_B^H`` times those vectors.
+    The principal directions ``V_r`` of A at sine above ``tol`` map to the
+    part of A orthogonal to C (:func:`linalg.principal_angles`), whose
+    projector is ``P_A - P_C``.  So ``(P_A - P_C) P_C = 0`` and
+    ``(P_A - P_C)(P_B - P_C) = (P_A - P_C) P_B``, whose norm is that of
+    ``Q_B^H Q_A V_r = G V_r``, with ``G`` the product the angles came from.
     """
-    sines, vectors = principal_angles(qa, qb)
-    beyond_meet = vectors * (sines > tol)[..., None, :]
-    return spectral_norm(adjoint(qb) @ beyond_meet)
+    g, sines, v = _principal(qa, qb)
+    return spectral_norm(g @ (v * (sines > tol)[..., None, :]))
 
 
 def commeasurable(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
@@ -252,14 +252,3 @@ def commeasurable_via_complements(a: Subspace, b: Subspace, tol: float = DEFAULT
     a._check_compatible(b)
     require_tol(tol)
     return remainder_norms(a.basis, b.basis, tol) <= 10.0 * tol
-
-
-def random_subspace(ambient: int, dim: int, field: str, rng: np.random.Generator) -> Subspace:
-    """Haar-distributed ``dim``-dimensional subspace of k^ambient.
-
-    Orthonormalizes a Gaussian matrix; rotation invariance of the ensemble
-    makes the distribution invariant under the unitary (orthogonal) group.
-    """
-    if not 1 <= dim <= ambient:
-        raise ValueError("need 1 <= dim <= ambient")
-    return Subspace(ambient, haar(rng, (ambient, dim), field))

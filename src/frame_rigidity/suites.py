@@ -7,9 +7,11 @@ are reproducible regardless of execution order.
 
 A property runs its trials in batches: it receives a chunk of trial indices
 with one stream each and returns one outcome per trial.  Batched properties
-keep their trials as ``(B, n, n)`` stacks and draw each trial's randomness
-from its own stream in the order one trial alone would, so the chunk size
-changes no report; the others run trial by trial through :func:`_per_trial`.
+keep their trials as ``(B, n, n)`` stacks, subspaces of smaller dimension
+padded with zero columns, and draw each trial's randomness from its own
+stream in the order one trial alone would, so the chunk size changes no
+report.  Only ``refinement``, ``partitions``, ``reconstruction`` and
+``falsify`` run trial by trial, through :func:`_per_trial`.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InconsistencyError, NotSemilinearError
+from .errors import ConfigError, NotSemilinearError
 from .frames import (
     FrameTuple,
     _column_blocks,
     _components_by_size,
-    _frame,
     _gather,
-    bigobot,
+    bigobot_stack,
     evert_stack,
     linked_partner,
     linked_partner_stack,
@@ -44,7 +45,6 @@ from .induced import (
     CONJUGATION,
     IDENTITY,
     SemilinearMap,
-    apply_to_subspace,
     cubic_line_distortion,
     evert_conjugate_stack,
     induced_line_map,
@@ -58,8 +58,10 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
+    gaussian,
     gaussian_stack,
-    haar,
+    masked_span_stack,
+    principal_angles,
     residual_norms,
     span_stack,
 )
@@ -77,12 +79,7 @@ from .partitions import (
 )
 from .report import PropertyResult, VerificationReport
 from .rng import trial_rng
-from .subspaces import (
-    Subspace,
-    commeasurable,
-    commeasurable_via_complements,
-    random_subspace,
-)
+from .subspaces import commutator_norms, remainder_norms
 
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
@@ -291,31 +288,11 @@ def _partitions_for_trials(cfg: SuiteConfig, trials, rngs) -> list:
     return [_partition_for_trial(cfg.ambient, t, rng) for t, rng in zip(trials, rngs)]
 
 
-def _commuting_pair(
-    n: int, field: str, rng: np.random.Generator
-) -> tuple[Subspace, Subspace]:
-    """A pair spanned by column blocks of one common unitary basis."""
-    q = haar(rng, (n, n), field)
-    da = int(rng.integers(1, n + 1))
-    db = int(rng.integers(1, n + 1))
-    overlap = int(rng.integers(max(0, da + db - n), min(da, db) + 1))
-    a = Subspace(n, q[:, :da])
-    b = Subspace(n, q[:, da - overlap : da - overlap + db])
-    return a, b
-
-
-def _distance(a: Subspace, b: Subspace) -> float:
-    """The projector distance ``|P_a - P_b|``: the largest principal-angle
-    sine at equal dimensions (:func:`linalg.residual_norms`), and exactly 1
-    at unequal ones, where a unit vector of the larger one is orthogonal to
-    the smaller."""
-    return residual_norms(b.basis, a.basis) if a.dim == b.dim else 1.0
-
-
 def _frame_distances(a: np.ndarray, b: np.ndarray, shapes: list) -> np.ndarray:
-    """The largest :func:`_distance` between matching components of the
-    stacked bases ``a[k]`` and ``b[k]``, both of shape ``shapes[k]``.  All
-    components of one dimension take one :func:`linalg.residual_norms`."""
+    """The largest projector distance ``|P_x - P_y|`` between matching
+    components of the stacked bases ``a[k]`` and ``b[k]``, both of shape
+    ``shapes[k]``: the largest principal-angle sine.  All components of one
+    dimension take one :func:`linalg.residual_norms`."""
     out = np.zeros(len(a))
     for t, c in _components_by_size(shapes).values():
         np.maximum.at(out, t, residual_norms(_gather(b, t, c), _gather(a, t, c)))
@@ -355,41 +332,71 @@ def _distort_lines(t: FrameTuple, eps: float, tol: float) -> FrameTuple:
 # -- clr: induced maps respect the partial lattice -------------------------------
 
 
-def _clr_dims(cfg, trial, rng):
-    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
-    t = _random_map(cfg, rng)
-    return (
-        apply_to_subspace(t, a, cfg.tol).dim == a.dim
-        and apply_to_subspace(t, b, cfg.tol).dim == b.dim
-    )
+def _clr_pairs(cfg: SuiteConfig, rngs) -> tuple:
+    """Per stream two column blocks of one Haar unitary and a map: the
+    ``(2, B, n, n)`` bases of both blocks, padded with zero columns, their
+    ``(2, B)`` dimensions, and the maps of :func:`_random_maps`."""
+    n = cfg.ambient
+    q = np.linalg.qr(gaussian_stack(rngs, (n, n), cfg.field)).Q
+    dims = []
+    for rng in rngs:
+        da, db = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        dims.append((da, db, int(rng.integers(max(0, da + db - n), min(da, db) + 1))))
+    da, db, overlap = np.array(dims).T
+    cols = np.arange(n)
+    # the second block starts at column da - overlap; it moves to the front
+    b = np.take_along_axis(q, ((cols + (da - overlap)[:, None]) % n)[:, None, :], axis=2)
+    dims = np.stack([da, db])
+    pair = np.stack([q, b]) * (cols < dims[..., None])[..., None, :]
+    return pair, dims, _random_maps(cfg, rngs)
 
 
-def _clr_joins(cfg, trial, rng):
-    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
-    t = _random_map(cfg, rng)
-    lhs = apply_to_subspace(t, a.sum(b, cfg.tol), cfg.tol)
-    rhs = apply_to_subspace(t, a, cfg.tol).sum(apply_to_subspace(t, b, cfg.tol), cfg.tol)
-    return _distance(lhs, rhs)
+def _subspace_images(maps: tuple, bases: np.ndarray, tol: float) -> tuple:
+    """Stacked :func:`induced.apply_to_subspace` on bases padded with zero
+    columns, ``bases[..., k, :, :]`` under map k: the masked spans and ranks
+    of :func:`linalg.masked_span_stack`."""
+    matrices, conj = maps
+    if conj.any():
+        bases = np.where(conj[:, None, None], bases.conj(), bases)
+    return masked_span_stack(matrices @ bases, tol)
 
 
-def _clr_meets(cfg, trial, rng):
-    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
-    t = _random_map(cfg, rng)
-    lhs = apply_to_subspace(t, a.intersect(b, cfg.tol), cfg.tol)
-    rhs = apply_to_subspace(t, a, cfg.tol).intersect(
-        apply_to_subspace(t, b, cfg.tol), cfg.tol
-    )
-    return _distance(lhs, rhs)
+def _meets(a: np.ndarray, b: np.ndarray, rank_a: np.ndarray, tol: float) -> tuple:
+    """Stacked :meth:`Subspace.intersect` on bases padded with zero columns,
+    ``rank_a`` of them nonzero in ``a``: the principal vectors at sine at most
+    ``tol``, whose ``W W^H`` is the meet's projector, and the meet's dimension."""
+    sines, vectors = principal_angles(a, b)
+    inside = sines <= tol
+    return vectors * inside[..., None, :], inside.sum(axis=-1) - (a.shape[-1] - rank_a)
 
 
-def _clr_containment(cfg, trial, rng):
-    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
-    t = _random_map(cfg, rng)
-    inner = apply_to_subspace(t, a.intersect(b, cfg.tol), cfg.tol)
-    return max(
-        residual_norms(inner.basis, apply_to_subspace(t, outer, cfg.tol).basis)
-        for outer in (a, b)
-    )
+def _clr_dims(cfg, trials, rngs):
+    pair, dims, maps = _clr_pairs(cfg, rngs)
+    return (_subspace_images(maps, pair, cfg.tol)[1] == dims).all(axis=0)
+
+
+def _clr_joins(cfg, trials, rngs):
+    pair, _, maps = _clr_pairs(cfg, rngs)
+    join, _ = masked_span_stack(np.concatenate(pair, axis=-1), cfg.tol)
+    images, rank = _subspace_images(maps, np.concatenate([pair, join[None]]), cfg.tol)
+    rhs, rank_rhs = masked_span_stack(np.concatenate(images[:2], axis=-1), cfg.tol)
+    # the projector distance is 1 between subspaces of unequal dimensions
+    return np.where(rank[2] == rank_rhs, residual_norms(rhs, images[2]), 1.0)
+
+
+def _clr_meets(cfg, trials, rngs):
+    pair, dims, maps = _clr_pairs(cfg, rngs)
+    meet, _ = _meets(*pair, dims[0], cfg.tol)
+    images, rank = _subspace_images(maps, np.concatenate([pair, meet[None]]), cfg.tol)
+    rhs, rank_rhs = _meets(images[0], images[1], rank[0], cfg.tol)
+    return np.where(rank[2] == rank_rhs, residual_norms(rhs, images[2]), 1.0)
+
+
+def _clr_containment(cfg, trials, rngs):
+    pair, dims, maps = _clr_pairs(cfg, rngs)
+    meet, _ = _meets(*pair, dims[0], cfg.tol)
+    images, _ = _subspace_images(maps, np.concatenate([pair, meet[None]]), cfg.tol)
+    return residual_norms(images[2][None], images[:2]).max(axis=0)
 
 
 # -- clr-bis: independence of line systems survives ------------------------------
@@ -478,8 +485,8 @@ def _pfrp_equivariance(cfg, trials, rngs):
 # -- pfr: the eversion branch -----------------------------------------------------
 
 
-def _random_shapes(cfg: SuiteConfig, rngs) -> list:
-    return [_random_shape(cfg.ambient, rng) for rng in rngs]
+def _random_shapes(cfg: SuiteConfig, rngs, proper: bool = False) -> list:
+    return [_random_shape(cfg.ambient, rng, proper) for rng in rngs]
 
 
 def _general_frames(cfg: SuiteConfig, shapes: list, rngs) -> np.ndarray:
@@ -559,50 +566,57 @@ def _evorder_involution(cfg, trials, rngs):
 # -- obot: frame-level commensurability ------------------------------------------
 
 
-def _two_block_frame(a: Subspace) -> FrameTuple:
-    comps = sorted([a, a.orthocomplement()], key=lambda s: -s.dim)
-    return FrameTuple(comps, True)
+@lru_cache(maxsize=None)
+def _two_block_shape(n: int, d: int) -> IntPartition:
+    return IntPartition((max(d, n - d), min(d, n - d)))
 
 
-def _obot_matches_pairwise(cfg, trial, rng):
+def _obot_matches_pairwise(cfg, trials, rngs):
+    n, band = cfg.ambient, 10.0 * cfg.tol
+    # per stream a Haar subspace of dimension 1..n-1 and then another: the
+    # complete Q of its Gaussian, padded with zero columns, is its basis and
+    # then one of its orthocomplement
+    g = np.zeros((2, len(rngs), n, n), dtype=np.complex128 if cfg.field == COMPLEX else float)
+    dims = np.empty((2, len(rngs)), dtype=np.intp)
+    for side in range(2):
+        for k, rng in enumerate(rngs):
+            d = dims[side, k] = int(rng.integers(1, n))
+            g[side, k, :, :d] = gaussian(rng, (n, d), cfg.field)
+    q, cols = np.linalg.qr(g).Q, np.arange(n)
+    bases = q * (cols < dims[..., None])[..., None, :]
+    route_one = commutator_norms(*bases) <= band
+    route_two = remainder_norms(*bases, cfg.tol) <= band
+    # each subspace and its orthocomplement as a frame, the larger first
+    order = np.where((dims >= n - dims)[..., None], cols, (cols + dims[..., None]) % n)
+    frames = np.take_along_axis(q, order[..., None, :], axis=-1)
+    shapes = [[_two_block_shape(n, d) for d in side] for side in dims.tolist()]
+    forward, backward = bigobot_stack(*frames, *shapes, cfg.tol)
+    # an asymmetric verdict is a violated trial
+    return (route_one == route_two) & (route_two == forward) & (forward == backward)
+
+
+def _obot_common_basis_splits(cfg, trials, rngs):
     n = cfg.ambient
-    a = random_subspace(n, int(rng.integers(1, n)), cfg.field, rng)
-    b = random_subspace(n, int(rng.integers(1, n)), cfg.field, rng)
-    route_one = commeasurable(a, b, cfg.tol)
-    route_two = commeasurable_via_complements(a, b, cfg.tol)
-    try:
-        framewise = bigobot(_two_block_frame(a), _two_block_frame(b), cfg.tol)
-    except InconsistencyError:
-        return False
-    return route_one == route_two == framewise
+    q = np.linalg.qr(gaussian_stack(rngs, (n, n), cfg.field)).Q
+    perms = np.array([rng.permutation(n) for rng in rngs])[:, None, :]
+    shapes_s, shapes_t = _random_shapes(cfg, rngs), _random_shapes(cfg, rngs)
+    t = np.take_along_axis(q, perms, axis=2)
+    return np.logical_and(*bigobot_stack(q, t, shapes_s, shapes_t, cfg.tol))
 
 
-def _obot_common_basis_splits(cfg, trial, rng):
-    n = cfg.ambient
-    q = haar(rng, (n, n), cfg.field)
-    perm = rng.permutation(n)
-    s = _frame(q, _random_shape(n, rng), True)
-    t = _frame(q[:, perm], _random_shape(n, rng), True)
-    try:
-        return bigobot(s, t, cfg.tol)
-    except InconsistencyError:
-        return False
+def _obot_reflexive(cfg, trials, rngs):
+    shapes = _random_shapes(cfg, rngs)
+    s = _general_frames(cfg, shapes, rngs)
+    return np.logical_and(*bigobot_stack(s, s, shapes, shapes, cfg.tol))
 
 
-def _obot_reflexive(cfg, trial, rng):
-    shape = _random_shape(cfg.ambient, rng)
-    s = random_frame(cfg.ambient, shape, cfg.field, False, rng)
-    return bigobot(s, s, cfg.tol)
-
-
-def _obot_generic_rejected(cfg, trial, rng):
-    n = cfg.ambient
-    s = random_frame(n, _random_shape(n, rng, proper=True), cfg.field, False, rng)
-    t = random_frame(n, _random_shape(n, rng, proper=True), cfg.field, False, rng)
-    try:
-        return not bigobot(s, t, cfg.tol)
-    except InconsistencyError:
-        return False
+def _obot_generic_rejected(cfg, trials, rngs):
+    # per stream a shape and its frame, then the other shape and frame
+    shapes_s = _random_shapes(cfg, rngs, proper=True)
+    s = _general_frames(cfg, shapes_s, rngs)
+    shapes_t = _random_shapes(cfg, rngs, proper=True)
+    t = _general_frames(cfg, shapes_t, rngs)
+    return ~np.logical_or(*bigobot_stack(s, t, shapes_s, shapes_t, cfg.tol))
 
 
 # -- refinement: summing components along tableau arrows --------------------------
@@ -731,10 +745,10 @@ def _falsify_trial(cfg, trial, rng, eps):
 
 _REGISTRY: dict[str, tuple[_Property, ...]] = {
     "clr": (
-        _Property("preserves-dimensions", _per_trial(_clr_dims)),
-        _Property("preserves-joins", _per_trial(_clr_joins)),
-        _Property("preserves-meets", _per_trial(_clr_meets)),
-        _Property("preserves-containment", _per_trial(_clr_containment)),
+        _Property("preserves-dimensions", _clr_dims),
+        _Property("preserves-joins", _clr_joins),
+        _Property("preserves-meets", _clr_meets),
+        _Property("preserves-containment", _clr_containment),
     ),
     "clr-bis": (
         _Property("image-lines-independent", _clrbis_independent),
@@ -757,10 +771,10 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("transport-involution", _evorder_involution, band=100.0),
     ),
     "obot": (
-        _Property("matches-pairwise-commeasurability", _per_trial(_obot_matches_pairwise)),
-        _Property("common-basis-groupings-split", _per_trial(_obot_common_basis_splits)),
-        _Property("reflexive", _per_trial(_obot_reflexive)),
-        _Property("generic-pairs-rejected", _per_trial(_obot_generic_rejected)),
+        _Property("matches-pairwise-commeasurability", _obot_matches_pairwise),
+        _Property("common-basis-groupings-split", _obot_common_basis_splits),
+        _Property("reflexive", _obot_reflexive),
+        _Property("generic-pairs-rejected", _obot_generic_rejected),
     ),
     "refinement": (
         _Property("identity-arrow-fixes-frame", _per_trial(_refinement_identity)),

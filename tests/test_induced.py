@@ -39,8 +39,9 @@ from frame_rigidity.induced import (
 )
 from frame_rigidity.linalg import COMPLEX, REAL, polar_decompose
 from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
-from frame_rigidity.subspaces import Subspace, random_subspace
+from frame_rigidity.subspaces import Subspace
 from test_frames import sound_frame
+from test_subspaces import random_subspace
 
 
 def line(*v):

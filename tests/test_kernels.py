@@ -20,9 +20,8 @@ from frame_rigidity.subspaces import (
     Subspace,
     commeasurable,
     commeasurable_via_complements,
-    random_subspace,
 )
-from test_subspaces import commeasurable_by_complements
+from test_subspaces import commeasurable_by_complements, random_subspace
 
 TOL = 1e-8
 

@@ -16,6 +16,7 @@ from frame_rigidity.errors import (
 from frame_rigidity.frames import (
     FrameTuple,
     bigobot,
+    bigobot_stack,
     pi_linked,
     pi_linked_stack,
     random_frame,
@@ -43,6 +44,7 @@ from frame_rigidity.linalg import (
     field_of,
     gaussian,
     haar,
+    masked_span_stack,
     polar_decompose,
     principal_angles,
     require_same_field,
@@ -243,6 +245,26 @@ class TestSpan:
             span(np.zeros((3, 0)), 1e-9)
         with pytest.raises(ValueError):
             span(np.eye(2), 0.0)
+
+
+class TestMaskedSpanStack:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_padding_keeps_span_and_rank(self, field):
+        rng = np.random.default_rng(31)
+        cols = gaussian(rng, (5, 6, 3), field)
+        cols[1, :, 2] = cols[1, :, 0] + cols[1, :, 1]
+        padded = np.concatenate([cols, np.zeros_like(cols)], axis=-1)
+        q, rank = masked_span_stack(padded, 1e-9)
+        u, want = span_stack(cols, 1e-9)
+        assert rank.tolist() == want.tolist() == [3, 2, 3, 3, 3]
+        for k in range(5):
+            assert not q[k, :, rank[k] :].any()
+            assert_allclose(_projector(q[k]), _projector(u[k, :, : rank[k]]), atol=1e-13)
+
+    def test_zero_matrix_has_rank_zero(self):
+        m = np.stack([np.eye(3), 1e-12 * np.eye(3)])[None]
+        q, rank = masked_span_stack(m, 1e-9)
+        assert rank.tolist() == [[3, 0]] and not q[0, 1].any()
 
 
 class TestSpectralNorm:
@@ -447,6 +469,7 @@ def _tol_entries():
     return {
         "span": lambda tol: span(e, tol),
         "span_stack": lambda tol: span_stack(e[None], tol),
+        "masked_span_stack": lambda tol: masked_span_stack(e[None], tol),
         "unit_columns": lambda tol: unit_columns(e, tol),
         "polar_decompose": lambda tol: polar_decompose(e, tol),
         "from_columns": lambda tol: Subspace.from_columns(e, tol),
@@ -462,6 +485,7 @@ def _tol_entries():
         "pi_linked_stack": lambda tol: pi_linked_stack(e[None], e[None], lines, [pi], tol),
         "pi_linked": lambda tol: pi_linked(frame, frame, pi, tol),
         "bigobot": lambda tol: bigobot(frame, frame, tol),
+        "bigobot_stack": lambda tol: bigobot_stack(e[None], e[None], [lines], [lines], tol),
         "semilinear_map": lambda tol: SemilinearMap(e, tol=tol),
         "map_from_json": lambda tol: SemilinearMap.from_json(t.to_json(), tol),
         "apply_to_subspace": lambda tol: apply_to_subspace(t, Subspace.zero(3), tol),

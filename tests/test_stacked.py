@@ -7,12 +7,21 @@ import pytest
 
 from frame_rigidity import frames, suites
 from frame_rigidity.errors import (
+    AmbientMismatchError,
+    FieldMismatchError,
     FrameRigidityError,
+    InconsistencyError,
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
 )
 from frame_rigidity.frames import (
+    FrameTuple,
+    _column_blocks,
+    _components_by_size,
+    _frame,
+    bigobot,
+    bigobot_stack,
     evert,
     evert_stack,
     linked_partner,
@@ -27,6 +36,7 @@ from frame_rigidity.frames import (
 from frame_rigidity.induced import (
     CONJUGATION,
     IDENTITY,
+    apply_to_subspace,
     evert_conjugate,
     evert_conjugate_stack,
     induced_on_frame,
@@ -35,9 +45,17 @@ from frame_rigidity.induced import (
     random_semilinear_stack,
     random_unitary_map,
 )
-from frame_rigidity.linalg import COMPLEX, REAL, gaussian, spectral_norm
+from frame_rigidity.linalg import (
+    COMPLEX,
+    REAL,
+    gaussian,
+    haar,
+    residual_norms,
+    spectral_norm,
+)
 from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_partitions
 from frame_rigidity.rng import trial_rng
+from frame_rigidity.subspaces import Subspace, commeasurable, commeasurable_via_complements
 from frame_rigidity.suites import (
     SuiteConfig,
     _line_shape,
@@ -48,6 +66,7 @@ from frame_rigidity.suites import (
     _random_shape,
     run_suite,
 )
+from test_subspaces import random_subspace
 
 FIELDS = (REAL, COMPLEX)
 
@@ -177,7 +196,123 @@ def _evorder_involution(cfg, trial, rng):
     return float(np.max(np.abs(back.matrix - m.matrix))) / scale
 
 
+def _commuting_pair(n, field, rng):
+    """A pair spanned by column blocks of one common unitary basis."""
+    q = haar(rng, (n, n), field)
+    da = int(rng.integers(1, n + 1))
+    db = int(rng.integers(1, n + 1))
+    overlap = int(rng.integers(max(0, da + db - n), min(da, db) + 1))
+    return Subspace(n, q[:, :da]), Subspace(n, q[:, da - overlap : da - overlap + db])
+
+
+def _distance(a, b):
+    """The projector distance, 1 at unequal dimensions."""
+    return residual_norms(b.basis, a.basis) if a.dim == b.dim else 1.0
+
+
+def _clr_dims(cfg, trial, rng):
+    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
+    t = _random_map(cfg, rng)
+    return (
+        apply_to_subspace(t, a, cfg.tol).dim == a.dim
+        and apply_to_subspace(t, b, cfg.tol).dim == b.dim
+    )
+
+
+def _clr_joins(cfg, trial, rng):
+    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
+    t = _random_map(cfg, rng)
+    lhs = apply_to_subspace(t, a.sum(b, cfg.tol), cfg.tol)
+    rhs = apply_to_subspace(t, a, cfg.tol).sum(apply_to_subspace(t, b, cfg.tol), cfg.tol)
+    return _distance(lhs, rhs)
+
+
+def _clr_meets(cfg, trial, rng):
+    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
+    t = _random_map(cfg, rng)
+    lhs = apply_to_subspace(t, a.intersect(b, cfg.tol), cfg.tol)
+    rhs = apply_to_subspace(t, a, cfg.tol).intersect(
+        apply_to_subspace(t, b, cfg.tol), cfg.tol
+    )
+    return _distance(lhs, rhs)
+
+
+def _clr_containment(cfg, trial, rng):
+    a, b = _commuting_pair(cfg.ambient, cfg.field, rng)
+    t = _random_map(cfg, rng)
+    inner = apply_to_subspace(t, a.intersect(b, cfg.tol), cfg.tol)
+    return max(
+        residual_norms(inner.basis, apply_to_subspace(t, outer, cfg.tol).basis)
+        for outer in (a, b)
+    )
+
+
+def _bigobot_per_meet(a, b, tol):
+    """Both directions of block-intersection splitting, one meet at a time:
+    each component against the sum of its meets with the other frame's
+    components, the meets from ``Subspace.intersect``."""
+    meets = {
+        (i, j): x.intersect(y, tol)
+        for i, x in enumerate(a.components)
+        for j, y in enumerate(b.components)
+    }
+
+    def splits(t, pieces):
+        for k, comp in enumerate(t.components):
+            cols = [meet.basis for meet in pieces(k) if meet.dim > 0]
+            if not cols:
+                return False
+            if not Subspace.from_columns(np.hstack(cols)).equals(comp, tol):
+                return False
+        return True
+
+    forward = splits(a, lambda i: [meets[i, j] for j in range(len(b))])
+    backward = splits(b, lambda j: [meets[i, j] for i in range(len(a))])
+    return forward, backward
+
+
+def _two_block_frame(a):
+    comps = sorted([a, a.orthocomplement()], key=lambda s: -s.dim)
+    return FrameTuple(comps, True)
+
+
+def _obot_matches_pairwise(cfg, trial, rng):
+    n = cfg.ambient
+    a = random_subspace(n, int(rng.integers(1, n)), cfg.field, rng)
+    b = random_subspace(n, int(rng.integers(1, n)), cfg.field, rng)
+    route_one = commeasurable(a, b, cfg.tol)
+    route_two = commeasurable_via_complements(a, b, cfg.tol)
+    forward, backward = _bigobot_per_meet(_two_block_frame(a), _two_block_frame(b), cfg.tol)
+    return route_one == route_two == forward == backward
+
+
+def _obot_common_basis_splits(cfg, trial, rng):
+    n = cfg.ambient
+    q = haar(rng, (n, n), cfg.field)
+    perm = rng.permutation(n)
+    s = _frame(q, _random_shape(n, rng), True)
+    t = _frame(q[:, perm], _random_shape(n, rng), True)
+    return all(_bigobot_per_meet(s, t, cfg.tol))
+
+
+def _obot_reflexive(cfg, trial, rng):
+    shape = _random_shape(cfg.ambient, rng)
+    s = random_frame(cfg.ambient, shape, cfg.field, False, rng)
+    return all(_bigobot_per_meet(s, s, cfg.tol))
+
+
+def _obot_generic_rejected(cfg, trial, rng):
+    n = cfg.ambient
+    s = random_frame(n, _random_shape(n, rng, proper=True), cfg.field, False, rng)
+    t = random_frame(n, _random_shape(n, rng, proper=True), cfg.field, False, rng)
+    return not any(_bigobot_per_meet(s, t, cfg.tol))
+
+
 ORACLES = {
+    ("clr", "preserves-dimensions"): _clr_dims,
+    ("clr", "preserves-joins"): _clr_joins,
+    ("clr", "preserves-meets"): _clr_meets,
+    ("clr", "preserves-containment"): _clr_containment,
     ("clr-bis", "image-lines-independent"): _clrbis_independent,
     ("clr-bis", "image-preserves-sum-dimension"): _clrbis_sum_dims,
     ("pfr-perp", "linkage-preserved-forward"): _pfrp_forward,
@@ -190,6 +325,10 @@ ORACLES = {
     ("eversion-order", "conjugate-transport-commutes"): _evorder_commutes,
     ("eversion-order", "unitary-maps-fixed"): _evorder_unitary_fixed,
     ("eversion-order", "transport-involution"): _evorder_involution,
+    ("obot", "matches-pairwise-commeasurability"): _obot_matches_pairwise,
+    ("obot", "common-basis-groupings-split"): _obot_common_basis_splits,
+    ("obot", "reflexive"): _obot_reflexive,
+    ("obot", "generic-pairs-rejected"): _obot_generic_rejected,
 }
 
 
@@ -214,27 +353,36 @@ def _assert_same_outcomes(cfg, name, trials):
             assert abs(float(got) - float(want)) <= 1e-13, (cfg, name, trial, got, want)
 
 
+# trials per cell where the one-trial forms are slow; other suites take 170
+_ORACLE_TRIALS = {"clr": 120, "obot": 60}
+
+
 class TestBatchedPropertiesMatchOracles:
-    # 12 cells of 170 trials: 2040 trials per property; ambient 7 and 8 sample
-    # their partitions instead of cycling through them
+    # ambient 3..8 (2..8 for obot) x both fields: 2040 trials per property
+    # (1440 for clr, 840 for obot); ambient 7 and 8 sample their partitions
+    # instead of cycling through them
     @pytest.mark.parametrize("suite, name", sorted(ORACLES))
     def test_same_outcomes_as_one_trial_forms(self, suite, name):
-        for n in range(3, 9):
+        trials = _ORACLE_TRIALS.get(suite, 170)
+        for n in range(2 if suite == "obot" else 3, 9):
             for field in FIELDS:
-                cfg = SuiteConfig(suite, n, field, trials=170, seed=20 + n)
-                _assert_same_outcomes(cfg, name, range(170))
+                cfg = SuiteConfig(suite, n, field, trials=trials, seed=20 + n)
+                _assert_same_outcomes(cfg, name, range(trials))
 
     def test_every_batched_property_has_an_oracle(self):
         # every property that does not run through the per-trial adapter
-        batched = {
-            (suite, p.name)
+        per_trial = {
+            (suite, p.name): getattr(p.run, "__qualname__", "").startswith("_per_trial.")
             for suite, props in suites._REGISTRY.items()
             for p in props
-            if not getattr(p.run, "__qualname__", "").startswith("_per_trial.")
         }
+        batched = {key for key, adapted in per_trial.items() if not adapted}
         assert batched == set(ORACLES)
         assert {suite for suite, _ in batched} == {
-            "clr-bis", "pfr-perp", "pfr", "eversion-order"
+            "clr", "clr-bis", "pfr-perp", "pfr", "eversion-order", "obot"
+        }
+        assert {suite for (suite, _), adapted in per_trial.items() if adapted} == {
+            "refinement", "partitions", "reconstruction", "falsify"
         }
 
     @pytest.mark.parametrize(
@@ -254,6 +402,8 @@ class TestBatchedPropertiesMatchOracles:
             ("pfr", "eversion-involution"),
             ("pfr", "eversion-commutes-with-permutations"),
             ("eversion-order", "conjugate-transport-commutes"),
+            ("obot", "reflexive"),
+            ("obot", "generic-pairs-rejected"),
         ],
     )
     def test_redraws_on_mixed_shape_chunks(self, suite, name, monkeypatch):
@@ -531,6 +681,126 @@ class TestFramesKeepTheirArrays:
         assert not basis.flags.writeable
 
 
+def _components_by_lists(shapes):
+    """``_components_by_size`` built from Python index lists."""
+    groups = {}
+    for trial, shape in enumerate(shapes):
+        for sl in _column_blocks(shape):
+            trials, columns = groups.setdefault(sl.stop - sl.start, ([], []))
+            trials.append(trial)
+            columns.extend(range(sl.start, sl.stop))
+    return {
+        d: (np.array(trials), np.array(columns).reshape(-1, d))
+        for d, (trials, columns) in groups.items()
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_components_by_size_matches_the_list_built_form(n):
+    rng = np.random.default_rng(n)
+    shapes = list(partitions_of(n))
+    for size in (1, 5, 40):
+        chosen = [shapes[k] for k in rng.integers(len(shapes), size=size)]
+        got, want = _components_by_size(chosen), _components_by_lists(chosen)
+        assert sorted(got) == sorted(want)
+        for d in want:
+            for x, y in zip(got[d], want[d]):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestBigobotStack:
+    """Each row of ``bigobot_stack`` is both directions of the per-meet
+    oracle, and its batch of one; the scalar ``bigobot`` reads that batch."""
+
+    B = 9
+    TOL = 1e-9
+
+    def _check(self, a, b, shapes_a, shapes_b):
+        forward, backward = bigobot_stack(a, b, shapes_a, shapes_b, self.TOL)
+        for k in range(self.B):
+            s = _frame(a[k].copy(), shapes_a[k], False)
+            t = _frame(b[k].copy(), shapes_b[k], False)
+            assert _bigobot_per_meet(s, t, self.TOL) == (forward[k], backward[k]), k
+            one = slice(k, k + 1)
+            row = bigobot_stack(a[one], b[one], shapes_a[one], shapes_b[one], self.TOL)
+            assert (row[0][0], row[1][0]) == (forward[k], backward[k])
+            if forward[k] == backward[k]:
+                assert bigobot(s, t, self.TOL) == forward[k]
+        return forward, backward
+
+    def _frames(self, n, field, orthogonal, offset):
+        shapes = _mixed_shapes(n, self.B)[offset % 3 :] + _mixed_shapes(n, self.B)[: offset % 3]
+        rngs = [np.random.default_rng(offset + k) for k in range(self.B)]
+        return random_frame_stack(n, shapes, field, orthogonal, rngs), shapes
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_independent_frames(self, n, orthogonal, field):
+        a, shapes_a = self._frames(n, field, orthogonal, 0)
+        b, shapes_b = self._frames(n, field, orthogonal, 101)
+        forward, backward = self._check(a, b, shapes_a, shapes_b)
+        # only a frame with one component, the whole space, splits against an
+        # independent one
+        trivial = [len(sa.parts) == 1 or len(sb.parts) == 1 for sa, sb in zip(shapes_a, shapes_b)]
+        assert list(forward) == list(backward) == trivial
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_common_basis_groupings(self, n, field):
+        # the columns of one general basis, grouped along two shapes after a
+        # permutation: every component is the sum of its shared columns
+        rng = np.random.default_rng(n)
+        m = np.stack([gaussian(rng, (n, n), field) for _ in range(self.B)])
+        perms = np.array([rng.permutation(n) for _ in range(self.B)])
+        shapes_a = _mixed_shapes(n, self.B)
+        shapes_b = shapes_a[3:] + shapes_a[:3]
+        a = span_components(m, shapes_a)
+        b = span_components(np.take_along_axis(m, perms[:, None, :], axis=2), shapes_b)
+        forward, backward = self._check(a, b, shapes_a, shapes_b)
+        assert forward.all() and backward.all()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_shared_components(self, n, field):
+        # b keeps the first component of a and redraws the others: that
+        # component splits, the others do not, so only one-component frames do
+        a, shapes = self._frames(n, field, False, 7)
+        rng = np.random.default_rng(70 + n)
+        fresh = np.stack([gaussian(rng, (n, n), field) for _ in range(self.B)])
+        first = np.array([s.parts[0] for s in shapes])
+        keep = (np.arange(n) < first[:, None])[:, None, :]
+        b = span_components(np.where(keep, a, fresh), shapes)
+        forward, backward = self._check(a, b, shapes, shapes)
+        assert list(forward) == list(backward) == [len(s.parts) == 1 for s in shapes]
+
+    def test_orthogonal_frames_against_their_own_columns(self):
+        # every component is the sum of its columns, each line of one component
+        n = 6
+        a, shapes = self._frames(n, COMPLEX, True, 3)
+        lines = [_line_shape(n)] * self.B
+        forward, backward = self._check(a, a, shapes, lines)
+        assert forward.all() and backward.all()
+
+    def test_mismatched_frames_refused(self):
+        t = random_frame(3, _line_shape(3), REAL, False, np.random.default_rng(0))
+        u = random_frame(4, _line_shape(4), REAL, False, np.random.default_rng(0))
+        with pytest.raises(AmbientMismatchError):
+            bigobot(t, u)
+        basis = t.stacked_basis()[None]
+        with pytest.raises(FieldMismatchError):
+            bigobot_stack(basis, basis + 0j, [t.shape], [t.shape])
+
+    def test_asymmetric_rows_raise_in_the_scalar_form(self, monkeypatch):
+        def asymmetric(a, b, shapes_a, shapes_b, tol):
+            return np.ones(len(a), dtype=bool), np.zeros(len(a), dtype=bool)
+
+        monkeypatch.setattr(frames, "bigobot_stack", asymmetric)
+        t = random_frame(3, _line_shape(3), REAL, False, np.random.default_rng(0))
+        with pytest.raises(InconsistencyError):
+            bigobot(t, t)
+
+
 class TestSpanComponentsErrors:
     """A component that loses rank raises ShapeMismatchError, whether it is
     a line or a block."""
@@ -563,7 +833,7 @@ class TestSpanComponentsErrors:
 class TestChunking:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize(
-        "suite", ["pfr-perp", "clr-bis", "pfr", "eversion-order", "falsify"]
+        "suite", ["clr", "pfr-perp", "clr-bis", "pfr", "eversion-order", "obot", "falsify"]
     )
     def test_reports_do_not_depend_on_the_chunk(self, suite, field, monkeypatch):
         cfg = SuiteConfig(suite, 7, field, trials=20, seed=4)

@@ -25,9 +25,16 @@ from frame_rigidity.subspaces import (
     commeasurable,
     commeasurable_via_complements,
     commutator_norms,
-    random_subspace,
     remainder_norms,
 )
+
+
+def random_subspace(ambient: int, dim: int, field: str, rng) -> Subspace:
+    """Haar-distributed ``dim``-dimensional subspace of k^ambient: the span of
+    a Gaussian matrix, whose distribution is unitarily invariant."""
+    if not 1 <= dim <= ambient:
+        raise ValueError("need 1 <= dim <= ambient")
+    return Subspace(ambient, haar(rng, (ambient, dim), field))
 
 
 def span(*vectors) -> Subspace:

@@ -269,6 +269,22 @@ class TestCli:
         assert cli.main(["--suite", "partitions", "--trials", "5"]) == 1
         assert "FAIL always-violated" in capsys.readouterr().out
 
+    def test_asymmetric_obot_verdict_is_a_violated_trial(self, monkeypatch, tmp_path, capsys):
+        # a splitting verdict that differs by direction fails its trial rather
+        # than ending the run in a traceback
+        def asymmetric(a, b, shapes_a, shapes_b, tol):
+            return np.ones(len(a), dtype=bool), np.zeros(len(a), dtype=bool)
+
+        monkeypatch.setattr(suites, "bigobot_stack", asymmetric)
+        target = tmp_path / "report.json"
+        argv = ["--suite", "obot", "--ambient", "3", "--trials", "6", "--report", str(target)]
+        assert cli.main(argv) == 1
+        reflexive = next(
+            p for p in json.loads(target.read_text())["properties"] if p["name"] == "reflexive"
+        )
+        assert reflexive["failures"] == 6 and reflexive["first_failing_trial"] == 0
+        assert "FAIL reflexive" in capsys.readouterr().out
+
     def test_config_error_exits_two(self):
         proc = run_cli("--suite", "clr", "--ambient", "2")
         assert proc.returncode == 2
