@@ -187,10 +187,12 @@ def _column_blocks(shape: IntPartition) -> tuple[slice, ...]:
     return tuple(blocks)
 
 
-def _blocks_by_size(shape: IntPartition, pis: Sequence[Tableau]) -> dict:
+def _blocks_by_size(shape: IntPartition, pis: Sequence[Tableau], n: int) -> dict:
     """``{k: (trials, columns)}``: every block of every trial's tableau, in
     trial and then block order, grouped by its column count ``k``; the
-    columns of a block are those of its components in a stacked basis."""
+    columns of a block are those of its components in a stacked basis of
+    width ``n``, which ``shape`` must partition."""
+    _require_partitions([shape], n)
     components = [range(sl.start, sl.stop) for sl in _column_blocks(shape)]
     groups: dict[int, tuple[list, list]] = {}
     for trial, pi in enumerate(pis):
@@ -211,21 +213,33 @@ def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.nd
     return stack[trials[:, None], :, columns].swapaxes(1, 2)
 
 
-def _component_table(shapes: Sequence[IntPartition]) -> tuple[np.ndarray, ...]:
+def _require_partitions(shapes: Sequence[IntPartition], n: int) -> None:
+    """Raise ``ShapeMismatchError`` unless every shape is a partition of ``n``."""
+    # each distinct shape object once; a chunk shares a few of them
+    for shape in {id(s): s for s in shapes}.values():
+        if shape.n != n:
+            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
+
+
+def _component_table(shapes: Sequence[IntPartition], n: int) -> tuple[np.ndarray, ...]:
     """``(trials, starts, dims)``: the basis, first column and dimension of
-    every component of the stacked bases, basis k of shape ``shapes[k]``, as
-    ``(P,)`` arrays in trial and then component order."""
+    every component of the stacked bases of width ``n``, basis k of shape
+    ``shapes[k]``, as ``(P,)`` arrays in trial and then component order.
+
+    Raises ``ShapeMismatchError`` unless every shape partitions ``n``.
+    """
+    _require_partitions(shapes, n)
     dims = np.fromiter(itertools.chain.from_iterable(s.parts for s in shapes), np.intp)
     # every basis has n columns, so the bases lie side by side
-    return (*np.divmod(np.cumsum(dims) - dims, shapes[0].n), dims)
+    return (*np.divmod(np.cumsum(dims) - dims, n), dims)
 
 
-def _components_by_size(shapes: Sequence[IntPartition]) -> dict:
+def _components_by_size(shapes: Sequence[IntPartition], n: int) -> dict:
     """``{d: (trials, columns)}``: every ``d``-dimensional component of every
-    stacked basis, basis k of shape ``shapes[k]``, as a ``(P,)`` array of
-    trials and a ``(P, d)`` array of the component's columns, in trial and
-    then component order."""
-    trials, starts, dims = _component_table(shapes)
+    stacked basis of width ``n``, basis k of shape ``shapes[k]``, as a
+    ``(P,)`` array of trials and a ``(P, d)`` array of the component's
+    columns, in trial and then component order."""
+    trials, starts, dims = _component_table(shapes, n)
     # a stable sort keeps each dimension's components in trial order
     order = np.argsort(dims, kind="stable")
     trials, starts = trials[order], starts[order]
@@ -257,22 +271,25 @@ def span_components(
     are gathered.  Either way a row of the result does not depend on the
     other rows, bit for bit.
 
-    Raises ``ShapeMismatchError`` when a component spans fewer dimensions
-    than it has, a numerically zero line included, since the result would be
-    no frame; a NaN or infinite entry raises ``NonFiniteError``.
+    Raises ``ShapeMismatchError`` when a shape does not partition the basis
+    width, or when a component spans fewer dimensions than it has, a
+    numerically zero line included, since the result would be no frame; a
+    NaN or infinite entry raises ``NonFiniteError``.
     """
     if len(shapes) != len(m):
         raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
     require_tol(tol)
     out = np.empty_like(m)
+    n = m.shape[-1]
     if shapes.count(shapes[0]) == len(shapes):
+        _require_partitions(shapes[:1], n)
         start = 0
         for d, run in itertools.groupby(shapes[0].parts):
             stop = start + d * len(list(run))
             out[:, :, start:stop] = _span_run(m[:, :, start:stop], d, tol)
             start = stop
         return out
-    for d, (t, c) in _components_by_size(shapes).items():
+    for d, (t, c) in _components_by_size(shapes, n).items():
         out[t[:, None], :, c] = _span_run(_gather(m, t, c), d, tol).swapaxes(1, 2)
     return out
 
@@ -317,7 +334,7 @@ def pi_linked_stack(
     require_same_field(a, b)
     require_tol(tol)
     linked = np.ones(len(pis), dtype=bool)
-    for k, (trials, columns) in _blocks_by_size(shape, pis).items():
+    for k, (trials, columns) in _blocks_by_size(shape, pis, a.shape[-1]).items():
         t, c = np.array(trials), np.array(columns)
         # a trial found unlinked at a block of an earlier size is done
         pending = linked[t]
@@ -453,8 +470,8 @@ def bigobot_stack(
     require_same_field(a, b)
     require_tol(tol)
     size, n = len(a), a.shape[-1]
-    ta, sa, da = _component_table(shapes_a)
-    tb, sb, db = _component_table(shapes_b)
+    ta, sa, da = _component_table(shapes_a, n)
+    tb, sb, db = _component_table(shapes_b, n)
     # the dimension and table row of the component of b[k] at column c
     dim_b, row_b = np.zeros((2, size, n), dtype=np.intp)
     dim_b[tb, sb], row_b[tb, sb] = db, np.arange(len(tb))
@@ -507,10 +524,7 @@ def random_frame_stack(
     The conditioning floor of general frames is checked on the whole stack
     at once, and only the rejected draws are redrawn.
     """
-    # each distinct shape object once; a chunk shares a few of them
-    for shape in {id(s): s for s in shapes}.values():
-        if shape.n != ambient:
-            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {ambient}")
+    _require_partitions(shapes, ambient)
     if orthogonal:
         return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
     m, _ = conditioned_gaussian_stack(
@@ -553,7 +567,7 @@ def linked_partner_stack(
     remixed in one stack per block dimension.
     """
     field = field_of(bases)
-    groups = _blocks_by_size(shape, pis)
+    groups = _blocks_by_size(shape, pis, bases.shape[-1])
     # every generator draws its remixes in its own block order
     draws: dict[int, list] = {d: [] for d in groups}
     for pi, rng in zip(pis, rngs):

@@ -29,6 +29,7 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
+    _finite_svd,
     adjoint,
     as_matrix,
     conditioned_gaussian_stack,
@@ -72,6 +73,22 @@ def _require_invertible(s: np.ndarray, tol: float) -> None:
         if not np.isfinite(s[..., 0]).all():
             raise NonFiniteError("matrix has non-finite entries")
         raise SingularMatrixError("matrix is singular at the working tolerance")
+
+
+def apply_tagged_stack(
+    matrices: np.ndarray, conj: np.ndarray, vectors: np.ndarray
+) -> np.ndarray:
+    """``M_k conj?(V_k)``: the ``(B, n, n)`` matrices ``matrices`` applied to
+    the columns of ``vectors``, a ``(..., B, n, k)`` stack or one ``(n, k)``
+    matrix for all, conjugated first for map k where the boolean ``(B,)``
+    array ``conj`` holds True.
+
+    The one place where a conjugation tag acts: maps on vectors, induced
+    frames, line oracles and reconstructed candidates all go through it.
+    """
+    if conj.any():
+        vectors = np.where(conj[:, None, None], vectors.conj(), vectors)
+    return matrices @ vectors
 
 
 class SemilinearMap:
@@ -127,9 +144,13 @@ class SemilinearMap:
         return field_of(self.matrix)
 
     def apply_to_vector(self, v: np.ndarray) -> np.ndarray:
-        if self.automorphism == CONJUGATION:
-            v = np.conj(v)
-        return self.matrix @ v
+        """The image of a vector, or of every column of a matrix; the batch of
+        one of :func:`apply_tagged_stack`."""
+        v = np.asarray(v)
+        cols = v[:, None] if v.ndim == 1 else v
+        conj = np.array([self.automorphism == CONJUGATION])
+        image = apply_tagged_stack(self.matrix[None], conj, cols[None])[0]
+        return image[:, 0] if v.ndim == 1 else image
 
     def to_json(self) -> dict:
         return {"automorphism": self.automorphism, "matrix": matrix_to_json(self.matrix)}
@@ -180,17 +201,16 @@ def induced_on_frame_stack(
     matrix is ``matrices[k]`` and which conjugates first where the boolean
     array ``conj`` holds True.
 
-    One product ``M @ conj?(A)`` for the whole stack, then every component
-    re-spanned at ``tol`` (:func:`frames.span_components`).  A real frame
-    under complex maps is promoted along the standard embedding.
+    One product ``M @ conj?(A)`` for the whole stack
+    (:func:`apply_tagged_stack`), then every component re-spanned at ``tol``
+    (:func:`frames.span_components`).  A real frame under complex maps is
+    promoted along the standard embedding.
     """
     if matrices.shape != bases.shape:
         raise AmbientMismatchError(f"maps {matrices.shape} do not fit frames {bases.shape}")
     if np.iscomplexobj(bases) and not np.iscomplexobj(matrices):
         raise FieldMismatchError("complex subspace under a real-tagged map")
-    if conj.any():
-        bases = np.where(conj[:, None, None], bases.conj(), bases)
-    return span_components(matrices @ bases, shapes, tol)
+    return span_components(apply_tagged_stack(matrices, conj, bases), shapes, tol)
 
 
 def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_TOL) -> FrameTuple:
@@ -309,6 +329,10 @@ def random_unitary_map(
 
 
 # -- reconstruction from the action on lines ------------------------------------
+#
+# A stacked line oracle maps a (B, n, P) stack of line bases, P unit columns
+# per trial, to the (B, n, P) stack of their unit image columns, trial k under
+# hidden map k.
 
 
 def _line(ambient: int, vector: np.ndarray, field: str) -> Subspace:
@@ -317,94 +341,158 @@ def _line(ambient: int, vector: np.ndarray, field: str) -> Subspace:
 
 
 @functools.lru_cache(maxsize=64)
-def _sweep_probes(ambient: int, field: str) -> tuple[tuple[Subspace, ...], np.ndarray]:
-    """The verification sweep's deterministic random lines, and their bases
-    side by side as one matrix."""
+def _probe_lines(ambient: int, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The unit bases, side by side and read-only, of the probe lines (the
+    coordinate lines, the lines through e_1 + e_k for k = 2..n and, over the
+    complex field, e_1 + i e_2) and of the verification sweep's deterministic
+    random lines."""
+    eye = np.eye(ambient)
+    probes = [eye[:, k] for k in range(ambient)]
+    probes += [eye[:, 0] + eye[:, k] for k in range(1, ambient)]
+    if field == COMPLEX:
+        probes.append(eye[:, 0] + 1j * eye[:, 1])
     probe_rng = np.random.default_rng(_PROBE_SEED)
-    lines = tuple(
-        _line(ambient, gaussian(probe_rng, (ambient,), field), field)
-        for _ in range(_PROBE_COUNT)
+    sweep = [gaussian(probe_rng, (ambient,), field) for _ in range(_PROBE_COUNT)]
+    out = tuple(
+        np.hstack([_line(ambient, v, field).basis for v in vectors])
+        for vectors in (probes, sweep)
     )
-    bases = np.hstack([line.basis for line in lines])
-    bases.setflags(write=False)
-    return lines, bases
+    for bases in out:
+        bases.setflags(write=False)
+    return out
 
 
-def _probe(oracle, ambient: int, vector: np.ndarray, field: str) -> np.ndarray:
-    image = oracle(_line(ambient, vector, field))
-    if not isinstance(image, Subspace) or image.dim != 1 or image.ambient != ambient:
-        raise DegenerateOracleError("probe image is not a line of the same space")
-    return image.basis[:, 0]
+def _ask(oracle, lines: np.ndarray, size: int) -> np.ndarray:
+    """The stacked oracle's image columns of the ``(n, P)`` line bases
+    ``lines``, asked for all ``size`` trials in one call."""
+    stack = np.broadcast_to(lines, (size,) + lines.shape)
+    images = oracle(stack)
+    if np.shape(images) != stack.shape:
+        raise DegenerateOracleError(
+            f"oracle returned {np.shape(images)} images of {stack.shape} line bases"
+        )
+    return images
 
 
-def _solve_two_term(w: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float):
-    """Coefficients (alpha, beta) with w = alpha c1 + beta c2, or None."""
-    stacked = np.column_stack([c1, c2])
-    coeff, *_ = np.linalg.lstsq(stacked, w, rcond=None)
-    residual = np.linalg.norm(stacked @ coeff - w)
-    if residual > 1e3 * tol * max(np.linalg.norm(w), 1.0):
-        return None
-    return coeff[0], coeff[1]
+def _solve_two_term(w: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> tuple:
+    """Coefficients ``(alpha, beta)`` of ``w = alpha c1 + beta c2`` for
+    ``(..., n)`` stacks of vectors, each the minimum-norm least-squares
+    solution that ``lstsq`` gives (singular values at most ``eps n`` times
+    the largest dropped), and the mask of the equations whose residual is at
+    most ``1e3 tol max(|w|, 1)``."""
+    a = np.stack([c1, c2], axis=-1)
+    u, s, vh = _finite_svd(a, compute_uv=True)
+    kept = s > np.finfo(np.float64).eps * a.shape[-2] * s[..., :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    coeff = adjoint(vh) @ (inverse[..., None] * (adjoint(u) @ w[..., None]))
+    residual = np.linalg.norm((a @ coeff)[..., 0] - w, axis=-1)
+    fits = residual <= 1e3 * tol * np.maximum(np.linalg.norm(w, axis=-1), 1.0)
+    return coeff[..., 0, 0], coeff[..., 1, 0], fits
+
+
+def reconstruct_from_line_images_stack(
+    oracle, size: int, ambient: int, field: str, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recover ``size`` semilinear maps, each up to scale, from a stacked line
+    oracle: trial k from the oracle's action on lines under hidden map k.
+
+    The oracle is asked twice.  The first call takes the probe lines: the
+    coordinate lines give the matrix columns, the lines through e_1 + e_k
+    the relative column scales, and over the complex field e_1 + i e_2 the
+    automorphism.  The second takes a sweep of 50 deterministic random
+    lines, which guards against oracles that only pretend to be semilinear
+    on the probe set: a trial is refused when some sweep image lies farther
+    than ``tol`` from the candidate's (``|y - x (x^H y)|``, as
+    ``Subspace.equals`` measures it).
+
+    Returns the ``(size, n, n)`` recovered matrices, their ``(size,)``
+    conjugation flags, and the ``(size,)`` mask of refused trials: those
+    whose candidate is singular at ``tol`` (one SVD for the stack) or fails
+    the sweep.  A probe image that no invertible map produces, outside the
+    span the other probes fix or missing a column, raises
+    ``DegenerateOracleError``.
+    """
+    if ambient < 2:
+        raise ValueError("need ambient dimension at least 2")
+    require_tol(tol)
+    n = ambient
+    probes, sweep = _probe_lines(n, field)
+    # the image of probe p of trial k is row p of images[k]
+    images = _ask(oracle, probes, size).swapaxes(1, 2)
+    columns, diagonals = images[:, :n], images[:, n : 2 * n - 1]
+    first = np.broadcast_to(columns[:, :1], diagonals.shape)
+    alpha, beta, fits = _solve_two_term(diagonals, first, columns[:, 1:], tol)
+    if not fits.all():
+        raise DegenerateOracleError("the image of a diagonal probe escapes its column span")
+    if ((np.abs(alpha) <= tol) | (np.abs(beta) <= tol)).any():
+        raise DegenerateOracleError("diagonal probe image misses a column")
+    matrices = columns.swapaxes(1, 2).copy()
+    matrices[:, :, 1:] *= (beta / alpha)[:, None, :]
+    conj = np.zeros(size, dtype=bool)
+    if field == COMPLEX:
+        alpha, beta, fits = _solve_two_term(
+            images[:, -1], matrices[:, :, 0], matrices[:, :, 1], tol
+        )
+        if not fits.all():
+            raise DegenerateOracleError("imaginary probe image escapes the column span")
+        if (np.abs(alpha) <= tol).any():
+            raise DegenerateOracleError("imaginary probe image misses the first column")
+        ratio = beta / alpha
+        conj = np.abs(ratio - 1j) > np.abs(ratio + 1j)
+    s = _singular_values(matrices)
+    if not np.isfinite(s[:, 0]).all():
+        raise NonFiniteError("matrix has non-finite entries")
+    refused = ~(s[:, -1] > tol * s[:, 0])
+    kept = np.flatnonzero(~refused)
+    if kept.size:
+        expected = _ask(oracle, sweep, size)[kept]
+        got = unit_columns(apply_tagged_stack(matrices[kept], conj[kept], sweep), tol)
+        overlap = np.sum(got.conj() * expected, axis=1, keepdims=True)
+        distance = np.linalg.norm(expected - got * overlap, axis=1)
+        # written so that a NaN distance refuses the trial
+        refused[kept] = ~(distance <= tol).all(axis=-1)
+    return matrices, conj, refused
 
 
 def reconstruct_from_line_images(
     oracle, ambient: int, field: str, tol: float = DEFAULT_TOL
 ) -> SemilinearMap:
-    """Recover a semilinear map (up to scale) from its action on lines.
+    """Recover a semilinear map (up to scale) from a line oracle, a map from
+    line ``Subspace`` objects to line ``Subspace`` objects; the batch of one
+    of :func:`reconstruct_from_line_images_stack`, the oracle asked about one
+    probe column at a time.
 
-    Probes the coordinate lines for the matrix columns, the lines through
-    e_1 + e_k for the relative column scales, and e_1 + i e_2 for the
-    automorphism; a final sweep of 50 deterministic random lines guards
-    against oracles that only pretend to be semilinear on the probe set.  The
-    candidate's images of the sweep lines come from one product; the oracle
-    is asked about them one at a time, in order, up to the first deviation.
+    An image that is not a line of the same space raises
+    ``DegenerateOracleError``; a refused oracle raises ``NotSemilinearError``.
     """
-    if ambient < 2:
-        raise ValueError("need ambient dimension at least 2")
-    require_tol(tol)
-    eye = np.eye(ambient)
-    columns = [_probe(oracle, ambient, eye[:, k], field) for k in range(ambient)]
-    matrix = np.zeros(
-        (ambient, ambient), dtype=np.complex128 if field == COMPLEX else np.float64
-    )
-    matrix[:, 0] = columns[0]
-    for k in range(1, ambient):
-        w = _probe(oracle, ambient, eye[:, 0] + eye[:, k], field)
-        coeffs = _solve_two_term(w, columns[0], columns[k], tol)
-        if coeffs is None:
-            raise DegenerateOracleError(
-                f"image of the diagonal probe 1..{k + 1} escapes the column span"
-            )
-        alpha, beta = coeffs
-        if abs(alpha) <= tol or abs(beta) <= tol:
-            raise DegenerateOracleError("diagonal probe image misses a column")
-        matrix[:, k] = (beta / alpha) * columns[k]
-    automorphism = IDENTITY
-    if field == COMPLEX:
-        w = _probe(oracle, ambient, eye[:, 0] + 1j * eye[:, 1], field)
-        coeffs = _solve_two_term(w, matrix[:, 0], matrix[:, 1], tol)
-        if coeffs is None:
-            raise DegenerateOracleError("imaginary probe image escapes the column span")
-        alpha, beta = coeffs
-        if abs(alpha) <= tol:
-            raise DegenerateOracleError("imaginary probe image misses the first column")
-        ratio = beta / alpha
-        automorphism = IDENTITY if abs(ratio - 1j) <= abs(ratio + 1j) else CONJUGATION
-    try:
-        candidate = SemilinearMap(matrix, automorphism, tol)
-    except SingularMatrixError as exc:
-        raise NotSemilinearError(
-            "probe images are linearly dependent; no invertible map fits"
-        ) from exc
-    lines, probes = _sweep_probes(ambient, field)
-    if automorphism == CONJUGATION:
-        probes = probes.conj()
-    images = unit_columns(candidate.matrix @ probes, tol)
-    for k, line in enumerate(lines):
-        expected = oracle(line)
-        if not Subspace(ambient, images[:, k : k + 1]).equals(expected, tol):
-            raise NotSemilinearError("oracle deviates from every semilinear model")
-    return candidate
+
+    def ask(lines: np.ndarray) -> np.ndarray:
+        images = np.empty(lines.shape, dtype=lines.dtype)
+        for k in range(lines.shape[-1]):
+            image = oracle(Subspace._view(ambient, lines[0, :, k : k + 1]))
+            if (
+                not isinstance(image, Subspace)
+                or (image.ambient, image.dim, image.field) != (ambient, 1, field)
+            ):
+                raise DegenerateOracleError("probe image is not a line of the same space")
+            images[0, :, k] = image.basis[:, 0]
+        return images
+
+    matrices, conj, refused = reconstruct_from_line_images_stack(ask, 1, ambient, field, tol)
+    if refused[0]:
+        raise NotSemilinearError("no semilinear map fits the oracle's line images")
+    return SemilinearMap._invertible(matrices[0], CONJUGATION if conj[0] else IDENTITY)
+
+
+def induced_line_map_stack(matrices: np.ndarray, conj: np.ndarray):
+    """The stacked line oracle of the ``(B, n, n)`` maps ``matrices`` with
+    conjugation flags ``conj``: ``(B, n, P)`` line bases to the unit columns
+    of their images, as :func:`induced_line_map` spans them."""
+
+    def oracle(lines: np.ndarray) -> np.ndarray:
+        return unit_columns(apply_tagged_stack(matrices, conj, lines))
+
+    return oracle
 
 
 def induced_line_map(t: SemilinearMap):
@@ -416,6 +504,30 @@ def induced_line_map(t: SemilinearMap):
     return oracle
 
 
+def cubic_line_distortion_stack(eps: float, tol: float = DEFAULT_TOL):
+    """Stacked :func:`cubic_line_distortion`: a map from ``(..., n, P)`` line
+    bases to the unit columns of their distorted lines, each column warped
+    on its own.
+
+    Each column is normalized, its first entry above ``10 tol`` in modulus
+    (the pivot) made real positive by dividing out its phase, every entry
+    boosted to v_k (1 + eps |v_k|^2), and the result re-spanned.  A column
+    with no pivot raises ``DegenerateOracleError``.
+    """
+    require_tol(tol)
+
+    def distort(lines: np.ndarray) -> np.ndarray:
+        v = lines / np.linalg.norm(lines, axis=-2, keepdims=True)
+        large = np.abs(v) > 10.0 * tol
+        if not large.any(axis=-2).all():
+            raise DegenerateOracleError("zero representative")
+        pivot = np.take_along_axis(v, large.argmax(axis=-2)[..., None, :], axis=-2)
+        v = v / (pivot / np.abs(pivot))
+        return unit_columns(v * (1.0 + eps * np.abs(v) ** 2))
+
+    return distort
+
+
 def cubic_line_distortion(eps: float, tol: float = DEFAULT_TOL):
     """A line self-map that is scaling-gauge-invariant but not semilinear.
 
@@ -424,25 +536,14 @@ def cubic_line_distortion(eps: float, tol: float = DEFAULT_TOL):
     gets the cubic boost v_k (1 + eps |v_k|^2).  At eps = 0 this is the
     identity on lines.  Coordinate lines and equal-magnitude diagonal lines
     are fixed, so the distortion slips past columnwise probes and must be
-    caught by genuinely random ones.
+    caught by genuinely random ones.  The batch of one of
+    :func:`cubic_line_distortion_stack`.
     """
-    require_tol(tol)
+    distort_columns = cubic_line_distortion_stack(eps, tol)
 
     def distort(line: Subspace) -> Subspace:
         if line.dim != 1:
             raise ShapeMismatchError("distortion acts on lines")
-        v = line.basis[:, 0].copy()
-        v = v / np.linalg.norm(v)
-        pivot = None
-        for k in range(v.shape[0]):
-            if abs(v[k]) > 10.0 * tol:
-                pivot = k
-                break
-        if pivot is None:
-            raise DegenerateOracleError("zero representative")
-        phase = v[pivot] / abs(v[pivot])
-        v = v / phase
-        w = v * (1.0 + eps * np.abs(v) ** 2)
-        return Subspace.from_columns(w.reshape(-1, 1))
+        return Subspace(line.ambient, distort_columns(line.basis))
 
     return distort

@@ -26,13 +26,16 @@ from frame_rigidity.induced import (
     SemilinearMap,
     apply_to_subspace,
     cubic_line_distortion,
+    cubic_line_distortion_stack,
     evert_conjugate,
     evert_conjugate_stack,
     induced_line_map,
+    induced_line_map_stack,
     induced_on_frame,
     induced_on_frame_stack,
     is_unitary_up_to_scale,
     reconstruct_from_line_images,
+    reconstruct_from_line_images_stack,
     scale_equivalent,
 )
 from frame_rigidity.kernels import batched_commeasurability_check
@@ -500,7 +503,11 @@ def _tol_entries():
         "reconstruct": lambda tol: reconstruct_from_line_images(
             induced_line_map(t), 3, REAL, tol
         ),
+        "reconstruct_stack": lambda tol: reconstruct_from_line_images_stack(
+            induced_line_map_stack(e[None], np.array([False])), 1, 3, REAL, tol
+        ),
         "cubic_line_distortion": lambda tol: cubic_line_distortion(0.1, tol),
+        "cubic_line_distortion_stack": lambda tol: cubic_line_distortion_stack(0.1, tol),
         "kernel": lambda tol: batched_commeasurability_check(
             3, REAL, 4, np.random.default_rng(0), tol
         ),

@@ -2,16 +2,20 @@
 the stacked samplers' rejection loops, and the scalar frame API as the batch
 of one of the stacked API."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from frame_rigidity import frames, suites
 from frame_rigidity.errors import (
     AmbientMismatchError,
+    DegenerateOracleError,
     FieldMismatchError,
     FrameRigidityError,
     InconsistencyError,
     NonFiniteError,
+    NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -36,14 +40,21 @@ from frame_rigidity.frames import (
 from frame_rigidity.induced import (
     CONJUGATION,
     IDENTITY,
+    SemilinearMap,
     apply_to_subspace,
+    cubic_line_distortion,
+    cubic_line_distortion_stack,
     evert_conjugate,
     evert_conjugate_stack,
+    induced_line_map,
+    induced_line_map_stack,
     induced_on_frame,
     induced_on_frame_stack,
     random_semilinear,
     random_semilinear_stack,
     random_unitary_map,
+    reconstruct_from_line_images,
+    reconstruct_from_line_images_stack,
 )
 from frame_rigidity.linalg import (
     COMPLEX,
@@ -57,12 +68,12 @@ from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.subspaces import Subspace, commeasurable, commeasurable_via_complements
 from frame_rigidity.suites import (
+    FALSIFY_EPS,
     SuiteConfig,
     _line_shape,
     _partition_for_trial,
     _random_automorphism,
     _random_legal_permutation,
-    _random_map,
     _random_shape,
     run_suite,
 )
@@ -78,6 +89,11 @@ def _frame_distance(s, t):
     """The largest projector distance ``|P_x - P_y|`` between matching
     components, from the projectors themselves."""
     return max(spectral_norm(x.projector() - y.projector()) for x, y in zip(s, t))
+
+
+def _random_map(cfg, rng):
+    automorphism = _random_automorphism(cfg.field, rng)
+    return random_semilinear(cfg.ambient, cfg.field, rng, automorphism)
 
 
 def _clrbis_independent(cfg, trial, rng):
@@ -308,6 +324,88 @@ def _obot_generic_rejected(cfg, trial, rng):
     return not any(_bigobot_per_meet(s, t, cfg.tol))
 
 
+def _sequential_reconstruction(oracle, n, field, tol):
+    """Reconstruction one oracle question at a time: ``lstsq`` for each
+    two-term solve, and the sweep asked line by line up to the first
+    deviation.  Returns the matrix and the automorphism, or raises
+    ``NotSemilinearError``."""
+    dtype = np.complex128 if field == COMPLEX else np.float64
+
+    def probe(vector):
+        v = vector.astype(dtype)
+        return oracle(Subspace.from_columns(v.reshape(n, 1))).basis[:, 0]
+
+    def solve(w, c1, c2):
+        stacked = np.column_stack([c1, c2])
+        coeff = np.linalg.lstsq(stacked, w, rcond=None)[0]
+        assert np.linalg.norm(stacked @ coeff - w) <= 1e3 * tol * max(np.linalg.norm(w), 1.0)
+        return coeff
+
+    eye = np.eye(n)
+    columns = [probe(eye[:, k]) for k in range(n)]
+    matrix = np.zeros((n, n), dtype=dtype)
+    matrix[:, 0] = columns[0]
+    for k in range(1, n):
+        alpha, beta = solve(probe(eye[:, 0] + eye[:, k]), columns[0], columns[k])
+        assert abs(alpha) > tol and abs(beta) > tol
+        matrix[:, k] = (beta / alpha) * columns[k]
+    automorphism = IDENTITY
+    if field == COMPLEX:
+        alpha, beta = solve(probe(eye[:, 0] + 1j * eye[:, 1]), matrix[:, 0], matrix[:, 1])
+        ratio = beta / alpha
+        automorphism = IDENTITY if abs(ratio - 1j) <= abs(ratio + 1j) else CONJUGATION
+    try:
+        candidate = SemilinearMap(matrix, automorphism, tol)
+    except SingularMatrixError as exc:
+        raise NotSemilinearError("singular candidate") from exc
+    probe_rng = np.random.default_rng(0x1D6A)
+    for _ in range(50):
+        v = gaussian(probe_rng, (n,), field).astype(dtype)
+        line = Subspace.from_columns(v.reshape(n, 1))
+        if not apply_to_subspace(candidate, line, tol).equals(oracle(line), tol):
+            raise NotSemilinearError("sweep deviation")
+    return matrix, automorphism
+
+
+def _reconstruction_roundtrip(cfg, trial, rng):
+    m = _random_map(cfg, rng)
+    try:
+        got, automorphism = _sequential_reconstruction(
+            induced_line_map(m), cfg.ambient, cfg.field, cfg.tol
+        )
+    except NotSemilinearError:
+        return 1.0
+    if automorphism != m.automorphism:
+        return 1.0
+    hidden = m.matrix
+    lam = np.vdot(hidden, got) / np.vdot(hidden, hidden)
+    return float(np.linalg.norm(got - lam * hidden) / np.linalg.norm(got))
+
+
+def _reconstruction_rejects_distortion(cfg, trial, rng):
+    base = induced_line_map(_random_map(cfg, rng))
+    warp = cubic_line_distortion(FALSIFY_EPS, cfg.tol)
+    try:
+        _sequential_reconstruction(lambda line: base(warp(line)), cfg.ambient, cfg.field, cfg.tol)
+    except NotSemilinearError:
+        return True
+    return False
+
+
+def _falsify_trial(cfg, trial, rng, eps):
+    n = cfg.ambient
+    pi = _partition_for_trial(n, trial, rng, breakable=True)
+    a = random_frame(n, _line_shape(n), cfg.field, False, rng)
+    b = linked_partner(a, pi, rng)
+    warp = cubic_line_distortion(eps, cfg.tol)
+    return pi_linked(
+        FrameTuple([warp(c) for c in a.components]),
+        FrameTuple([warp(c) for c in b.components]),
+        pi,
+        10.0 * cfg.tol,
+    )
+
+
 ORACLES = {
     ("clr", "preserves-dimensions"): _clr_dims,
     ("clr", "preserves-joins"): _clr_joins,
@@ -329,6 +427,10 @@ ORACLES = {
     ("obot", "common-basis-groupings-split"): _obot_common_basis_splits,
     ("obot", "reflexive"): _obot_reflexive,
     ("obot", "generic-pairs-rejected"): _obot_generic_rejected,
+    ("reconstruction", "hidden-map-round-trip"): _reconstruction_roundtrip,
+    ("reconstruction", "rejects-distorted-oracle"): _reconstruction_rejects_distortion,
+    ("falsify", "breaks-linkage"): partial(_falsify_trial, eps=FALSIFY_EPS),
+    ("falsify", "zero-distortion-control"): partial(_falsify_trial, eps=0.0),
 }
 
 
@@ -354,7 +456,7 @@ def _assert_same_outcomes(cfg, name, trials):
 
 
 # trials per cell where the one-trial forms are slow; other suites take 170
-_ORACLE_TRIALS = {"clr": 120, "obot": 60}
+_ORACLE_TRIALS = {"clr": 120, "obot": 60, "reconstruction": 60}
 
 
 class TestBatchedPropertiesMatchOracles:
@@ -379,10 +481,11 @@ class TestBatchedPropertiesMatchOracles:
         batched = {key for key, adapted in per_trial.items() if not adapted}
         assert batched == set(ORACLES)
         assert {suite for suite, _ in batched} == {
-            "clr", "clr-bis", "pfr-perp", "pfr", "eversion-order", "obot"
+            "clr", "clr-bis", "pfr-perp", "pfr", "eversion-order", "obot",
+            "reconstruction", "falsify",
         }
         assert {suite for (suite, _), adapted in per_trial.items() if adapted} == {
-            "refinement", "partitions", "reconstruction", "falsify"
+            "refinement", "partitions"
         }
 
     @pytest.mark.parametrize(
@@ -701,7 +804,7 @@ def test_components_by_size_matches_the_list_built_form(n):
     shapes = list(partitions_of(n))
     for size in (1, 5, 40):
         chosen = [shapes[k] for k in rng.integers(len(shapes), size=size)]
-        got, want = _components_by_size(chosen), _components_by_lists(chosen)
+        got, want = _components_by_size(chosen, n), _components_by_lists(chosen)
         assert sorted(got) == sorted(want)
         for d in want:
             for x, y in zip(got[d], want[d]):
@@ -829,11 +932,146 @@ class TestSpanComponentsErrors:
         with pytest.raises(ShapeMismatchError):
             span_components(np.stack([np.eye(3)] * 2), [IntPartition((2, 1))])
 
+    @pytest.mark.parametrize(
+        "parts", [[(2,), (1, 1, 1, 1)], [(2,), (2,)], [(1, 1, 1, 1)] * 2, [(2, 1), (3, 1)]]
+    )
+    @pytest.mark.parametrize("entry", ["span_components", "evert_stack", "induced_on_frame_stack"])
+    def test_shapes_must_partition_the_basis_width(self, entry, parts):
+        # mixed and uniform shapes of 2 or 4 columns on 3-column bases
+        m = np.stack([np.eye(3)] * 2)
+        shapes = [IntPartition(p) for p in parts]
+        call = {
+            "span_components": lambda: span_components(m, shapes),
+            "evert_stack": lambda: evert_stack(m, shapes),
+            "induced_on_frame_stack": lambda: induced_on_frame_stack(
+                m, np.zeros(2, dtype=bool), m, shapes
+            ),
+        }[entry]
+        with pytest.raises(ShapeMismatchError, match="not a partition of 3"):
+            call()
+
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 1, 1, 1)])
+    def test_linkage_shape_must_partition_the_basis_width(self, parts):
+        # (1, 1) judged only two of the three lines, (1, 1, 1, 1) indexed a
+        # fourth column
+        m = np.stack([np.eye(3)] * 2)
+        shape = IntPartition(parts)
+        pis = [Tableau(len(parts), ((1, 2),) + tuple((k,) for k in range(3, len(parts) + 1)))] * 2
+        with pytest.raises(ShapeMismatchError, match="not a partition of 3"):
+            pi_linked_stack(m, m, shape, pis)
+        with pytest.raises(ShapeMismatchError, match="not a partition of 3"):
+            linked_partner_stack(m, shape, pis, [np.random.default_rng(0)] * 2)
+
+
+def _maps(n, field, count, seed):
+    """``count`` maps, every other one conjugate-linear over the complex field:
+    the stacked matrices and flags, and the maps."""
+    rngs = [np.random.default_rng(seed + k) for k in range(count)]
+    matrices = random_semilinear_stack(n, field, rngs)
+    conj = np.array([field == COMPLEX and k % 2 == 1 for k in range(count)])
+    maps = [SemilinearMap(m, CONJUGATION if c else IDENTITY) for m, c in zip(matrices, conj)]
+    return matrices, conj, maps
+
+
+def _counting(oracle, calls):
+    def ask(lines):
+        calls.append(lines.shape)
+        return oracle(lines)
+
+    return ask
+
+
+class TestStackedReconstruction:
+    """The stacked line-oracle protocol: two oracle calls per stack, the
+    scalar reconstruction as its batch of one, refusals as a mask."""
+
+    B = 6
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_two_calls_and_the_scalar_rows(self, n, field):
+        matrices, conj, maps = _maps(n, field, self.B, 10 * n)
+        calls = []
+        oracle = _counting(induced_line_map_stack(matrices, conj), calls)
+        got, got_conj, refused = reconstruct_from_line_images_stack(oracle, self.B, n, field)
+        probes = 2 * n - 1 + (field == COMPLEX)
+        assert calls == [(self.B, n, probes), (self.B, n, 50)]
+        assert not refused.any()
+        assert list(got_conj) == list(conj)
+        for k, m in enumerate(maps):
+            one = reconstruct_from_line_images(induced_line_map(m), n, field)
+            assert one.automorphism == m.automorphism
+            np.testing.assert_allclose(one.matrix, got[k], rtol=0, atol=1e-12)
+            lam = np.vdot(m.matrix, got[k]) / np.vdot(m.matrix, m.matrix)
+            np.testing.assert_allclose(got[k], lam * m.matrix, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_distorted_trials_are_refused_in_place(self, field):
+        n = 4
+        matrices, conj, maps = _maps(n, field, self.B, 3)
+        honest = induced_line_map_stack(matrices, conj)
+        warp = cubic_line_distortion_stack(0.1)
+        distorted = np.arange(self.B) % 3 == 0
+
+        def oracle(lines):
+            return np.where(distorted[:, None, None], honest(warp(lines)), honest(lines))
+
+        _, _, refused = reconstruct_from_line_images_stack(oracle, self.B, n, field)
+        assert list(refused) == list(distorted)
+        scalar_warp = cubic_line_distortion(0.1)
+        for m in maps:
+            base = induced_line_map(m)
+            with pytest.raises(NotSemilinearError):
+                reconstruct_from_line_images(lambda line: base(scalar_warp(line)), n, field)
+
+    def test_a_singular_candidate_skips_the_sweep(self):
+        # every line to one line, the stacked form of the collapsing oracle
+        # of test_induced: the candidate has rank one
+        target = np.ones((3, 1)) / np.sqrt(3.0)
+        calls = []
+        oracle = _counting(lambda lines: np.broadcast_to(target, lines.shape), calls)
+        _, _, refused = reconstruct_from_line_images_stack(oracle, self.B, 3, REAL)
+        assert refused.all() and len(calls) == 1
+
+    def test_images_of_the_wrong_shape_are_degenerate(self):
+        with pytest.raises(DegenerateOracleError):
+            reconstruct_from_line_images_stack(lambda lines: lines[..., :-1], self.B, 3, REAL)
+
+    def test_scalar_images_off_the_probes_must_be_lines(self):
+        # a plane only for the sweep's random lines, whose coordinates are all nonzero
+        def widen_off_axes(line):
+            if np.count_nonzero(np.abs(line.basis) > 1e-12) > 2:
+                return Subspace.from_columns(np.eye(3)[:, :2])
+            return line
+
+        with pytest.raises(DegenerateOracleError):
+            reconstruct_from_line_images(widen_off_axes, 3, REAL)
+        # a complex image of a real line is not a line of the same space
+        with pytest.raises(DegenerateOracleError):
+            reconstruct_from_line_images(
+                lambda line: Subspace(3, line.basis.astype(np.complex128)), 3, REAL
+            )
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_distortion_is_columnwise(self, field):
+        rng = np.random.default_rng(4)
+        lines = gaussian(rng, (self.B, 5, 7), field)
+        stacked = cubic_line_distortion_stack(0.1)(lines)
+        scalar = cubic_line_distortion(0.1)
+        for k in range(self.B):
+            for p in range(7):
+                one = scalar(Subspace.from_columns(lines[k, :, p : p + 1]))
+                np.testing.assert_allclose(one.basis[:, 0], stacked[k, :, p], rtol=0, atol=1e-15)
+
 
 class TestChunking:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize(
-        "suite", ["clr", "pfr-perp", "clr-bis", "pfr", "eversion-order", "obot", "falsify"]
+        "suite",
+        [
+            "clr", "pfr-perp", "clr-bis", "pfr", "eversion-order", "obot",
+            "reconstruction", "falsify",
+        ],
     )
     def test_reports_do_not_depend_on_the_chunk(self, suite, field, monkeypatch):
         cfg = SuiteConfig(suite, 7, field, trials=20, seed=4)
