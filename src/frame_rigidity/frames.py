@@ -31,7 +31,6 @@ from .linalg import (
     field_of,
     gaussian,
     gaussian_stack,
-    masked_span_stack,
     principal_angles,
     require_same_field,
     require_tol,
@@ -297,16 +296,16 @@ def span_components(
 def _span_run(cols: np.ndarray, d: int, tol: float) -> np.ndarray:
     """Orthonormal bases for side-by-side ``d``-dimensional components of a
     ``(B, n, count * d)`` stack, spanned in one stack of ``B * count``."""
-    try:
-        if d == 1:
+    if d == 1:
+        try:
             return unit_columns(cols, tol)
-        b, n, width = cols.shape
-        count = width // d
-        if count > 1:
-            cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
-        u, rank = span_stack(cols, tol)
-    except ZeroInputError as exc:
-        raise ShapeMismatchError(f"a {d}-dimensional component is numerically zero") from exc
+        except ZeroInputError as exc:
+            raise ShapeMismatchError("a line component is numerically zero") from exc
+    b, n, width = cols.shape
+    count = width // d
+    if count > 1:
+        cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
+    u, rank = span_stack(cols, tol)
     if rank.min() < d:
         raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
     if count > 1:
@@ -328,6 +327,7 @@ def pi_linked_stack(
     The blocks of all trials are grouped by their column count, so each group
     takes one span of both sides' blocks and one residual norm for the whole
     stack; a trial's blocks of later groups are skipped once it is unlinked.
+    A numerically zero block raises ``ZeroInputError``.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
@@ -344,12 +344,10 @@ def pi_linked_stack(
             t, c = t[pending], c[pending]
         # both sides' blocks spanned in one stack
         q, rank = span_stack(np.concatenate([_gather(a, t, c), _gather(b, t, c)]))
+        if rank.min() == 0:
+            raise ZeroInputError("a block of a frame is numerically zero")
         qa, qb = q[: len(t)], q[len(t) :]
         rank_a, rank_b = rank[: len(t)], rank[len(t) :]
-        if rank_a.min() < k:
-            # only the leading rank_a columns span; equal ranks are compared
-            kept = (np.arange(k) < rank_a[:, None])[:, None, :]
-            qa, qb = qa * kept, qb * kept
         # equal spans: the largest principal-angle sine is at most tol
         norms = residual_norms(qb, qa)
         linked[t[(rank_a != rank_b) | (norms > tol)]] = False
@@ -490,7 +488,7 @@ def bigobot_stack(
         sums[i[p], :, (j + dj - d)[p] + r] = meets[p, :, r]
     starts, dims = np.concatenate([sa, sb]), np.concatenate([da, db])
     components = np.concatenate([a[ta], b[tb]]) * _in_slots(n, starts, dims)
-    q, rank = masked_span_stack(sums, DEFAULT_TOL)
+    q, rank = span_stack(sums)
     split = (rank == dims) & (residual_norms(components, q) <= tol)
     failed = np.bincount(np.concatenate([ta, tb + size])[~split], minlength=2 * size)
     return failed[:size] == 0, failed[size:] == 0
@@ -564,7 +562,8 @@ def linked_partner_stack(
 
     Each generator draws its block remixes in its tableau's block order, as
     :func:`linked_partner` does; the blocks of all trials are then spanned and
-    remixed in one stack per block dimension.
+    remixed in one stack per block dimension.  A numerically zero block
+    raises ``ZeroInputError`` and one that lost rank ``ShapeMismatchError``.
     """
     field = field_of(bases)
     groups = _blocks_by_size(shape, pis, bases.shape[-1])
@@ -578,6 +577,8 @@ def linked_partner_stack(
     for d, (trials, columns) in groups.items():
         t, c = np.array(trials), np.array(columns)
         span, rank = span_stack(_gather(bases, t, c))
+        if rank.min() == 0:
+            raise ZeroInputError("a block of the frame is numerically zero")
         if rank.min() < d:
             raise ShapeMismatchError("a block of the frame lost rank; it has no partner")
         mixed = span @ np.linalg.qr(np.stack(draws[d])).Q

@@ -48,30 +48,19 @@ from .subspaces import Subspace
 IDENTITY = "id"
 CONJUGATION = "conj"
 
+# sampled maps have condition number at most this, which keeps induced-map
+# arithmetic well away from degeneracy
+_MAX_CONDITION = 1e3
+
 # deterministic probe stream for reconstruction verification, and its length
 _PROBE_SEED = 0x1D6A
 _PROBE_COUNT = 50
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix or of every matrix in a stack; an SVD that
-    fails on a NaN or infinite entry raises ``NonFiniteError``."""
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError("matrix has non-finite entries") from exc
-
-
 def _require_invertible(s: np.ndarray, tol: float) -> None:
-    """Refuse the matrices whose singular values, descending along the last
-    axis of ``s``, show a NaN or infinite entry or a matrix singular at
-    ``tol``."""
-    if s.shape[-1] == 0:
-        raise SingularMatrixError("matrix is singular at the working tolerance")
-    # false for a NaN or infinite largest singular value too
-    if not (s[..., -1] > tol * s[..., 0]).all():
-        if not np.isfinite(s[..., 0]).all():
-            raise NonFiniteError("matrix has non-finite entries")
+    """Refuse the matrices whose finite singular values, descending along the
+    last axis of ``s``, show a matrix singular at ``tol``."""
+    if s.shape[-1] == 0 or not (s[..., -1] > tol * s[..., 0]).all():
         raise SingularMatrixError("matrix is singular at the working tolerance")
 
 
@@ -106,7 +95,7 @@ class SemilinearMap:
         m = as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got {m.shape}")
-        _require_invertible(_singular_values(m), tol)
+        _require_invertible(_finite_svd(m, compute_uv=False), tol)
         self._init(m, automorphism)
 
     def _init(self, m: np.ndarray, automorphism: str) -> None:
@@ -267,8 +256,10 @@ def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.
     try:
         out = adjoint(np.linalg.inv(matrices))
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(matrices).all():
+            raise NonFiniteError("matrix has non-finite entries") from exc
         raise SingularMatrixError("matrix is singular; it has no contragredient") from exc
-    _require_invertible(_singular_values(out), tol)
+    _require_invertible(_finite_svd(out, compute_uv=False), tol)
     return out
 
 
@@ -285,10 +276,7 @@ def evert_conjugate(t: SemilinearMap, tol: float = DEFAULT_TOL) -> SemilinearMap
 
 
 def random_semilinear_stack(
-    ambient: int,
-    field: str,
-    rngs: Sequence[np.random.Generator],
-    max_condition: float = 1e3,
+    ambient: int, field: str, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Stacked :func:`random_semilinear`: the ``(B, n, n)`` matrices of one map
     per generator, each drawn from its own generator as
@@ -299,7 +287,7 @@ def random_semilinear_stack(
     checked as :class:`SemilinearMap` checks a matrix.
     """
     g, s = conditioned_gaussian_stack(
-        rngs, ambient, field, lambda s: s[:, 0] <= max_condition * s[:, -1]
+        rngs, ambient, field, lambda s: s[:, 0] <= _MAX_CONDITION * s[:, -1]
     )
     _require_invertible(s, DEFAULT_TOL)
     return g
@@ -310,13 +298,12 @@ def random_semilinear(
     field: str,
     rng: np.random.Generator,
     automorphism: str = IDENTITY,
-    max_condition: float = 1e3,
 ) -> SemilinearMap:
-    """Random invertible map with condition number at most ``max_condition``;
+    """Random invertible map with condition number at most ``_MAX_CONDITION``;
     the batch of one of :func:`random_semilinear_stack`."""
     if field == REAL and automorphism != IDENTITY:
         raise ValueError("real maps carry the identity automorphism")
-    matrix = random_semilinear_stack(ambient, field, [rng], max_condition)[0]
+    matrix = random_semilinear_stack(ambient, field, [rng])[0]
     return SemilinearMap._invertible(matrix, automorphism)
 
 
@@ -335,11 +322,6 @@ def random_unitary_map(
 # hidden map k.
 
 
-def _line(ambient: int, vector: np.ndarray, field: str) -> Subspace:
-    v = vector.astype(np.complex128 if field == COMPLEX else np.float64)
-    return Subspace.from_columns(v.reshape(ambient, 1))
-
-
 @functools.lru_cache(maxsize=64)
 def _probe_lines(ambient: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     """The unit bases, side by side and read-only, of the probe lines (the
@@ -353,10 +335,8 @@ def _probe_lines(ambient: int, field: str) -> tuple[np.ndarray, np.ndarray]:
         probes.append(eye[:, 0] + 1j * eye[:, 1])
     probe_rng = np.random.default_rng(_PROBE_SEED)
     sweep = [gaussian(probe_rng, (ambient,), field) for _ in range(_PROBE_COUNT)]
-    out = tuple(
-        np.hstack([_line(ambient, v, field).basis for v in vectors])
-        for vectors in (probes, sweep)
-    )
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    out = tuple(unit_columns(np.stack(v, axis=1).astype(dtype)) for v in (probes, sweep))
     for bases in out:
         bases.setflags(write=False)
     return out
@@ -439,10 +419,8 @@ def reconstruct_from_line_images_stack(
             raise DegenerateOracleError("imaginary probe image misses the first column")
         ratio = beta / alpha
         conj = np.abs(ratio - 1j) > np.abs(ratio + 1j)
-    s = _singular_values(matrices)
-    if not np.isfinite(s[:, 0]).all():
-        raise NonFiniteError("matrix has non-finite entries")
-    refused = ~(s[:, -1] > tol * s[:, 0])
+    s = _finite_svd(matrices, compute_uv=False)
+    refused = s[:, -1] <= tol * s[:, 0]
     kept = np.flatnonzero(~refused)
     if kept.size:
         expected = _ask(oracle, sweep, size)[kept]

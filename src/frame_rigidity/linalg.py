@@ -111,8 +111,12 @@ def spectral_norm(m: np.ndarray):
 
 
 def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
-    """SVD of a matrix or stack, thin unless ``full_matrices``; NaN or
-    infinite entries raise ``NonFiniteError``."""
+    """SVD of a matrix or stack, thin unless ``full_matrices``: the library's
+    only SVD.  NaN or infinite entries raise ``NonFiniteError``; they are
+    looked for first when singular vectors are asked for, since LAPACK's
+    divide-and-conquer SVD need not return on a non-finite matrix."""
+    if compute_uv and not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
     try:
         out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
@@ -167,64 +171,50 @@ def principal_angles(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def span(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Orthonormal basis for the column space of ``cols``, from one thin SVD.
+    """Orthonormal basis for the column space of ``cols`` and its dimension
+    (the numerical rank): the batch of one of :func:`span_stack`.
 
-    Keeps the left singular vectors whose singular values exceed ``tol``
-    times the largest one and returns them with their count (the numerical
-    rank).  A single column is its own SVD: ``v / |v|``.
-
-    Raises ``ZeroInputError`` when the largest singular value is <= ``tol``
-    and ``NonFiniteError`` when an entry is NaN or infinite.
+    Raises ``ZeroInputError`` when the rank is 0 and ``NonFiniteError`` when
+    an entry is NaN or infinite.
     """
     m = np.asarray(cols)
     if m.ndim != 2 or m.shape[1] < 1:
         raise ValueError("need a matrix with at least one column")
-    require_tol(tol)
-    if m.shape[1] == 1:
-        # an overflowed norm of a finite column goes to the SVD, which scales
-        top = float(np.linalg.norm(m))
-        if np.isfinite(top):
-            if top <= tol:
-                raise ZeroInputError("the column is numerically zero")
-            return m / top, 1
-    u, s, _ = _finite_svd(m, compute_uv=True)
-    top = float(s[0])
-    if top <= tol:
+    u, rank = span_stack(m, tol)
+    rank = int(rank)
+    if rank == 0:
         raise ZeroInputError("all columns are numerically zero")
-    rank = int(np.count_nonzero(s > tol * top))
     return u[:, :rank], rank
 
 
 def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`span` of every matrix in a ``(B, n, k)`` stack, by the same rule.
+    """Orthonormal bases for the column spaces of a ``(..., n, k)`` stack of
+    matrices, from one thin SVD of the stack: the library's rank rule.
 
-    Returns the ``(B, n, k)`` left singular vectors of the thin SVDs and the
-    ``(B,)`` ranks: the first ``rank[b]`` columns of entry b span matrix b.
-    A stack of single columns is normalized (:func:`unit_columns`).
+    The rank of a matrix is the count of its singular values above ``tol``
+    times the largest, and 0 when the largest is at most ``tol``.  Returns the
+    left singular vectors and the ranks: the first ``rank`` columns of an
+    entry span its matrix.  The columns beyond each rank are zeroed when some
+    rank falls short of the width, so zero columns in ``cols`` change neither
+    output.  A stack of single columns is normalized (:func:`unit_columns`).
 
-    Raises ``ZeroInputError`` when some matrix is numerically zero and
-    ``NonFiniteError`` when an entry is NaN or infinite.
+    Raises ``NonFiniteError`` when an entry is NaN or infinite.
     """
     m = np.asarray(cols)
+    require_tol(tol)
     if m.shape[-1] == 1:
-        return unit_columns(m, tol), np.ones(m.shape[0], dtype=np.intp)
-    require_tol(tol)
+        try:
+            return unit_columns(m, tol), np.ones(m.shape[:-2], dtype=np.intp)
+        except ZeroInputError:
+            pass  # a numerically zero column has rank 0, as below
     u, s, _ = _finite_svd(m, compute_uv=True)
-    top = s[:, :1]
-    if not tol < float(top.min()):
-        raise ZeroInputError("all columns are numerically zero")
-    return u, (s > tol * top).sum(axis=-1)
-
-
-def masked_span_stack(cols: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`span_stack` for stacks of any leading shape, with rank 0 for a
-    numerically zero matrix: the left singular vectors, those beyond each
-    rank zeroed, and the ranks.  Zero columns in ``cols`` change neither."""
-    require_tol(tol)
-    u, s, _ = _finite_svd(cols, compute_uv=True)
     top = s[..., :1]
-    rank = ((s > tol * top) & (top > tol)).sum(axis=-1)
-    return u * (np.arange(u.shape[-1]) < rank[..., None])[..., None, :], rank
+    rank = (s > tol * top).sum(axis=-1)
+    width = u.shape[-1]
+    if not (tol < top.min(initial=math.inf) and rank.min(initial=width) == width):
+        rank = np.where(top[..., 0] > tol, rank, 0)
+        u = u * (np.arange(width) < rank[..., None])[..., None, :]
+    return u, rank
 
 
 def _column_norms(m: np.ndarray) -> np.ndarray:
@@ -232,12 +222,19 @@ def _column_norms(m: np.ndarray) -> np.ndarray:
     summed as one contiguous vector, so its norm does not depend on the
     memory layout of ``m`` or on the other columns, bit for bit."""
     rows = np.ascontiguousarray(np.swapaxes(m, -1, -2))
-    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1))[..., None, :]
+    if np.iscomplexobj(rows):
+        # an infinite entry gives a NaN imaginary part here, which the caller
+        # refuses without numpy's warning
+        with np.errstate(invalid="ignore"):
+            squares = (rows.conj() * rows).real
+    else:
+        squares = rows * rows
+    return np.sqrt(np.add.reduce(squares, axis=-1))[..., None, :]
 
 
 def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Every column of a matrix or stack divided by its norm: the span of a
-    single column, as in :func:`span`.
+    single column, as in :func:`span_stack`.
 
     Raises ``ZeroInputError`` when a column has norm <= ``tol`` and
     ``NonFiniteError`` when an entry is NaN or infinite.
@@ -291,12 +288,12 @@ def conditioned_gaussian_stack(
     singular values.
     """
     g = gaussian_stack(rngs, (n, n), field)
-    s = np.linalg.svd(g, compute_uv=False)
+    s = _finite_svd(g, compute_uv=False)
     accepted = accept(s)
     while not accepted.all():
         pending = np.flatnonzero(~accepted)
         g[pending] = gaussian_stack([rngs[i] for i in pending], (n, n), field)
-        s[pending] = np.linalg.svd(g[pending], compute_uv=False)
+        s[pending] = _finite_svd(g[pending], compute_uv=False)
         accepted[pending] = accept(s[pending])
     return g, s
 
@@ -332,13 +329,14 @@ def polar_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
     positive one ``V S V^H``.
 
     Raises ``SingularMatrixError`` when the smallest singular value is
-    <= ``tol`` times the largest.
+    <= ``tol`` times the largest and ``NonFiniteError`` when an entry is NaN
+    or infinite.
     """
     require_tol(tol)
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("polar decomposition needs a square matrix")
-    w, s, vh = np.linalg.svd(a)
+    w, s, vh = _finite_svd(a, compute_uv=True)
     if s[-1] <= tol * s[0]:
         raise SingularMatrixError("matrix is singular at the working tolerance")
     p = (adjoint(vh) * s) @ vh

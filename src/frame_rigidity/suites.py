@@ -57,9 +57,9 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
+    _finite_svd,
     gaussian,
     gaussian_stack,
-    masked_span_stack,
     principal_angles,
     residual_norms,
     span_stack,
@@ -345,9 +345,9 @@ def _clr_pairs(cfg: SuiteConfig, rngs) -> tuple:
 
 def _subspace_images(maps: tuple, bases: np.ndarray, tol: float) -> tuple:
     """Stacked :func:`induced.apply_to_subspace` on bases padded with zero
-    columns, ``bases[..., k, :, :]`` under map k: the masked spans and ranks
-    of :func:`linalg.masked_span_stack`."""
-    return masked_span_stack(apply_tagged_stack(*maps, bases), tol)
+    columns, ``bases[..., k, :, :]`` under map k: the spans and ranks of
+    :func:`linalg.span_stack`, a zero subspace at rank 0."""
+    return span_stack(apply_tagged_stack(*maps, bases), tol)
 
 
 def _meets(a: np.ndarray, b: np.ndarray, rank_a: np.ndarray, tol: float) -> tuple:
@@ -366,9 +366,9 @@ def _clr_dims(cfg, trials, rngs):
 
 def _clr_joins(cfg, trials, rngs):
     pair, _, maps = _clr_pairs(cfg, rngs)
-    join, _ = masked_span_stack(np.concatenate(pair, axis=-1), cfg.tol)
+    join, _ = span_stack(np.concatenate(pair, axis=-1), cfg.tol)
     images, rank = _subspace_images(maps, np.concatenate([pair, join[None]]), cfg.tol)
-    rhs, rank_rhs = masked_span_stack(np.concatenate(images[:2], axis=-1), cfg.tol)
+    rhs, rank_rhs = span_stack(np.concatenate(images[:2], axis=-1), cfg.tol)
     # the projector distance is 1 between subspaces of unequal dimensions
     return np.where(rank[2] == rank_rhs, residual_norms(rhs, images[2]), 1.0)
 
@@ -397,7 +397,7 @@ def _clrbis_images(cfg, rngs):
 
 
 def _clrbis_independent(cfg, trials, rngs):
-    s = np.linalg.svd(_clrbis_images(cfg, rngs), compute_uv=False)
+    s = _finite_svd(_clrbis_images(cfg, rngs), compute_uv=False)
     return s[:, -1] > cfg.tol * s[:, 0]
 
 

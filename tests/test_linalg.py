@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from frame_rigidity.errors import (
     FieldMismatchError,
     NonFiniteError,
+    ShapeMismatchError,
     SingularMatrixError,
     ZeroInputError,
 )
@@ -17,6 +18,7 @@ from frame_rigidity.frames import (
     FrameTuple,
     bigobot,
     bigobot_stack,
+    linked_partner_stack,
     pi_linked,
     pi_linked_stack,
     random_frame,
@@ -47,7 +49,6 @@ from frame_rigidity.linalg import (
     field_of,
     gaussian,
     haar,
-    masked_span_stack,
     polar_decompose,
     principal_angles,
     require_same_field,
@@ -250,14 +251,14 @@ class TestSpan:
             span(np.eye(2), 0.0)
 
 
-class TestMaskedSpanStack:
+class TestSpanStack:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_zero_padding_keeps_span_and_rank(self, field):
         rng = np.random.default_rng(31)
         cols = gaussian(rng, (5, 6, 3), field)
         cols[1, :, 2] = cols[1, :, 0] + cols[1, :, 1]
         padded = np.concatenate([cols, np.zeros_like(cols)], axis=-1)
-        q, rank = masked_span_stack(padded, 1e-9)
+        q, rank = span_stack(padded, 1e-9)
         u, want = span_stack(cols, 1e-9)
         assert rank.tolist() == want.tolist() == [3, 2, 3, 3, 3]
         for k in range(5):
@@ -266,8 +267,20 @@ class TestMaskedSpanStack:
 
     def test_zero_matrix_has_rank_zero(self):
         m = np.stack([np.eye(3), 1e-12 * np.eye(3)])[None]
-        q, rank = masked_span_stack(m, 1e-9)
+        q, rank = span_stack(m, 1e-9)
         assert rank.tolist() == [[3, 0]] and not q[0, 1].any()
+
+    def test_zero_column_has_rank_zero(self):
+        m = np.stack([np.eye(3)[:, :1], np.zeros((3, 1))])
+        q, rank = span_stack(m, 1e-9)
+        assert rank.tolist() == [1, 0] and not q[1].any()
+        assert_allclose(q[0], np.eye(3)[:, :1], atol=1e-15)
+
+    def test_full_rank_stack_is_not_masked(self):
+        m = gaussian(np.random.default_rng(32), (4, 5, 3), COMPLEX)
+        q, rank = span_stack(m, 1e-9)
+        assert rank.tolist() == [3] * 4
+        assert np.array_equal(q, np.linalg.svd(m, full_matrices=False)[0])
 
 
 class TestSpectralNorm:
@@ -472,7 +485,6 @@ def _tol_entries():
     return {
         "span": lambda tol: span(e, tol),
         "span_stack": lambda tol: span_stack(e[None], tol),
-        "masked_span_stack": lambda tol: masked_span_stack(e[None], tol),
         "unit_columns": lambda tol: unit_columns(e, tol),
         "polar_decompose": lambda tol: polar_decompose(e, tol),
         "from_columns": lambda tol: Subspace.from_columns(e, tol),
@@ -512,6 +524,82 @@ def _tol_entries():
             3, REAL, 4, np.random.default_rng(0), tol
         ),
     }
+
+
+def _non_finite_entries():
+    """Every public entry that refuses a NaN or infinite entry with
+    ``NonFiniteError``, as a call of a square matrix alone."""
+    e = np.eye(3)
+    zeros = np.zeros((3, 3))
+    return {
+        "span": lambda m: span(m),
+        "span_column": lambda m: span(m[:, :1]),
+        "span_signed": lambda m: span(np.hstack([m, -m])),
+        "span_stack": lambda m: span_stack(m[None]),
+        "span_stack_padded": lambda m: span_stack(np.concatenate([m, zeros], axis=1)[None]),
+        "unit_columns": lambda m: unit_columns(m),
+        "spectral_norm": lambda m: spectral_norm(m),
+        "residual_norms": lambda m: residual_norms(m, e[:, :2]),
+        "principal_angles": lambda m: principal_angles(m, e[:, :2]),
+        "polar_decompose": lambda m: polar_decompose(m),
+        "from_columns": lambda m: Subspace.from_columns(m),
+        "semilinear_map": lambda m: SemilinearMap(m),
+        "evert_conjugate_stack": lambda m: evert_conjugate_stack(m[None]),
+        "span_components": lambda m: span_components(m[None], [IntPartition((2, 1))]),
+    }
+
+
+def _zero_block_entries():
+    """The stacked frame entries that refuse an all-zero block, with the
+    error each raises: the block is no subspace of its dimension."""
+    z = np.zeros((1, 3, 3))
+    lines, pi = IntPartition((1, 1, 1)), Tableau(3, ((1, 2), (3,)))
+    rng = np.random.default_rng(0)
+    return {
+        "pi_linked_stack": (ZeroInputError, lambda: pi_linked_stack(z, z, lines, [pi])),
+        "linked_partner_stack": (
+            ZeroInputError, lambda: linked_partner_stack(z, lines, [pi], [rng])
+        ),
+        "span_components": (
+            ShapeMismatchError, lambda: span_components(z, [IntPartition((2, 1))])
+        ),
+    }
+
+
+# entries whose first step is a matrix product, which numpy warns about
+# before the library refuses an infinite entry
+_PRODUCT_FIRST = ("principal_angles", "residual_norms")
+
+
+class TestBadInputRefused:
+    """A NaN or infinite entry, or a numerically zero block, is refused with
+    the library error each entry promises, and without a numpy warning of
+    the library's own."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(
+                name, marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+            )
+            if name in _PRODUCT_FIRST
+            else name
+            for name in sorted(_non_finite_entries())
+        ],
+    )
+    def test_non_finite_refused(self, entry, bad, field):
+        m = as_matrix(np.eye(3), field)
+        m[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            _non_finite_entries()[entry](m)
+
+    @pytest.mark.parametrize("entry", sorted(_zero_block_entries()))
+    def test_zero_block_refused(self, entry):
+        error, call = _zero_block_entries()[entry]
+        with pytest.raises(error):
+            call()
 
 
 class TestToleranceRefused:

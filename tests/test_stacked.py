@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from frame_rigidity import frames, suites
+from frame_rigidity import frames, induced, suites
 from frame_rigidity.errors import (
     AmbientMismatchError,
     DegenerateOracleError,
@@ -529,9 +529,10 @@ def _reference_gaussians(n, field, rng, accept):
 
 class TestStackedRejection:
     @pytest.mark.parametrize("field", FIELDS)
-    def test_map_redraws_follow_each_stream(self, field):
+    def test_map_redraws_follow_each_stream(self, field, monkeypatch):
         n, cap = 4, 4.0
-        got = random_semilinear_stack(n, field, [np.random.default_rng(k) for k in range(40)], cap)
+        monkeypatch.setattr(induced, "_MAX_CONDITION", cap)
+        got = random_semilinear_stack(n, field, [np.random.default_rng(k) for k in range(40)])
         redraws = 0
         for k in range(40):
             rng = np.random.default_rng(k)
