@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from typing import IO, ContextManager, Optional, Sequence
@@ -15,7 +16,10 @@ from .suites import SuiteConfig, list_suites, run_suite
 TOL_ENV_VAR = "FRAME_RIGIDITY_TOL"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``verify`` parser, built once per process: parsing leaves it as it
+    was, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run a named property suite and report per-property results.",
@@ -80,8 +84,7 @@ def _property_line(record: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_suites:
         for name in list_suites():

@@ -64,8 +64,8 @@ def _adversarial_bases(
     """
     q = haar(rng, (m, n, n), field)
     dims_a = rng.integers(1, n, size=m)
-    dims_b = np.array([int(rng.integers(1, n - da + 1)) for da in dims_a])
-    eps = np.array([ADVERSARIAL_ANGLES[i % len(ADVERSARIAL_ANGLES)] for i in range(m)])
+    dims_b = rng.integers(1, n - dims_a + 1)
+    eps = np.resize(ADVERSARIAL_ANGLES, m)
     return q, dims_a, dims_b, eps
 
 

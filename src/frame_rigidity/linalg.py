@@ -207,7 +207,7 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
             return unit_columns(m, tol), np.ones(m.shape[:-2], dtype=np.intp)
         except ZeroInputError:
             pass  # a numerically zero column has rank 0, as below
-    u, s, _ = _finite_svd(m, compute_uv=True)
+    u, s, _, _ = _svd_up_to_scale(m)
     top = s[..., :1]
     rank = (s > tol * top).sum(axis=-1)
     width = u.shape[-1]
@@ -217,19 +217,34 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
     return u, rank
 
 
+def _svd_up_to_scale(m: np.ndarray) -> tuple:
+    """``U, S, V^H`` as :func:`_finite_svd` gives them, and whether ``m`` was
+    scaled: when a finite matrix's top singular value overflows, every matrix
+    with an entry above 1 in magnitude is divided by its largest first, which
+    keeps its singular vectors and the ratios of its singular values."""
+    try:
+        return (*_finite_svd(m, compute_uv=True), False)
+    except NonFiniteError:
+        if not np.isfinite(m).all():
+            raise
+    largest = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
+    return (*_finite_svd(m / np.maximum(largest, 1.0), compute_uv=True), True)
+
+
 def _column_norms(m: np.ndarray) -> np.ndarray:
     """The norm of every column, shaped to divide ``m``.  Each column is
     summed as one contiguous vector, so its norm does not depend on the
     memory layout of ``m`` or on the other columns, bit for bit."""
     rows = np.ascontiguousarray(np.swapaxes(m, -1, -2))
-    if np.iscomplexobj(rows):
-        # an infinite entry gives a NaN imaginary part here, which the caller
-        # refuses without numpy's warning
-        with np.errstate(invalid="ignore"):
+    # an infinite entry gives a NaN imaginary part here, and a finite one
+    # above 1e154 an infinite square; the caller refuses the first and
+    # rescales the second, without numpy's warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.iscomplexobj(rows):
             squares = (rows.conj() * rows).real
-    else:
-        squares = rows * rows
-    return np.sqrt(np.add.reduce(squares, axis=-1))[..., None, :]
+        else:
+            squares = rows * rows
+        return np.sqrt(np.add.reduce(squares, axis=-1))[..., None, :]
 
 
 def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -267,12 +282,18 @@ def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
 
 
 def gaussian_stack(rngs, shape: tuple, field: str) -> np.ndarray:
-    """One :func:`gaussian` array of ``shape`` from each generator, stacked."""
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    out = np.empty((len(rngs),) + tuple(shape), dtype=dtype)
-    for k, rng in enumerate(rngs):
-        out[k] = gaussian(rng, shape, field)
-    return out
+    """One :func:`gaussian` array of ``shape`` from each generator, stacked.
+
+    Each generator fills its slot of one buffer in a single call, all its
+    real parts and then all its imaginary parts, as :func:`gaussian` draws
+    them; the buffer is combined once by :func:`gaussian`'s expression."""
+    parts = 2 if field == COMPLEX else 1
+    buf = np.empty((len(rngs), parts) + tuple(shape))
+    for rng, draws in zip(rngs, buf):
+        rng.standard_normal(out=draws)
+    if field == COMPLEX:
+        return (buf[:, 0] + 1j * buf[:, 1]) / np.sqrt(2.0)
+    return buf[:, 0]
 
 
 def conditioned_gaussian_stack(
@@ -329,16 +350,18 @@ def polar_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
     positive one ``V S V^H``.
 
     Raises ``SingularMatrixError`` when the smallest singular value is
-    <= ``tol`` times the largest and ``NonFiniteError`` when an entry is NaN
-    or infinite.
+    <= ``tol`` times the largest, and ``NonFiniteError`` when an entry is NaN
+    or infinite or when the largest singular value overflows.
     """
     require_tol(tol)
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("polar decomposition needs a square matrix")
-    w, s, vh = _finite_svd(a, compute_uv=True)
+    w, s, vh, scaled = _svd_up_to_scale(a)
     if s[-1] <= tol * s[0]:
         raise SingularMatrixError("matrix is singular at the working tolerance")
-    p = (adjoint(vh) * s) @ vh
-    p = 0.5 * (p + adjoint(p))
-    return PolarFactors(unitary=w @ vh, positive=p)
+    if scaled:
+        raise NonFiniteError("positive factor overflows")
+    # halved before the sum, which would overflow near the largest float
+    half = 0.5 * ((adjoint(vh) * s) @ vh)
+    return PolarFactors(unitary=w @ vh, positive=half + adjoint(half))

@@ -6,11 +6,14 @@ randomness from a stream keyed by (seed, suite, property, trial), so reports
 are reproducible regardless of execution order.
 
 A property runs its trials in batches: it receives a chunk of trial indices
-with one stream each and returns one outcome per trial.  Batched properties
-keep their trials as ``(B, n, n)`` stacks, subspaces of smaller dimension
-padded with zero columns, and draw each trial's randomness from its own
-stream in the order one trial alone would, so the chunk size changes no
-report.  ``reconstruction`` recovers a chunk's hidden maps through the
+with one stream each and returns one outcome per trial.  The streams are
+one generator per trial from a per-thread pool (:func:`rng._trial_rngs`),
+each reset to (its trial's key, counter 0), so they draw exactly what a new
+:func:`rng.trial_rng` would; they are valid only for their chunk.  Batched
+properties keep their trials as ``(B, n, n)`` stacks, subspaces of smaller
+dimension padded with zero columns, and draw each trial's randomness from
+its own stream in the order one trial alone would, so the chunk size changes
+no report.  ``reconstruction`` recovers a chunk's hidden maps through the
 stacked line-oracle protocol (:func:`induced.reconstruct_from_line_images_stack`),
 which asks the oracle twice per chunk: once for every probe line and once
 for all 50 sweep lines.  Only ``refinement`` and ``partitions`` run trial by
@@ -77,7 +80,7 @@ from .partitions import (
     set_partitions,
 )
 from .report import PropertyResult, VerificationReport
-from .rng import trial_rng
+from .rng import _trial_rngs
 from .subspaces import commutator_norms, remainder_norms
 
 EXHAUSTIVE_PARTITION_LIMIT = 6
@@ -808,10 +811,12 @@ def suite_properties(suite: str) -> tuple[str, ...]:
 
 def _outcomes(cfg: SuiteConfig, prop: _Property):
     """Yield ``(trial, outcome)`` for every trial, running the property on
-    chunks of ``_CHUNK`` trials with one stream per trial."""
+    chunks of ``_CHUNK`` trials with one stream per trial.  The streams come
+    from this thread's pool and are reset for each chunk, so a chunk's
+    outcomes are all read before the next chunk draws its streams."""
     for start in range(0, cfg.trials, _CHUNK):
         trials = range(start, min(start + _CHUNK, cfg.trials))
-        rngs = [trial_rng(cfg.seed, cfg.suite, prop.name, trial) for trial in trials]
+        rngs = _trial_rngs(cfg.seed, cfg.suite, prop.name, trials)
         yield from zip(trials, prop.run(cfg, trials, rngs), strict=True)
 
 

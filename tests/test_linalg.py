@@ -48,6 +48,7 @@ from frame_rigidity.linalg import (
     as_matrix,
     field_of,
     gaussian,
+    gaussian_stack,
     haar,
     polar_decompose,
     principal_angles,
@@ -230,12 +231,27 @@ class TestSpan:
         with pytest.raises(NonFiniteError):
             span(m, 1e-9)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_finite_column_with_overflowing_norm(self):
         q, rank = span(np.array([[1e200], [-1e200]]), 1e-9)
         assert rank == 1
         assert_allclose(abs(q[:, 0]), [INV_SQRT2, INV_SQRT2], rtol=1e-15)
         assert q[0, 0] * q[1, 0] < 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_finite_matrix_with_overflowing_singular_value(self, dtype):
+        # no entry is infinite, but the top singular value (2e308) is
+        q, rank = span(np.full((2, 2), 1e308, dtype=dtype), 1e-9)
+        assert rank == 1
+        assert_allclose(abs(q[:, 0]), [INV_SQRT2, INV_SQRT2], rtol=1e-15)
+        assert (q[0, 0] * q[1, 0].conj()).real > 0
+
+    def test_overflowing_entry_keeps_small_neighbours_in_stack(self):
+        # only the overflowing matrix is rescaled: a numerically zero one
+        # beside it keeps rank 0
+        m = np.stack([np.full((2, 2), 1e308), 1e-12 * np.eye(2), np.eye(2)])
+        q, rank = span_stack(m, 1e-9)
+        assert rank.tolist() == [1, 0, 2]
+        assert not q[1].any()
 
     def test_does_not_mutate_input(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -370,6 +386,26 @@ class TestPolarDecompose:
         with pytest.raises(SingularMatrixError):
             polar_decompose(np.diag([1.0, 1e-12]), 1e-9)
 
+    def test_singular_matrix_near_overflow_raises_singular(self):
+        # finite entries whose top singular value overflows: still singular
+        with pytest.raises(SingularMatrixError):
+            polar_decompose(np.full((2, 2), 1e308), 1e-9)
+
+    def test_invertible_matrix_near_overflow_has_finite_factors(self):
+        # singular values 1.414e308 are finite, but the symmetrization's sum
+        # of the positive factor's diagonal is not
+        m = np.array([[1e308, 1e308], [1e308, -1e308]])
+        f = polar_decompose(m, 1e-9)
+        assert np.isfinite(f.unitary).all() and np.isfinite(f.positive).all()
+        assert_allclose(f.unitary, np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2, atol=1e-15)
+        top = np.sqrt(2.0) * 1e308
+        assert_allclose(f.positive, top * np.eye(2), rtol=1e-15, atol=1e-15 * top)
+
+    def test_positive_factor_that_overflows_is_refused(self):
+        # finite entries, but singular values 2.1e308 that no float holds
+        with pytest.raises(NonFiniteError):
+            polar_decompose(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]]), 1e-9)
+
 
 class TestAdjoint:
     def test_real_symmetric_fixed(self):
@@ -404,6 +440,25 @@ class TestHaar:
         reference = np.linalg.qr(gaussian(np.random.default_rng(35), shape, field)).Q
         assert q.dtype == reference.dtype
         assert np.array_equal(q, reference)
+
+
+class TestGaussianStack:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 2), (3,)], ids=["square", "tall", "vector"])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_equals_a_loop_of_gaussian(self, field, shape, size):
+        stacked = gaussian_stack([np.random.default_rng(k) for k in range(size)], shape, field)
+        looped = np.stack([gaussian(np.random.default_rng(k), shape, field) for k in range(size)])
+        assert stacked.dtype == looped.dtype and stacked.shape == looped.shape
+        assert stacked.tobytes() == looped.tobytes()
+
+    def test_leaves_each_generator_where_gaussian_does(self):
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        gaussian_stack(rngs, (3, 2), COMPLEX)
+        for k, rng in enumerate(rngs):
+            reference = np.random.default_rng(k)
+            gaussian(reference, (3, 2), COMPLEX)
+            assert rng.random() == reference.random()
 
 
 class TestFieldTags:

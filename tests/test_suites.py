@@ -1,6 +1,8 @@
 """Suite runner and CLI behavior: config validation, determinism, exit codes."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -219,6 +221,44 @@ def _judge(outcome, band=10.0):
     return _run_property(SuiteConfig(suite="partitions", trials=3, tol=1e-9), prop)
 
 
+# sha256 of determinism_bytes for every suite at ambient 4, seed 3, 12
+# trials, on one numpy and LAPACK build: a change to any stream, sampler or
+# report byte shows up here; a deliberate one (a new stream layout) updates
+# these digests with it
+REPORT_DIGESTS = {
+    ("clr", "real"): "c3b2d0f90d5f3c07a628eb5f3f792471992bd12113cb0bdf4fa8de0c4528d4bd",
+    ("clr", "complex"): "fbaf7512c3e1413268f305b9f3a768024c6a7ea30852f026ffd613a93631c01e",
+    ("clr-bis", "real"): "4540b658db659a45ed43737dc32288e583fdabbfd01312c546b6f97ab5d5635d",
+    ("clr-bis", "complex"): "43f5ee2b52f9cc7168a16d77e7cb4a59edf436418b69284ca8ee5aa0c1fe4e55",
+    ("pfr-perp", "real"): "6a51f82ce0111626b7fcb0e976f5bcfd5396a69979b07d752d016827eecc9c63",
+    ("pfr-perp", "complex"): "e7a433889c0848c5bedb2e7709358d332842c7e050540bcd8ced4123509fb0e9",
+    ("pfr", "real"): "c025a5ee858f646ca98c130c54dbb76a29a6ca6a1c1b0d47a9f9abaaee9685b6",
+    ("pfr", "complex"): "66715171de2b24133cb23fe0d584705b62cc8ead2ce79d37aaa7f01e00a73d9d",
+    ("eversion-order", "real"): "a04111a82deb8b1ecfd12722317b87a4a318cacad8174e9c44bb8420db06bc42",
+    ("eversion-order", "complex"): "7d8e6f0e9563d63d250417f9163c019aec9f065e48a8bf1e76c39aa717ba484a",
+    ("obot", "real"): "07697e370d6f32c270efb865d93421a4721b644a622e805286297a31c797b1d2",
+    ("obot", "complex"): "ce411323d566682b477c04ac949bc3de3d368b4ccc7dd22eae18f1beedc7eb1a",
+    ("refinement", "real"): "9784d20b9497c8101f00fee2f9a87c1d988bc756405be0f266390cad828c8143",
+    ("refinement", "complex"): "7be243ea4c10d678dd9f696c758a313a54302272d8b17fcfb05209d103d0d800",
+    ("partitions", "real"): "25a05e5a37ad1899a9b4a0c466996a57a5f0603f8bdc2b1de87350d377c736d9",
+    ("partitions", "complex"): "6e58af3686b61276c45587b315a66b7d7612ef35b85bc885729465fe1c973657",
+    ("reconstruction", "real"): "3934f5ec347a63f2e6ca198ecf3bd3559db97611d5b7eda2ab86c89cc96aa7d5",
+    ("reconstruction", "complex"): "916425eeb9f5a02db6d8ebd4177f7adcee6e9cc344edc9c2470be56357a82bdc",
+    ("falsify", "real"): "5852cca8e7ed5277620cda16d8528e2a373d4f4081f80680cd72216ca1fa534d",
+    ("falsify", "complex"): "3611c017173080cbb5d66bc8b0484973cbefc3ba18c90083973fdc3ab1161843",
+}
+
+
+@pytest.mark.parametrize("suite, field", list(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(suite, field):
+    report = run_suite(SuiteConfig(suite=suite, ambient=4, field=field, trials=12, seed=3))
+    assert hashlib.sha256(report.determinism_bytes()).hexdigest() == REPORT_DIGESTS[suite, field]
+
+
+def test_every_suite_has_pinned_report_bytes():
+    assert {suite for suite, _ in REPORT_DIGESTS} == set(ALL_SUITES)
+
+
 class TestRunProperty:
     @pytest.mark.parametrize("band", [10.0, 100.0])
     def test_residual_at_band_passes_and_next_float_fails(self, band):
@@ -250,7 +290,45 @@ class TestRunProperty:
         assert _judge(verdict).passed is verdict
 
 
+def _without_wall_time(stdout: str, report_path) -> tuple:
+    """A run's stdout and report with their wall times taken out."""
+    report = None
+    if report_path.exists():
+        report = json.loads(report_path.read_text())
+        del report["summary"]["wall_time_s"]
+        report_path.unlink()
+    return re.sub(r", [0-9.]+s\)$", ", s)", stdout, flags=re.M), report
+
+
 class TestCli:
+    def test_back_to_back_calls_match_separate_processes(self, tmp_path, capsys, monkeypatch):
+        # one parser serves every call in a process: no option value, default
+        # or error may carry over from one call into the next
+        monkeypatch.delenv("FRAME_RIGIDITY_TOL", raising=False)
+        runs = [
+            ["--suite", "clr", "--ambient", "3", "--trials", "6", "--seed", "2"],
+            ["--suite", "pfr", "--ambient", "5", "--field", "real", "--trials", "6",
+             "--seed", "4", "--tol", "1e-8"],
+            ["--suite", "pfr", "--trials", "many"],
+            ["--suite", "clr", "--ambient", "2"],
+            ["--suite", "clr", "--ambient", "3", "--trials", "6", "--seed", "2"],
+        ]
+        codes = []
+        for k, argv in enumerate(runs):
+            target = tmp_path / f"report-{k}.json"
+            argv = argv + ["--report", str(target)]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own error exit
+                code = exc.code
+            out, err = capsys.readouterr()
+            here = (code, err, *_without_wall_time(out, target))
+            proc = run_cli(*argv)
+            alone = (proc.returncode, proc.stderr, *_without_wall_time(proc.stdout, target))
+            assert here == alone, argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 2, 0]
+
     def test_list_suites(self):
         proc = run_cli("--list-suites")
         assert proc.returncode == 0
