@@ -10,8 +10,7 @@ involution).
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,89 +171,101 @@ def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTup
     if shape.n != n or basis.shape != (n, n):
         raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
     basis.setflags(write=False)
-    components = [Subspace._view(n, basis[:, sl]) for sl in _column_blocks(shape)]
+    layout = _component_layout((shape,), n)
+    components = [
+        Subspace._view(n, basis[:, start : start + d])
+        for start, d in zip(layout.starts.tolist(), layout.sizes.tolist())
+    ]
     return _shaped(components, orthogonal, shape, basis)
 
 
-@functools.lru_cache(maxsize=256)
-def _column_blocks(shape: IntPartition) -> tuple[slice, ...]:
-    """The columns of each component in a stacked basis of this shape."""
-    blocks, start = [], 0
-    for d in shape.parts:
-        blocks.append(slice(start, start + d))
-        start += d
-    return tuple(blocks)
+class _Layout(NamedTuple):
+    """Groups of the columns of ``(B, n, n)`` stacked bases, each group a
+    component of a basis or a block of a trial's tableau, listed in trial
+    and then group order.  Every array is read-only."""
+
+    trials: np.ndarray  # (P,): the basis of each group
+    starts: np.ndarray  # (P,): its first column
+    sizes: np.ndarray  # (P,): its column count
+    masks: np.ndarray  # (P, 1, n): its columns
+    # (k, trials, columns) for every column count k, ascending: the (Q,)
+    # trials and the (Q, k) ascending columns of the groups of k columns, in
+    # trial and then group order
+    by_size: tuple
 
 
-def _blocks_by_size(shape: IntPartition, pis: Sequence[Tableau], n: int) -> dict:
-    """``{k: (trials, columns)}``: every block of every trial's tableau, in
-    trial and then block order, grouped by its column count ``k``; the
-    columns of a block are those of its components in a stacked basis of
-    width ``n``, which ``shape`` must partition."""
-    _require_partitions([shape], n)
-    components = [range(sl.start, sl.stop) for sl in _column_blocks(shape)]
-    groups: dict[int, tuple[list, list]] = {}
-    for trial, pi in enumerate(pis):
-        if pi.n != len(components):
-            raise ShapeMismatchError(
-                f"partition of {pi.n} symbols cannot index {len(components)} components"
-            )
-        for block in pi.blocks:
-            cols = [c for i in sorted(block) for c in components[i - 1]]
-            trials, columns = groups.setdefault(len(cols), ([], []))
-            trials.append(trial)
-            columns.append(cols)
-    return groups
+def _grouping(labels: np.ndarray) -> _Layout:
+    """The layout of a ``(B, n)`` array of column labels: column c of basis
+    k lies in group ``labels[k, c]`` of that basis, whose groups are
+    numbered from 0 up."""
+    size, n = labels.shape
+    counts = labels.max(axis=1) + 1
+    # one number per group of the stack, in trial and then group order
+    group = (labels + (np.cumsum(counts) - counts)[:, None]).ravel()
+    sizes = np.bincount(group)
+    # every column of the stack by the size of its group, then by its group,
+    # then ascending, as a flat index into the (B, n) columns
+    order = np.argsort(sizes[group] * len(sizes) + group, kind="stable")
+    trial_of, column_of = np.divmod(order, n)
+    # the groups in that order, and where each one's first column lies in it
+    ranked = np.argsort(sizes, kind="stable")
+    starts = np.empty_like(sizes)
+    starts[ranked] = column_of[np.cumsum(sizes[ranked]) - sizes[ranked]]
+    trials = np.repeat(np.arange(size), counts)
+    masks = (group.reshape(size, n)[trials] == np.arange(len(sizes))[:, None])[:, None, :]
+    # before the views below are taken, which keep the flag they start with
+    for array in (trials, starts, sizes, masks, trial_of, column_of):
+        array.setflags(write=False)
+    by_size, lo = [], 0
+    for k, count in enumerate(np.bincount(sizes).tolist()):
+        if count:
+            hi = lo + k * count
+            by_size.append((k, trial_of[lo:hi:k], column_of[lo:hi].reshape(count, k)))
+            lo = hi
+    return _Layout(trials, starts, sizes, masks, tuple(by_size))
+
+
+# a chunk reads each of its layouts several times (to draw, evert and
+# compare its frames) and uses at most two of either kind; the rest of the
+# room keeps the per-shape layouts of the batch-of-one forms
+_LAYOUTS = 8
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _component_layout(shapes: tuple[IntPartition, ...], n: int) -> _Layout:
+    """The components of ``(B, n, n)`` stacked bases, basis k of shape
+    ``shapes[k]``.  Raises ``ShapeMismatchError`` unless every shape
+    partitions ``n``."""
+    for shape in dict.fromkeys(shapes):
+        if shape.n != n:
+            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
+    labels = [i for shape in shapes for i, d in enumerate(shape.parts) for _ in range(d)]
+    return _grouping(np.array(labels, dtype=np.intp).reshape(len(shapes), n))
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _block_layout(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> _Layout:
+    """The blocks of ``(B, n, n)`` stacked bases of one ``shape``: block j of
+    basis k holds the components in block j of ``pis[k]``, in the tableau's
+    canonical block order.  Raises ``ShapeMismatchError`` unless ``shape``
+    partitions ``n`` and every tableau partitions its components."""
+    if shape.n != n:
+        raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
+    s = len(shape.parts)
+    for pi in pis:
+        if pi.n != s:
+            raise ShapeMismatchError(f"partition of {pi.n} symbols cannot index {s} components")
+    # the block of each component of each trial, then of each column
+    rows = np.repeat(np.arange(len(pis)), s)
+    symbols = [i - 1 for pi in pis for block in pi.blocks for i in block]
+    blocks = np.empty((len(pis), s), dtype=np.intp)
+    blocks[rows, symbols] = [j for pi in pis for j, block in enumerate(pi.blocks) for _ in block]
+    return _grouping(blocks[:, np.repeat(np.arange(s), shape.parts)])
 
 
 def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Columns ``columns[p]`` of frame ``trials[p]``, as a ``(P, n, k)`` stack."""
     return stack[trials[:, None], :, columns].swapaxes(1, 2)
-
-
-def _require_partitions(shapes: Sequence[IntPartition], n: int) -> None:
-    """Raise ``ShapeMismatchError`` unless every shape is a partition of ``n``."""
-    # each distinct shape object once; a chunk shares a few of them
-    for shape in {id(s): s for s in shapes}.values():
-        if shape.n != n:
-            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
-
-
-def _component_table(shapes: Sequence[IntPartition], n: int) -> tuple[np.ndarray, ...]:
-    """``(trials, starts, dims)``: the basis, first column and dimension of
-    every component of the stacked bases of width ``n``, basis k of shape
-    ``shapes[k]``, as ``(P,)`` arrays in trial and then component order.
-
-    Raises ``ShapeMismatchError`` unless every shape partitions ``n``.
-    """
-    _require_partitions(shapes, n)
-    dims = np.fromiter(itertools.chain.from_iterable(s.parts for s in shapes), np.intp)
-    # every basis has n columns, so the bases lie side by side
-    return (*np.divmod(np.cumsum(dims) - dims, n), dims)
-
-
-def _components_by_size(shapes: Sequence[IntPartition], n: int) -> dict:
-    """``{d: (trials, columns)}``: every ``d``-dimensional component of every
-    stacked basis of width ``n``, basis k of shape ``shapes[k]``, as a
-    ``(P,)`` array of trials and a ``(P, d)`` array of the component's
-    columns, in trial and then component order."""
-    trials, starts, dims = _component_table(shapes, n)
-    # a stable sort keeps each dimension's components in trial order
-    order = np.argsort(dims, kind="stable")
-    trials, starts = trials[order], starts[order]
-    groups, lo = {}, 0
-    for d, count in enumerate(np.bincount(dims).tolist()):
-        if count:
-            groups[d] = (trials[lo : lo + count], starts[lo : lo + count, None] + np.arange(d))
-            lo += count
-    return groups
-
-
-def _in_slots(n: int, starts: np.ndarray, widths) -> np.ndarray:
-    """``(P, 1, n)`` masks of the columns ``starts[p]`` to ``starts[p] +
-    widths[p] - 1``."""
-    cols = np.arange(n)
-    return ((cols >= starts[:, None]) & (cols < (starts + widths)[:, None]))[:, None, :]
 
 
 def span_components(
@@ -264,11 +275,9 @@ def span_components(
     basis k of shape ``shapes[k]`` (a list or tuple).
 
     Every column block is re-spanned at ``tol`` as ``Subspace.from_columns``
-    spans it.  The components of one dimension are spanned in one stack
-    across all bases (the lines by one column normalization): under one
-    shape each run of them is a slice of the stack, under mixed shapes they
-    are gathered.  Either way a row of the result does not depend on the
-    other rows, bit for bit.
+    spans it.  The components of one dimension are gathered from all bases
+    and spanned in one stack (the lines by one column normalization), and a
+    row of the result does not depend on the other rows, bit for bit.
 
     Raises ``ShapeMismatchError`` when a shape does not partition the basis
     width, or when a component spans fewer dimensions than it has, a
@@ -279,38 +288,30 @@ def span_components(
         raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
     require_tol(tol)
     out = np.empty_like(m)
-    n = m.shape[-1]
-    if shapes.count(shapes[0]) == len(shapes):
-        _require_partitions(shapes[:1], n)
-        start = 0
-        for d, run in itertools.groupby(shapes[0].parts):
-            stop = start + d * len(list(run))
-            out[:, :, start:stop] = _span_run(m[:, :, start:stop], d, tol)
-            start = stop
-        return out
-    for d, (t, c) in _components_by_size(shapes, n).items():
-        out[t[:, None], :, c] = _span_run(_gather(m, t, c), d, tol).swapaxes(1, 2)
+    for d, t, c in _component_layout(tuple(shapes), m.shape[-1]).by_size:
+        cols = _gather(m, t, c)
+        if d == 1:
+            try:
+                u = unit_columns(cols, tol)
+            except ZeroInputError as exc:
+                raise ShapeMismatchError("a line component is numerically zero") from exc
+        else:
+            u, rank = span_stack(cols, tol)
+            if rank.min() < d:
+                raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
+        out[t[:, None], :, c] = u.swapaxes(1, 2)
     return out
 
 
-def _span_run(cols: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """Orthonormal bases for side-by-side ``d``-dimensional components of a
-    ``(B, n, count * d)`` stack, spanned in one stack of ``B * count``."""
-    if d == 1:
-        try:
-            return unit_columns(cols, tol)
-        except ZeroInputError as exc:
-            raise ShapeMismatchError("a line component is numerically zero") from exc
-    b, n, width = cols.shape
-    count = width // d
-    if count > 1:
-        cols = cols.reshape(b, n, count, d).swapaxes(1, 2).reshape(b * count, n, d)
-    u, rank = span_stack(cols, tol)
-    if rank.min() < d:
-        raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
-    if count > 1:
-        u = u.reshape(b, count, n, d).swapaxes(1, 2).reshape(b, n, width)
-    return u
+def frame_distances(a: np.ndarray, b: np.ndarray, shapes: Sequence[IntPartition]) -> np.ndarray:
+    """The largest projector distance ``|P_x - P_y|`` between matching
+    components of the ``(B, n, n)`` stacked bases ``a[k]`` and ``b[k]``, both
+    of shape ``shapes[k]``: the largest principal-angle sine.  All components
+    of one dimension take one :func:`linalg.residual_norms`."""
+    out = np.zeros(len(a))
+    for _, t, c in _component_layout(tuple(shapes), a.shape[-1]).by_size:
+        np.maximum.at(out, t, residual_norms(_gather(b, t, c), _gather(a, t, c)))
+    return out
 
 
 def pi_linked_stack(
@@ -324,19 +325,19 @@ def pi_linked_stack(
     as ``(B, n, n)`` stacked bases of one ``shape``, are linked along
     ``pis[k]``.
 
-    The blocks of all trials are grouped by their column count, so each group
-    takes one span of both sides' blocks and one residual norm for the whole
-    stack; a trial's blocks of later groups are skipped once it is unlinked.
-    A numerically zero block raises ``ZeroInputError``.
+    The blocks of all trials are grouped by their column count
+    (:func:`_block_layout`), smallest first, so each count takes one span of
+    both sides' blocks and one residual norm for the whole stack; a trial's
+    larger blocks are skipped once it is unlinked.  A numerically zero block
+    raises ``ZeroInputError``.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
     require_same_field(a, b)
     require_tol(tol)
     linked = np.ones(len(pis), dtype=bool)
-    for k, (trials, columns) in _blocks_by_size(shape, pis, a.shape[-1]).items():
-        t, c = np.array(trials), np.array(columns)
-        # a trial found unlinked at a block of an earlier size is done
+    for _, t, c in _block_layout(shape, tuple(pis), a.shape[-1]).by_size:
+        # a trial found unlinked at a smaller block is done
         pending = linked[t]
         if not pending.all():
             if not pending.any():
@@ -468,28 +469,28 @@ def bigobot_stack(
     require_same_field(a, b)
     require_tol(tol)
     size, n = len(a), a.shape[-1]
-    ta, sa, da = _component_table(shapes_a, n)
-    tb, sb, db = _component_table(shapes_b, n)
-    # the dimension and table row of the component of b[k] at column c
-    dim_b, row_b = np.zeros((2, size, n), dtype=np.intp)
-    dim_b[tb, sb], row_b[tb, sb] = db, np.arange(len(tb))
+    ta, sa, da, masks_a, by_size_a = _component_layout(tuple(shapes_a), n)
+    tb, sb, db, masks_b, _ = _component_layout(tuple(shapes_b), n)
+    # the table row of the component of b[k] that starts at column c, or -1
+    row_b = np.full((size, n), -1, dtype=np.intp)
+    row_b[tb, sb] = np.arange(len(tb))
     # forward sums, then backward ones
     sums = np.zeros((len(ta) + len(tb), n, n), dtype=a.dtype)
-    for d in dict.fromkeys(da.tolist()):
+    for d, _, _ in by_size_a:
         # each d-dimensional component of a, row i, against the component of
         # b at column j
-        i, j = np.nonzero((da == d)[:, None] & (dim_b[ta] > 0))
-        t, dj, slot = ta[i], dim_b[ta[i], j], sa[i, None] + np.arange(d)
-        sines, vectors = principal_angles(_gather(a, t, slot), b[t] * _in_slots(n, j, dj))
+        i, j = np.nonzero((da == d)[:, None] & (row_b[ta] >= 0))
+        t, rows, slot = ta[i], row_b[ta[i], j], sa[i, None] + np.arange(d)
+        dj = db[rows]
+        sines, vectors = principal_angles(_gather(a, t, slot), b[t] * masks_b[rows])
         meets = vectors * (sines <= tol)[:, None, :]
-        sums[len(ta) + row_b[t, j][:, None], :, slot] = meets.swapaxes(1, 2)
+        sums[len(ta) + rows[:, None], :, slot] = meets.swapaxes(1, 2)
         # only the last min(d, dj) sines can lie below 1: they end the slot
         p, r = np.nonzero(np.arange(d) >= (d - dj)[:, None])
         sums[i[p], :, (j + dj - d)[p] + r] = meets[p, :, r]
-    starts, dims = np.concatenate([sa, sb]), np.concatenate([da, db])
-    components = np.concatenate([a[ta], b[tb]]) * _in_slots(n, starts, dims)
+    components = np.concatenate([a[ta], b[tb]]) * np.concatenate([masks_a, masks_b])
     q, rank = span_stack(sums)
-    split = (rank == dims) & (residual_norms(components, q) <= tol)
+    split = (rank == np.concatenate([da, db])) & (residual_norms(components, q) <= tol)
     failed = np.bincount(np.concatenate([ta, tb + size])[~split], minlength=2 * size)
     return failed[:size] == 0, failed[size:] == 0
 
@@ -522,7 +523,8 @@ def random_frame_stack(
     The conditioning floor of general frames is checked on the whole stack
     at once, and only the rejected draws are redrawn.
     """
-    _require_partitions(shapes, ambient)
+    # refuses a shape that does not partition the ambient before any draw
+    _component_layout(tuple(shapes), ambient)
     if orthogonal:
         return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
     m, _ = conditioned_gaussian_stack(
@@ -566,16 +568,13 @@ def linked_partner_stack(
     raises ``ZeroInputError`` and one that lost rank ``ShapeMismatchError``.
     """
     field = field_of(bases)
-    groups = _blocks_by_size(shape, pis, bases.shape[-1])
+    layout = _block_layout(shape, tuple(pis), bases.shape[-1])
     # every generator draws its remixes in its own block order
-    draws: dict[int, list] = {d: [] for d in groups}
-    for pi, rng in zip(pis, rngs):
-        for block in pi.blocks:
-            d = sum(shape.parts[i - 1] for i in block)
-            draws[d].append(gaussian(rng, (d, d), field))
+    draws: dict[int, list] = {d: [] for d, _, _ in layout.by_size}
+    for trial, d in zip(layout.trials.tolist(), layout.sizes.tolist()):
+        draws[d].append(gaussian(rngs[trial], (d, d), field))
     out = np.empty_like(bases)
-    for d, (trials, columns) in groups.items():
-        t, c = np.array(trials), np.array(columns)
+    for d, t, c in layout.by_size:
         span, rank = span_stack(_gather(bases, t, c))
         if rank.min() == 0:
             raise ZeroInputError("a block of the frame is numerically zero")

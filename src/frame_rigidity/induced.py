@@ -35,7 +35,6 @@ from .linalg import (
     conditioned_gaussian_stack,
     field_of,
     gaussian,
-    haar,
     matrix_from_json,
     matrix_to_json,
     require_tol,
@@ -305,14 +304,6 @@ def random_semilinear(
         raise ValueError("real maps carry the identity automorphism")
     matrix = random_semilinear_stack(ambient, field, [rng])[0]
     return SemilinearMap._invertible(matrix, automorphism)
-
-
-def random_unitary_map(
-    ambient: int, field: str, rng: np.random.Generator, automorphism: str = IDENTITY
-) -> SemilinearMap:
-    if field != COMPLEX and automorphism != IDENTITY:
-        raise ValueError("real maps carry the identity automorphism")
-    return SemilinearMap(haar(rng, (ambient, ambient), field), automorphism)
 
 
 # -- reconstruction from the action on lines ------------------------------------

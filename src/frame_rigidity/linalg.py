@@ -85,9 +85,16 @@ def spectral_norm(m: np.ndarray):
     eigenvalue of each ``M^H M``, which beats an SVD per matrix and keeps the
     relative accuracy of the largest singular value; one with a non-finite
     norm or Gram entry takes the SVD, which scales an overflowed finite matrix
-    and refuses a NaN or infinite one with ``NonFiniteError``.
+    and refuses a NaN or infinite one with ``NonFiniteError``.  Those squares
+    overflow on finite entries above about 1e154, without a warning.
     """
-    m = np.asarray(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _spectral_norm(np.asarray(m))
+
+
+def _spectral_norm(m: np.ndarray):
+    """:func:`spectral_norm` of an array whose squared entries cannot
+    overflow, such as a difference of orthonormal bases, unguarded."""
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
@@ -145,7 +152,7 @@ def residual_norms(qa: np.ndarray, qb: np.ndarray):
     ``|P_A - P_B|`` (Bjorck-Golub 1973).  NaN or infinite entries raise
     ``NonFiniteError``.
     """
-    return spectral_norm(_outside(qa, qb)[1])
+    return _spectral_norm(_outside(qa, qb)[1])
 
 
 def _principal(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

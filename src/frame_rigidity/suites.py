@@ -22,6 +22,7 @@ trial, through :func:`_per_trial`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -33,11 +34,9 @@ import numpy as np
 from .errors import ConfigError
 from .frames import (
     FrameTuple,
-    _column_blocks,
-    _components_by_size,
-    _gather,
     bigobot_stack,
     evert_stack,
+    frame_distances,
     linked_partner_stack,
     permute,
     pi_linked_stack,
@@ -253,6 +252,8 @@ def _random_legal_permutation(
     return tuple(sigma)
 
 
+# one object per ambient, so a chunk's layout is found by identity
+@lru_cache(maxsize=None)
 def _line_shape(n: int) -> IntPartition:
     return IntPartition((1,) * n)
 
@@ -288,22 +289,11 @@ def _partitions_for_trials(cfg: SuiteConfig, trials, rngs, breakable: bool = Fal
     ]
 
 
-def _frame_distances(a: np.ndarray, b: np.ndarray, shapes: list) -> np.ndarray:
-    """The largest projector distance ``|P_x - P_y|`` between matching
-    components of the stacked bases ``a[k]`` and ``b[k]``, both of shape
-    ``shapes[k]``: the largest principal-angle sine.  All components of one
-    dimension take one :func:`linalg.residual_norms`."""
-    out = np.zeros(len(a))
-    for t, c in _components_by_size(shapes, a.shape[-1]).values():
-        np.maximum.at(out, t, residual_norms(_gather(b, t, c), _gather(a, t, c)))
-    return out
-
-
 def _frames_distance(s: FrameTuple, t: FrameTuple) -> float:
-    """:func:`_frame_distances` of two frames; 1 when their shapes differ."""
+    """:func:`frames.frame_distances` of two frames; 1 when their shapes differ."""
     if s.shape != t.shape:
         return 1.0
-    return float(_frame_distances(s.stacked_basis()[None], t.stacked_basis()[None], [s.shape])[0])
+    return float(frame_distances(s.stacked_basis()[None], t.stacked_basis()[None], [s.shape])[0])
 
 
 def _contiguous_tableau(shape: IntPartition) -> Tableau:
@@ -488,13 +478,13 @@ def _general_frames(cfg: SuiteConfig, shapes: list, rngs) -> np.ndarray:
 def _pfr_involution(cfg, trials, rngs):
     shapes = _random_shapes(cfg, rngs)
     t = _general_frames(cfg, shapes, rngs)
-    return _frame_distances(evert_stack(evert_stack(t, shapes), shapes), t, shapes)
+    return frame_distances(evert_stack(evert_stack(t, shapes), shapes), t, shapes)
 
 
 def _pfr_fixes_orthogonal(cfg, trials, rngs):
     shapes = _random_shapes(cfg, rngs)
     t = random_frame_stack(cfg.ambient, shapes, cfg.field, True, rngs)
-    return _frame_distances(evert_stack(t, shapes), t, shapes)
+    return frame_distances(evert_stack(t, shapes), t, shapes)
 
 
 def _pfr_preserves_linkage(cfg, trials, rngs):
@@ -513,13 +503,13 @@ def _pfr_permutations(cfg, trials, rngs):
     # each trial's legal permutation of the components, as a gather of columns
     order = []
     for shape, rng in zip(shapes, rngs):
-        blocks = _column_blocks(shape)
+        starts = list(itertools.accumulate(shape.parts, initial=0))
         sigma = _random_legal_permutation(shape, rng)
-        order.append([c for i in sigma for c in range(blocks[i].start, blocks[i].stop)])
+        order.append([c for i in sigma for c in range(starts[i], starts[i + 1])])
     order = np.array(order)[:, None, :]
     lhs = evert_stack(np.take_along_axis(t, order, axis=2), shapes)
     rhs = np.take_along_axis(evert_stack(t, shapes), order, axis=2)
-    return _frame_distances(lhs, rhs, shapes)
+    return frame_distances(lhs, rhs, shapes)
 
 
 # -- eversion-order: transporting eversion through an induced map ----------------
@@ -535,7 +525,7 @@ def _evorder_commutes(cfg, trials, rngs):
     lhs = induced_on_frame_stack(
         evert_conjugate_stack(matrices, cfg.tol), conj, everted[: len(rngs)], shapes, cfg.tol
     )
-    return _frame_distances(lhs, everted[len(rngs) :], shapes)
+    return frame_distances(lhs, everted[len(rngs) :], shapes)
 
 
 def _evorder_unitary_fixed(cfg, trials, rngs):

@@ -33,11 +33,10 @@ from frame_rigidity.induced import (
     induced_on_frame,
     is_unitary_up_to_scale,
     random_semilinear,
-    random_unitary_map,
     reconstruct_from_line_images,
     scale_equivalent,
 )
-from frame_rigidity.linalg import COMPLEX, REAL, polar_decompose
+from frame_rigidity.linalg import COMPLEX, REAL, haar, polar_decompose
 from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
 from frame_rigidity.subspaces import Subspace
 from test_frames import sound_frame
@@ -176,7 +175,7 @@ class TestInducedOnFrame:
     def test_unitary_keeps_orthogonality(self):
         rng = np.random.default_rng(31)
         frame = random_frame(4, IntPartition((2, 1, 1)), COMPLEX, True, rng)
-        u = random_unitary_map(4, COMPLEX, rng)
+        u = SemilinearMap(haar(rng, (4, 4), COMPLEX))
         out = induced_on_frame(u, frame)
         assert out.orthogonal and sound_frame(out)
 
@@ -188,7 +187,7 @@ class TestInducedOnFrame:
 
     def test_scaled_unitary_detected(self):
         rng = np.random.default_rng(32)
-        u = random_unitary_map(3, COMPLEX, rng)
+        u = SemilinearMap(haar(rng, (3, 3), COMPLEX))
         assert is_unitary_up_to_scale(SemilinearMap(2.5 * u.matrix))
         assert not is_unitary_up_to_scale(SemilinearMap(np.diag([1.0, 2.0, 1.0])))
 
@@ -267,7 +266,7 @@ class TestScaleEquivalent:
 class TestEvertConjugate:
     def test_unitary_is_fixed(self):
         rng = np.random.default_rng(60)
-        u = random_unitary_map(4, COMPLEX, rng)
+        u = SemilinearMap(haar(rng, (4, 4), COMPLEX))
         out = evert_conjugate(u)
         assert scale_equivalent(u, out, 1e-7)
 

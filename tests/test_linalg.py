@@ -312,11 +312,24 @@ class TestSpectralNorm:
             reference = np.linalg.norm(m, 2)
             assert abs(spectral_norm(m) - reference) <= 1e-12 * reference
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("m", [np.array([1e200, -1e200]), np.array([[1e200], [1e200j]])])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([1e200, -1e200]),
+            np.array([[1e200], [1e200j]]),
+            np.full((2, 2, 2), 1e200),
+            np.full((3, 4, 1), 1e200),
+            # products of both signs: the overflowed Gram entries are NaN
+            np.array([[[1e200, 1e200], [-1e200, 1e200]]]),
+        ],
+    )
     def test_vector_with_overflowing_norm(self, m):
-        reference = np.linalg.svd(m.reshape(-1, 1), compute_uv=False)[0]
-        assert abs(spectral_norm(m) - reference) <= 1e-12 * reference
+        # finite input whose squares overflow is answered without a warning,
+        # which tier-1 would turn into an error
+        matrices = m.reshape(-1, *m.shape[-2:]) if m.ndim > 1 else m[None, :, None]
+        reference = np.linalg.svd(matrices, compute_uv=False)[..., 0]
+        got = np.reshape(spectral_norm(m), -1)
+        assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

@@ -21,8 +21,6 @@ from frame_rigidity.errors import (
 )
 from frame_rigidity.frames import (
     FrameTuple,
-    _column_blocks,
-    _components_by_size,
     _frame,
     bigobot,
     bigobot_stack,
@@ -52,7 +50,6 @@ from frame_rigidity.induced import (
     induced_on_frame_stack,
     random_semilinear,
     random_semilinear_stack,
-    random_unitary_map,
     reconstruct_from_line_images,
     reconstruct_from_line_images_stack,
 )
@@ -198,7 +195,7 @@ def _evorder_commutes(cfg, trial, rng):
 
 def _evorder_unitary_fixed(cfg, trial, rng):
     automorphism = _random_automorphism(cfg.field, rng)
-    u = random_unitary_map(cfg.ambient, cfg.field, rng, automorphism)
+    u = SemilinearMap(haar(rng, (cfg.ambient, cfg.ambient), cfg.field), automorphism)
     v = evert_conjugate(u, cfg.tol)
     if v.automorphism != u.automorphism:
         return False
@@ -785,31 +782,114 @@ class TestFramesKeepTheirArrays:
         assert not basis.flags.writeable
 
 
-def _components_by_lists(shapes):
-    """``_components_by_size`` built from Python index lists."""
-    groups = {}
-    for trial, shape in enumerate(shapes):
-        for sl in _column_blocks(shape):
-            trials, columns = groups.setdefault(sl.stop - sl.start, ([], []))
-            trials.append(trial)
-            columns.extend(range(sl.start, sl.stop))
-    return {
-        d: (np.array(trials), np.array(columns).reshape(-1, d))
-        for d, (trials, columns) in groups.items()
+def _component_lists(shapes):
+    """Each basis's components, each a list of its columns."""
+    out = []
+    for shape in shapes:
+        start, groups = 0, []
+        for d in shape.parts:
+            groups.append(list(range(start, start + d)))
+            start += d
+        out.append(groups)
+    return out
+
+
+def _block_lists(shape, pis):
+    """Each trial's blocks in its tableau's canonical order, each a list of
+    the ascending columns of its components."""
+    [components] = _component_lists([shape])
+    return [
+        [[c for i in sorted(block) for c in components[i - 1]] for block in pi.blocks]
+        for pi in pis
+    ]
+
+
+def _assert_layout(layout, groups_per_trial, n):
+    """``layout`` against the one built from Python lists: every group in
+    trial and then group order, and the same groups by column count."""
+    flat = [(k, cols) for k, groups in enumerate(groups_per_trial) for cols in groups]
+    want = {
+        "trials": [k for k, _ in flat],
+        "starts": [cols[0] for _, cols in flat],
+        "sizes": [len(cols) for _, cols in flat],
+        "masks": [[[c in cols for c in range(n)]] for _, cols in flat],
     }
+    for name, value in want.items():
+        got, value = getattr(layout, name), np.array(value)
+        assert got.dtype == value.dtype and np.array_equal(got, value), name
+    by_size = {}
+    for k, cols in flat:
+        trials, columns = by_size.setdefault(len(cols), ([], []))
+        trials.append(k)
+        columns.append(cols)
+    assert [k for k, _, _ in layout.by_size] == sorted(by_size)
+    for k, trials, columns in layout.by_size:
+        assert trials.dtype == columns.dtype == np.intp
+        assert np.array_equal(trials, by_size[k][0])
+        assert np.array_equal(columns, np.array(by_size[k][1]).reshape(-1, k))
+    arrays = [*layout[:4], *(a for _, t, c in layout.by_size for a in (t, c))]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        layout.starts[0] = 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_components_by_size_matches_the_list_built_form(n):
+def test_component_layout_matches_the_list_built_form(n):
     rng = np.random.default_rng(n)
     shapes = list(partitions_of(n))
     for size in (1, 5, 40):
-        chosen = [shapes[k] for k in rng.integers(len(shapes), size=size)]
-        got, want = _components_by_size(chosen, n), _components_by_lists(chosen)
-        assert sorted(got) == sorted(want)
-        for d in want:
-            for x, y in zip(got[d], want[d]):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+        chosen = tuple(shapes[k] for k in rng.integers(len(shapes), size=size))
+        _assert_layout(frames._component_layout(chosen, n), _component_lists(chosen), n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_layout_matches_the_list_built_form(n):
+    # the blocks of each trial in its tableau's canonical order: the order in
+    # which linked_partner_stack hands each stream's draws to the blocks
+    rng = np.random.default_rng(100 + n)
+    shapes = list(partitions_of(n))
+    for shape in (shapes[-1], shapes[rng.integers(len(shapes))], shapes[0]):
+        tableaux = list(set_partitions(len(shape.parts)))
+        for size in (1, 5, 40):
+            pis = tuple(tableaux[k] for k in rng.integers(len(tableaux), size=size))
+            layout = frames._block_layout(shape, pis, n)
+            _assert_layout(layout, _block_lists(shape, pis), n)
+
+
+def test_layouts_are_cached_and_refuse_a_shape_of_another_width():
+    shapes = (IntPartition((2, 1)), IntPartition((1, 1, 1)))
+    assert frames._component_layout(shapes, 3) is frames._component_layout(shapes, 3)
+    pis = (Tableau(2, ((1,), (2,))), Tableau(2, ((1, 2),)))
+    assert frames._block_layout(shapes[0], pis, 3) is frames._block_layout(shapes[0], pis, 3)
+    with pytest.raises(ShapeMismatchError):
+        frames._component_layout(shapes, 4)
+    with pytest.raises(ShapeMismatchError):
+        frames._block_layout(shapes[0], pis, 4)
+    with pytest.raises(ShapeMismatchError):
+        frames._block_layout(shapes[1], pis, 3)
+
+
+def test_a_chunk_builds_each_layout_once(monkeypatch):
+    """Each distinct layout that a pfr chunk and an eversion-order chunk ask
+    for is built once: the cache holds a chunk's working set."""
+    asked, built = set(), []
+    for name in ("_component_layout", "_block_layout"):
+        cached = getattr(frames, name)
+        cached.cache_clear()
+
+        def asking(*key, name=name, cached=cached):
+            asked.add((name, key))
+            return cached(*key)
+
+        monkeypatch.setattr(frames, name, asking)
+    grouping = frames._grouping
+    monkeypatch.setattr(frames, "_grouping", lambda labels: built.append(1) or grouping(labels))
+    for suite in ("pfr", "eversion-order"):
+        # ten trials: every property runs one chunk
+        report = suites.run_suite(SuiteConfig(suite, ambient=8, trials=10, seed=4))
+        assert all(p.passed for p in report.properties)
+    assert len(asked) >= 8
+    assert len(built) == len(asked)
 
 
 class TestBigobotStack:
