@@ -188,9 +188,9 @@ class _Layout(NamedTuple):
     starts: np.ndarray  # (P,): its first column
     sizes: np.ndarray  # (P,): its column count
     masks: np.ndarray  # (P, 1, n): its columns
-    # (k, trials, columns) for every column count k, ascending: the (Q,)
-    # trials and the (Q, k) ascending columns of the groups of k columns, in
-    # trial and then group order
+    # (k, trials, index) per column count k, ascending: the (Q,) trials of the
+    # groups of k columns, in trial and then group order, and the (Q, k, n)
+    # flat positions of their columns in a C-ordered (B, n, n) stack
     by_size: tuple
 
 
@@ -213,22 +213,23 @@ def _grouping(labels: np.ndarray) -> _Layout:
     starts[ranked] = column_of[np.cumsum(sizes[ranked]) - sizes[ranked]]
     trials = np.repeat(np.arange(size), counts)
     masks = (group.reshape(size, n)[trials] == np.arange(len(sizes))[:, None])[:, None, :]
-    # before the views below are taken, which keep the flag they start with
-    for array in (trials, starts, sizes, masks, trial_of, column_of):
-        array.setflags(write=False)
+    # the flat position of row 0 of each column in the (B, n, n) stack
+    first = (trial_of * n * n + column_of)[:, None] + n * np.arange(n)
     by_size, lo = [], 0
     for k, count in enumerate(np.bincount(sizes).tolist()):
         if count:
             hi = lo + k * count
-            by_size.append((k, trial_of[lo:hi:k], column_of[lo:hi].reshape(count, k)))
+            by_size.append((k, trial_of[lo:hi:k], first[lo:hi].reshape(count, k, n)))
             lo = hi
+    for array in (trials, starts, sizes, masks, *(a for _, t, i in by_size for a in (t, i))):
+        array.setflags(write=False)
     return _Layout(trials, starts, sizes, masks, tuple(by_size))
 
 
 # a chunk reads each of its layouts several times (to draw, evert and
-# compare its frames) and uses at most two of either kind; the rest of the
-# room keeps the per-shape layouts of the batch-of-one forms
-_LAYOUTS = 8
+# compare its frames) and uses at most two of either kind; the per-trial
+# suites ask for one layout per shape, and ambient 8 has 22 shapes
+_LAYOUTS = 24
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -263,9 +264,9 @@ def _block_layout(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> _Lay
     return _grouping(blocks[:, np.repeat(np.arange(s), shape.parts)])
 
 
-def _gather(stack: np.ndarray, trials: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Columns ``columns[p]`` of frame ``trials[p]``, as a ``(P, n, k)`` stack."""
-    return stack[trials[:, None], :, columns].swapaxes(1, 2)
+def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The ``(Q, n, k)`` stack of the column groups at a layout's ``index``."""
+    return np.take(stack, index).swapaxes(1, 2)
 
 
 def span_components(
@@ -287,9 +288,10 @@ def span_components(
     if len(shapes) != len(m):
         raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
     require_tol(tol)
-    out = np.empty_like(m)
-    for d, t, c in _component_layout(tuple(shapes), m.shape[-1]).by_size:
-        cols = _gather(m, t, c)
+    # C-ordered, so the raveled view below writes into it
+    out = np.empty(m.shape, m.dtype)
+    for d, _, index in _component_layout(tuple(shapes), m.shape[-1]).by_size:
+        cols = _gather(m, index)
         if d == 1:
             try:
                 u = unit_columns(cols, tol)
@@ -299,7 +301,7 @@ def span_components(
             u, rank = span_stack(cols, tol)
             if rank.min() < d:
                 raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
-        out[t[:, None], :, c] = u.swapaxes(1, 2)
+        out.reshape(-1)[index] = u.swapaxes(1, 2)
     return out
 
 
@@ -309,8 +311,8 @@ def frame_distances(a: np.ndarray, b: np.ndarray, shapes: Sequence[IntPartition]
     of shape ``shapes[k]``: the largest principal-angle sine.  All components
     of one dimension take one :func:`linalg.residual_norms`."""
     out = np.zeros(len(a))
-    for _, t, c in _component_layout(tuple(shapes), a.shape[-1]).by_size:
-        np.maximum.at(out, t, residual_norms(_gather(b, t, c), _gather(a, t, c)))
+    for _, t, index in _component_layout(tuple(shapes), a.shape[-1]).by_size:
+        np.maximum.at(out, t, residual_norms(_gather(b, index), _gather(a, index)))
     return out
 
 
@@ -336,15 +338,15 @@ def pi_linked_stack(
     require_same_field(a, b)
     require_tol(tol)
     linked = np.ones(len(pis), dtype=bool)
-    for _, t, c in _block_layout(shape, tuple(pis), a.shape[-1]).by_size:
+    for _, t, index in _block_layout(shape, tuple(pis), a.shape[-1]).by_size:
         # a trial found unlinked at a smaller block is done
         pending = linked[t]
         if not pending.all():
             if not pending.any():
                 continue
-            t, c = t[pending], c[pending]
+            t, index = t[pending], index[pending]
         # both sides' blocks spanned in one stack
-        q, rank = span_stack(np.concatenate([_gather(a, t, c), _gather(b, t, c)]))
+        q, rank = span_stack(np.concatenate([_gather(a, index), _gather(b, index)]))
         if rank.min() == 0:
             raise ZeroInputError("a block of a frame is numerically zero")
         qa, qb = q[: len(t)], q[len(t) :]
@@ -406,6 +408,24 @@ def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
             f"{sigma} moves indices across different dimensions"
         )
     return _shaped([t.components[i] for i in sigma], t.orthogonal, shape)
+
+
+def permute_stack(
+    bases: np.ndarray, shapes: Sequence[IntPartition], sigmas: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Stacked :func:`permute`: the ``(B, n, n)`` stacked bases with the
+    components of basis k, of shape ``shapes[k]``, reordered by ``sigmas[k]``
+    (new index -> old index)."""
+    layout = _component_layout(tuple(shapes), bases.shape[-1])
+    starts, sizes = layout.starts.tolist(), layout.sizes.tolist()
+    order, first = [], 0
+    for shape, sigma in zip(shapes, sigmas):
+        if not is_legal_permutation(shape, tuple(sigma)):
+            raise IllegalPermutationError(f"{sigma} moves indices across different dimensions")
+        rows = [first + i for i in sigma]
+        order.append([c for r in rows for c in range(starts[r], starts[r] + sizes[r])])
+        first += len(shape.parts)
+    return np.take_along_axis(bases, np.array(order)[:, None, :], axis=2)
 
 
 def evert_stack(bases: np.ndarray, shapes: Sequence[IntPartition]) -> np.ndarray:
@@ -476,18 +496,20 @@ def bigobot_stack(
     row_b[tb, sb] = np.arange(len(tb))
     # forward sums, then backward ones
     sums = np.zeros((len(ta) + len(tb), n, n), dtype=a.dtype)
-    for d, _, _ in by_size_a:
-        # each d-dimensional component of a, row i, against the component of
-        # b at column j
-        i, j = np.nonzero((da == d)[:, None] & (row_b[ta] >= 0))
+    for d, _, index in by_size_a:
+        # the p-th d-dimensional component of a, row i, against the component
+        # of b at column j
+        rows_a = np.flatnonzero(da == d)
+        p, j = np.nonzero(row_b[ta[rows_a]] >= 0)
+        i = rows_a[p]
         t, rows, slot = ta[i], row_b[ta[i], j], sa[i, None] + np.arange(d)
         dj = db[rows]
-        sines, vectors = principal_angles(_gather(a, t, slot), b[t] * masks_b[rows])
+        sines, vectors = principal_angles(_gather(a, index[p]), b[t] * masks_b[rows])
         meets = vectors * (sines <= tol)[:, None, :]
         sums[len(ta) + rows[:, None], :, slot] = meets.swapaxes(1, 2)
         # only the last min(d, dj) sines can lie below 1: they end the slot
-        p, r = np.nonzero(np.arange(d) >= (d - dj)[:, None])
-        sums[i[p], :, (j + dj - d)[p] + r] = meets[p, :, r]
+        e, r = np.nonzero(np.arange(d) >= (d - dj)[:, None])
+        sums[i[e], :, (j + dj - d)[e] + r] = meets[e, :, r]
     components = np.concatenate([a[ta], b[tb]]) * np.concatenate([masks_a, masks_b])
     q, rank = span_stack(sums)
     split = (rank == np.concatenate([da, db])) & (residual_norms(components, q) <= tol)
@@ -573,15 +595,15 @@ def linked_partner_stack(
     draws: dict[int, list] = {d: [] for d, _, _ in layout.by_size}
     for trial, d in zip(layout.trials.tolist(), layout.sizes.tolist()):
         draws[d].append(gaussian(rngs[trial], (d, d), field))
-    out = np.empty_like(bases)
-    for d, t, c in layout.by_size:
-        span, rank = span_stack(_gather(bases, t, c))
+    out = np.empty(bases.shape, bases.dtype)
+    for d, _, index in layout.by_size:
+        span, rank = span_stack(_gather(bases, index))
         if rank.min() == 0:
             raise ZeroInputError("a block of the frame is numerically zero")
         if rank.min() < d:
             raise ShapeMismatchError("a block of the frame lost rank; it has no partner")
         mixed = span @ np.linalg.qr(np.stack(draws[d])).Q
-        out[t[:, None], :, c] = mixed.swapaxes(1, 2)
+        out.reshape(-1)[index] = mixed.swapaxes(1, 2)
     return out
 
 

@@ -88,33 +88,28 @@ def spectral_norm(m: np.ndarray):
     and refuses a NaN or infinite one with ``NonFiniteError``.  Those squares
     overflow on finite entries above about 1e154, without a warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _spectral_norm(np.asarray(m))
-
-
-def _spectral_norm(m: np.ndarray):
-    """:func:`spectral_norm` of an array whose squared entries cannot
-    overflow, such as a difference of orthonormal bases, unguarded."""
+    m = np.asarray(m)
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
         return np.zeros(m.shape[:-2]) if m.ndim > 2 else 0.0
-    if m.ndim == 2:
-        if m.shape[1] == 1:
-            norm = float(np.linalg.norm(m))
-            if math.isfinite(norm):
-                return norm
-        return float(_finite_svd(m, compute_uv=False)[0])
-    if m.shape[-1] == 1:
-        norms = np.linalg.norm(m[..., 0], axis=-1)
-        if math.isfinite(norms.sum()):
-            return norms
-    else:
-        gram = adjoint(m) @ m
-        # the eigensolver ignores a NaN; the sum of the Gram entries does not
-        if math.isfinite(abs(gram.sum())):
-            return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-    return _finite_svd(m, compute_uv=False)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.ndim == 2:
+            if m.shape[1] == 1:
+                norm = float(np.linalg.norm(m))
+                if math.isfinite(norm):
+                    return norm
+            return float(_finite_svd(m, compute_uv=False)[0])
+        if m.shape[-1] == 1:
+            norms = np.linalg.norm(m[..., 0], axis=-1)
+            if math.isfinite(norms.sum()):
+                return norms
+        else:
+            gram = adjoint(m) @ m
+            # the eigensolver ignores a NaN; the sum of the Gram entries does not
+            if math.isfinite(abs(gram.sum())):
+                return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+        return _finite_svd(m, compute_uv=False)[..., 0]
 
 
 def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
@@ -152,7 +147,7 @@ def residual_norms(qa: np.ndarray, qb: np.ndarray):
     ``|P_A - P_B|`` (Bjorck-Golub 1973).  NaN or infinite entries raise
     ``NonFiniteError``.
     """
-    return _spectral_norm(_outside(qa, qb)[1])
+    return spectral_norm(_outside(qa, qb)[1])
 
 
 def _principal(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,7 +22,6 @@ trial, through :func:`_per_trial`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .frames import (
     frame_distances,
     linked_partner_stack,
     permute,
+    permute_stack,
     pi_linked_stack,
     random_frame,
     random_frame_stack,
@@ -500,15 +500,9 @@ def _pfr_preserves_linkage(cfg, trials, rngs):
 def _pfr_permutations(cfg, trials, rngs):
     shapes = _random_shapes(cfg, rngs)
     t = _general_frames(cfg, shapes, rngs)
-    # each trial's legal permutation of the components, as a gather of columns
-    order = []
-    for shape, rng in zip(shapes, rngs):
-        starts = list(itertools.accumulate(shape.parts, initial=0))
-        sigma = _random_legal_permutation(shape, rng)
-        order.append([c for i in sigma for c in range(starts[i], starts[i + 1])])
-    order = np.array(order)[:, None, :]
-    lhs = evert_stack(np.take_along_axis(t, order, axis=2), shapes)
-    rhs = np.take_along_axis(evert_stack(t, shapes), order, axis=2)
+    sigmas = [_random_legal_permutation(shape, rng) for shape, rng in zip(shapes, rngs)]
+    lhs = evert_stack(permute_stack(t, shapes, sigmas), shapes)
+    rhs = permute_stack(evert_stack(t, shapes), shapes, sigmas)
     return frame_distances(lhs, rhs, shapes)
 
 

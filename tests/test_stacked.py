@@ -13,6 +13,7 @@ from frame_rigidity.errors import (
     DegenerateOracleError,
     FieldMismatchError,
     FrameRigidityError,
+    IllegalPermutationError,
     InconsistencyError,
     NonFiniteError,
     NotSemilinearError,
@@ -29,6 +30,7 @@ from frame_rigidity.frames import (
     linked_partner,
     linked_partner_stack,
     permute,
+    permute_stack,
     pi_linked,
     pi_linked_stack,
     random_frame,
@@ -690,6 +692,20 @@ class TestEversionIsBatchOfOne:
             assert out.shape == shapes[k] and out.orthogonal == orthogonal
             assert np.array_equal(out.stacked_basis(), stack[k])
 
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_permute(self, n):
+        shapes = _mixed_shapes(n, self.B)
+        bases = random_frame_stack(n, shapes, COMPLEX, False, self._rngs())
+        sigmas = [suites._random_legal_permutation(s, rng) for s, rng in zip(shapes, self._rngs(50))]
+        assert any(list(sigma) != sorted(sigma) for sigma in sigmas)
+        stack = permute_stack(bases, shapes, sigmas)
+        for k, sigma in enumerate(sigmas):
+            out = permute(_frame(bases[k].copy(), shapes[k], False), sigma)
+            assert np.array_equal(out.stacked_basis(), stack[k])
+        swap = [tuple(range(len(s.parts)))[::-1] for s in shapes]
+        with pytest.raises(IllegalPermutationError):
+            permute_stack(bases, shapes, swap)
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_evert_conjugate(self, field):
         maps = [
@@ -823,11 +839,16 @@ def _assert_layout(layout, groups_per_trial, n):
         trials.append(k)
         columns.append(cols)
     assert [k for k, _, _ in layout.by_size] == sorted(by_size)
-    for k, trials, columns in layout.by_size:
-        assert trials.dtype == columns.dtype == np.intp
+    for k, trials, index in layout.by_size:
+        assert trials.dtype == index.dtype == np.intp
         assert np.array_equal(trials, by_size[k][0])
-        assert np.array_equal(columns, np.array(by_size[k][1]).reshape(-1, k))
-    arrays = [*layout[:4], *(a for _, t, c in layout.by_size for a in (t, c))]
+        # row r of column c of basis t lies at t n^2 + r n + c of the stack
+        positions = [
+            [[t * n * n + r * n + c for r in range(n)] for c in cols]
+            for t, cols in zip(*by_size[k])
+        ]
+        assert np.array_equal(index, np.array(positions).reshape(-1, k, n))
+    arrays = [*layout[:4], *(a for _, t, i in layout.by_size for a in (t, i))]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         layout.starts[0] = 1
