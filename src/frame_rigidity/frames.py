@@ -19,6 +19,7 @@ from .errors import (
     FieldMismatchError,
     IllegalPermutationError,
     InconsistencyError,
+    NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
     ZeroInputError,
@@ -192,6 +193,7 @@ class _Layout(NamedTuple):
     # groups of k columns, in trial and then group order, and the (Q, k, n)
     # flat positions of their columns in a C-ordered (B, n, n) stack
     by_size: tuple
+    labels: np.ndarray  # (B, n): the group of each column of each basis
 
 
 def _grouping(labels: np.ndarray) -> _Layout:
@@ -221,9 +223,9 @@ def _grouping(labels: np.ndarray) -> _Layout:
             hi = lo + k * count
             by_size.append((k, trial_of[lo:hi:k], first[lo:hi].reshape(count, k, n)))
             lo = hi
-    for array in (trials, starts, sizes, masks, *(a for _, t, i in by_size for a in (t, i))):
+    for array in (trials, starts, sizes, masks, labels, *(a for e in by_size for a in e[1:])):
         array.setflags(write=False)
-    return _Layout(trials, starts, sizes, masks, tuple(by_size))
+    return _Layout(trials, starts, sizes, masks, tuple(by_size), labels)
 
 
 # a chunk reads each of its layouts several times (to draw, evert and
@@ -327,34 +329,36 @@ def pi_linked_stack(
     as ``(B, n, n)`` stacked bases of one ``shape``, are linked along
     ``pis[k]``.
 
-    The blocks of all trials are grouped by their column count
-    (:func:`_block_layout`), smallest first, so each count takes one span of
-    both sides' blocks and one residual norm for the whole stack; a trial's
-    larger blocks are skipped once it is unlinked.  A numerically zero block
-    raises ``ZeroInputError``.
+    Frames are bases, so they are linked exactly when the transition
+    ``A^-1 B`` is block-diagonal along the tableau's blocks of columns.  One
+    solve of ``[a; b]`` against ``[b; a]`` gives both transitions, so the
+    verdict is symmetric: linked when no off-block entry of either exceeds
+    ``tol`` in modulus (a NaN is unlinked).  Such an entry and the largest
+    principal-angle sine between block spans differ by up to the frames'
+    condition number (Higham 2002, ch. 7).
+
+    Raises ``NonFiniteError`` on a NaN or infinite entry, ``ZeroInputError``
+    on a numerically zero column, and ``SingularMatrixError`` when either
+    side is no basis: a transition entry reaches ``1 / DEFAULT_TOL``.
     """
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or len(pis) != len(a):
+        raise ShapeMismatchError(f"{len(pis)} tableaux for frame stacks {a.shape} and {b.shape}")
     require_same_field(a, b)
     require_tol(tol)
-    linked = np.ones(len(pis), dtype=bool)
-    for _, t, index in _block_layout(shape, tuple(pis), a.shape[-1]).by_size:
-        # a trial found unlinked at a smaller block is done
-        pending = linked[t]
-        if not pending.all():
-            if not pending.any():
-                continue
-            t, index = t[pending], index[pending]
-        # both sides' blocks spanned in one stack
-        q, rank = span_stack(np.concatenate([_gather(a, index), _gather(b, index)]))
-        if rank.min() == 0:
-            raise ZeroInputError("a block of a frame is numerically zero")
-        qa, qb = q[: len(t)], q[len(t) :]
-        rank_a, rank_b = rank[: len(t)], rank[len(t) :]
-        # equal spans: the largest principal-angle sine is at most tol
-        norms = residual_norms(qb, qa)
-        linked[t[(rank_a != rank_b) | (norms > tol)]] = False
-    return linked
+    labels = _block_layout(shape, tuple(pis), a.shape[-1]).labels
+    both = np.stack([a, b])
+    try:
+        size = np.abs(np.linalg.solve(both, both[::-1]))
+    except np.linalg.LinAlgError:
+        size = np.array(np.inf)
+    if not size.max(initial=0.0) < 1.0 / DEFAULT_TOL:
+        if not np.isfinite(both).all():
+            raise NonFiniteError("a frame has non-finite entries")
+        if (np.abs(both).max(axis=-2) <= DEFAULT_TOL).any():
+            raise ZeroInputError("a column of a frame is numerically zero")
+        raise SingularMatrixError("the components of a frame are dependent")
+    off = labels[:, :, None] != labels[:, None, :]
+    return (size * off).max(axis=(0, 2, 3), initial=0.0) <= tol
 
 
 def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TOL) -> bool:
@@ -363,7 +367,9 @@ def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TO
     ``pi`` partitions the component indices 1..s; the frames are linked when
     for every block the sums of the respective components coincide as
     subspaces.  For line frames this is the linkage relation on n symbols.
-    The batch of one of :func:`pi_linked_stack`.
+    The batch of one of :func:`pi_linked_stack`: no off-block entry of the
+    transition between the two bases exceeds ``tol``, which agrees with
+    principal-angle sines up to the frames' condition number.
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("frames live in different ambients")
@@ -489,8 +495,8 @@ def bigobot_stack(
     require_same_field(a, b)
     require_tol(tol)
     size, n = len(a), a.shape[-1]
-    ta, sa, da, masks_a, by_size_a = _component_layout(tuple(shapes_a), n)
-    tb, sb, db, masks_b, _ = _component_layout(tuple(shapes_b), n)
+    ta, sa, da, masks_a, by_size_a, _ = _component_layout(tuple(shapes_a), n)
+    tb, sb, db, masks_b, _, _ = _component_layout(tuple(shapes_b), n)
     # the table row of the component of b[k] that starts at column c, or -1
     row_b = np.full((size, n), -1, dtype=np.intp)
     row_b[tb, sb] = np.arange(len(tb))

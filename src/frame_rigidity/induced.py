@@ -38,7 +38,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     require_tol,
-    spectral_norm,
     unit_columns,
 )
 from .partitions import IntPartition
@@ -171,10 +170,13 @@ def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -
 
 
 def is_unitary_up_to_scale(t: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``M^H M = lam I``: no entry of ``M^H M - lam I``, with ``lam``
+    the mean of the diagonal, exceeds ``10 tol |lam|`` in modulus."""
     require_tol(tol)
     gram = adjoint(t.matrix) @ t.matrix
-    lam = np.trace(gram).real / t.ambient
-    return spectral_norm(gram - lam * np.eye(t.ambient)) <= 10.0 * tol * abs(lam)
+    lam = gram.trace().real / t.ambient
+    gram.reshape(-1)[:: t.ambient + 1] -= lam  # the diagonal, in place
+    return np.abs(gram).max() <= 10.0 * tol * abs(lam)
 
 
 def induced_on_frame_stack(

@@ -29,6 +29,10 @@ class IntPartition:
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "_hash", hash((parts,)))  # the dataclass hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -118,6 +122,10 @@ class Tableau:
             seen |= b
         if seen != set(range(1, self.n + 1)):
             raise ValueError(f"blocks must partition 1..{self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, blocks)))  # the dataclass hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def shape(self) -> IntPartition:

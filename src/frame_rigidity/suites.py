@@ -85,6 +85,10 @@ from .subspaces import commutator_norms, remainder_norms
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
 
+# linkage is judged at this multiple of the base tolerance: the transitions
+# of linked frames carry roundoff scaled by the frames' condition
+LINKAGE_BAND = 10.0
+
 # trials handed to a property at once; bounds the memory of one batch
 _CHUNK = 128
 
@@ -420,13 +424,12 @@ def _clrbis_sum_dims(cfg, trials, rngs):
 
 
 def _pfrp_forward(cfg, trials, rngs):
+    shape, band = _line_shape(cfg.ambient), LINKAGE_BAND * cfg.tol
     pis = _partitions_for_trials(cfg, trials, rngs)
     a = _line_frames(cfg, True, rngs)
-    b = linked_partner_stack(a, _line_shape(cfg.ambient), pis, rngs)
+    b = linked_partner_stack(a, shape, pis, rngs)
     maps = _random_maps(cfg, rngs)
-    return pi_linked_stack(
-        _images(cfg, maps, a), _images(cfg, maps, b), _line_shape(cfg.ambient), pis, 10.0 * cfg.tol
-    )
+    return pi_linked_stack(_images(cfg, maps, a), _images(cfg, maps, b), shape, pis, band)
 
 
 def _pfrp_both_directions(cfg, trials, rngs):
@@ -444,9 +447,9 @@ def _pfrp_both_directions(cfg, trials, rngs):
     if fresh.size:
         b[fresh] = _line_frames(cfg, True, [rngs[i] for i in fresh])
     maps = _random_maps(cfg, rngs)
-    before = pi_linked_stack(a, b, shape, pis, 10.0 * cfg.tol)
+    before = pi_linked_stack(a, b, shape, pis, LINKAGE_BAND * cfg.tol)
     after = pi_linked_stack(
-        _images(cfg, maps, a), _images(cfg, maps, b), shape, pis, 10.0 * cfg.tol
+        _images(cfg, maps, a), _images(cfg, maps, b), shape, pis, LINKAGE_BAND * cfg.tol
     )
     return before == after
 
@@ -494,7 +497,7 @@ def _pfr_preserves_linkage(cfg, trials, rngs):
     b = linked_partner_stack(a, shape, pis, rngs)
     # both sides everted in one stack
     both = evert_stack(np.concatenate([a, b]), [shape] * (2 * len(rngs)))
-    return pi_linked_stack(both[: len(rngs)], both[len(rngs) :], shape, pis, 10.0 * cfg.tol)
+    return pi_linked_stack(*np.split(both, 2), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 def _pfr_permutations(cfg, trials, rngs):
@@ -709,7 +712,7 @@ def _falsify(cfg, trials, rngs, eps):
     a = _line_frames(cfg, False, rngs)
     b = linked_partner_stack(a, shape, pis, rngs)
     warp = cubic_line_distortion_stack(eps, cfg.tol)
-    return pi_linked_stack(warp(a), warp(b), shape, pis, 10.0 * cfg.tol)
+    return pi_linked_stack(warp(a), warp(b), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 _REGISTRY: dict[str, tuple[_Property, ...]] = {

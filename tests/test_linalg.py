@@ -599,6 +599,7 @@ def _non_finite_entries():
     ``NonFiniteError``, as a call of a square matrix alone."""
     e = np.eye(3)
     zeros = np.zeros((3, 3))
+    lines, pi = IntPartition((1, 1, 1)), Tableau(3, ((1, 2), (3,)))
     return {
         "span": lambda m: span(m),
         "span_column": lambda m: span(m[:, :1]),
@@ -614,6 +615,13 @@ def _non_finite_entries():
         "semilinear_map": lambda m: SemilinearMap(m),
         "evert_conjugate_stack": lambda m: evert_conjugate_stack(m[None]),
         "span_components": lambda m: span_components(m[None], [IntPartition((2, 1))]),
+        # the entry in either frame of the pair
+        "pi_linked_stack": lambda m: pi_linked_stack(
+            m[None], np.eye(3, dtype=m.dtype)[None], lines, [pi]
+        ),
+        "pi_linked_stack_partner": lambda m: pi_linked_stack(
+            np.eye(3, dtype=m.dtype)[None], m[None], lines, [pi]
+        ),
     }
 
 

@@ -3,7 +3,8 @@ its module, and a named property must then fail at a small trial count."""
 
 import numpy as np
 
-from frame_rigidity import induced
+from frame_rigidity import frames, induced, suites
+from frame_rigidity.partitions import Tableau
 from frame_rigidity.suites import SuiteConfig, run_suite
 
 
@@ -25,3 +26,30 @@ def test_ignoring_the_conjugation_tag_fails_the_round_trip(monkeypatch):
     assert _failures(cfg)["hidden-map-round-trip"] > 0
     t = induced.SemilinearMap(np.eye(2, dtype=complex), induced.CONJUGATION)
     assert t.apply_to_vector(np.array([1j, 0.0]))[0] == 1j
+
+
+def test_linkage_that_always_holds_fails_breaks_linkage(monkeypatch):
+    # the distorted frames of falsify must test unlinked; a linkage test that
+    # answers linked whatever it is given cannot tell them apart
+    cfg = SuiteConfig("falsify", 4, "complex", trials=30, seed=1)
+    assert _failures(cfg)["breaks-linkage"] == 0
+
+    def always_linked(a, b, shape, pis, tol):
+        return np.ones(len(pis), dtype=bool)
+
+    monkeypatch.setattr(suites, "pi_linked_stack", always_linked)
+    assert _failures(cfg)["breaks-linkage"] > 0
+
+
+def test_linkage_along_singletons_fails_forward_transport(monkeypatch):
+    # a mask that splits every block into singletons asks linked partners,
+    # which remix the lines of each block, to keep every line
+    cfg = SuiteConfig("pfr-perp", 4, "complex", trials=30, seed=1)
+    assert _failures(cfg)["linkage-preserved-forward"] == 0
+
+    def along_singletons(a, b, shape, pis, tol):
+        singletons = [Tableau.singletons(len(shape.parts))] * len(pis)
+        return frames.pi_linked_stack(a, b, shape, singletons, tol)
+
+    monkeypatch.setattr(suites, "pi_linked_stack", along_singletons)
+    assert _failures(cfg)["linkage-preserved-forward"] > 0

@@ -193,6 +193,29 @@ class TestTableau:
         assert Tableau.from_json(t.to_json()) == t
 
 
+class TestCachedHash:
+    """The hash computed once at construction is the dataclass hash, equal
+    for an equal fresh instance, and leaves equality and order alone."""
+
+    def test_int_partitions(self):
+        shapes = list(partitions_of(7))
+        for shape in shapes:
+            fresh = IntPartition(list(shape.parts))
+            assert fresh == shape and fresh is not shape
+            assert hash(fresh) == hash(shape) == hash((shape.parts,))
+        assert sorted(IntPartition(s.parts) for s in reversed(shapes)) == sorted(shapes)
+        assert IntPartition((2, 1)) < IntPartition((3,))
+        assert {IntPartition((2, 1)): "key"}[IntPartition((2, 1))] == "key"
+
+    def test_tableaux(self):
+        for pi in set_partitions(5):
+            fresh = Tableau(5, tuple(set(b) for b in reversed(pi.blocks)))
+            assert fresh == pi and fresh is not pi
+            assert hash(fresh) == hash(pi) == hash((pi.n, pi.blocks))
+        assert Tableau.singletons(3) != Tableau.one_block(3)
+        assert len({Tableau.singletons(4), Tableau.singletons(4), Tableau.one_block(4)}) == 2
+
+
 class TestRefinement:
     def test_identity_arrow(self):
         t = Tableau.one_block(3)

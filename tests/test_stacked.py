@@ -61,6 +61,7 @@ from frame_rigidity.linalg import (
     gaussian,
     haar,
     residual_norms,
+    span,
     spectral_norm,
 )
 from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_partitions
@@ -68,6 +69,7 @@ from frame_rigidity.rng import trial_rng
 from frame_rigidity.subspaces import Subspace, commeasurable, commeasurable_via_complements
 from frame_rigidity.suites import (
     FALSIFY_EPS,
+    LINKAGE_BAND,
     SuiteConfig,
     _line_shape,
     _partition_for_trial,
@@ -88,6 +90,19 @@ def _frame_distance(s, t):
     """The largest projector distance ``|P_x - P_y|`` between matching
     components, from the projectors themselves."""
     return max(spectral_norm(x.projector() - y.projector()) for x, y in zip(s, t))
+
+
+def _linked_by_sines(a, b, pi, tol):
+    """The residual-sine rule of linkage, kept as the oracle of the closed
+    form: along every block of ``pi`` the two frames' components span
+    subspaces of one dimension, and the largest principal-angle sine of the
+    span of ``b`` against that of ``a`` is at most ``tol``."""
+    for block in pi.blocks:
+        qa, rank_a = span(np.hstack([a.components[i - 1].basis for i in sorted(block)]))
+        qb, rank_b = span(np.hstack([b.components[i - 1].basis for i in sorted(block)]))
+        if rank_a != rank_b or residual_norms(qb, qa) > tol:
+            return False
+    return True
 
 
 def _random_map(cfg, rng):
@@ -122,11 +137,11 @@ def _pfrp_forward(cfg, trial, rng):
     a = random_frame(n, _line_shape(n), cfg.field, True, rng)
     b = linked_partner(a, pi, rng)
     m = _random_map(cfg, rng)
-    return pi_linked(
+    return _linked_by_sines(
         induced_on_frame(m, a, cfg.tol),
         induced_on_frame(m, b, cfg.tol),
         pi,
-        10.0 * cfg.tol,
+        LINKAGE_BAND * cfg.tol,
     )
 
 
@@ -139,12 +154,12 @@ def _pfrp_both_directions(cfg, trial, rng):
     else:
         b = random_frame(n, _line_shape(n), cfg.field, True, rng)
     m = _random_map(cfg, rng)
-    before = pi_linked(a, b, pi, 10.0 * cfg.tol)
-    after = pi_linked(
+    before = _linked_by_sines(a, b, pi, LINKAGE_BAND * cfg.tol)
+    after = _linked_by_sines(
         induced_on_frame(m, a, cfg.tol),
         induced_on_frame(m, b, cfg.tol),
         pi,
-        10.0 * cfg.tol,
+        LINKAGE_BAND * cfg.tol,
     )
     return before == after
 
@@ -176,7 +191,7 @@ def _pfr_preserves_linkage(cfg, trial, rng):
     pi = _partition_for_trial(n, trial, rng)
     a = random_frame(n, _line_shape(n), cfg.field, False, rng)
     b = linked_partner(a, pi, rng)
-    return pi_linked(evert(a), evert(b), pi, 10.0 * cfg.tol)
+    return _linked_by_sines(evert(a), evert(b), pi, LINKAGE_BAND * cfg.tol)
 
 
 def _pfr_permutations(cfg, trial, rng):
@@ -397,11 +412,11 @@ def _falsify_trial(cfg, trial, rng, eps):
     a = random_frame(n, _line_shape(n), cfg.field, False, rng)
     b = linked_partner(a, pi, rng)
     warp = cubic_line_distortion(eps, cfg.tol)
-    return pi_linked(
+    return _linked_by_sines(
         FrameTuple([warp(c) for c in a.components]),
         FrameTuple([warp(c) for c in b.components]),
         pi,
-        10.0 * cfg.tol,
+        LINKAGE_BAND * cfg.tol,
     )
 
 
@@ -848,7 +863,13 @@ def _assert_layout(layout, groups_per_trial, n):
             for t, cols in zip(*by_size[k])
         ]
         assert np.array_equal(index, np.array(positions).reshape(-1, k, n))
-    arrays = [*layout[:4], *(a for _, t, i in layout.by_size for a in (t, i))]
+    # the group of every column of every basis
+    labels = [
+        [j for c in range(n) for j, cols in enumerate(groups) if c in cols]
+        for groups in groups_per_trial
+    ]
+    assert layout.labels.dtype == np.intp and np.array_equal(layout.labels, labels)
+    arrays = [*layout[:4], layout.labels, *(a for _, t, i in layout.by_size for a in (t, i))]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         layout.starts[0] = 1
@@ -1063,6 +1084,98 @@ class TestSpanComponentsErrors:
             pi_linked_stack(m, m, shape, pis)
         with pytest.raises(ShapeMismatchError, match="not a partition of 3"):
             linked_partner_stack(m, shape, pis, [np.random.default_rng(0)] * 2)
+
+
+def _off_block(shape, pis):
+    """The ``(B, n, n)`` mask of the entries, in component coordinates, whose
+    row and column lie in different blocks of trial k's tableau ``pis[k]``."""
+    component = np.repeat(np.arange(len(shape.parts)), shape.parts)
+    labels = np.array([[pi.block_of(int(c) + 1) for c in component] for pi in pis])
+    return labels[:, :, None] != labels[:, None, :]
+
+
+def _linkage_cases(n, shape, field, count, seed):
+    """General frames of ``shape`` and partners of four kinds, each with the
+    verdict both linkage rules must give at tol 1e-8: linked partners,
+    independent frames, and linked partners pushed off every block by 1e-3
+    and by 1e-12 (``eps`` times a Gaussian off-block transition added, then
+    every component re-spanned), which lie far outside the band where an
+    off-block coefficient and a principal-angle sine may disagree."""
+    rngs = [np.random.default_rng(seed + k) for k in range(3 * count)]
+    parts = list(set_partitions(len(shape.parts)))
+    pis = [parts[(5 * k + seed) % len(parts)] for k in range(count)]
+    shapes = [shape] * count
+    a = random_frame_stack(n, shapes, field, False, rngs[:count])
+    linked = linked_partner_stack(a, shape, pis, rngs[count : 2 * count])
+    independent = random_frame_stack(n, shapes, field, False, rngs[2 * count :])
+    off = _off_block(shape, pis)
+    # a tableau of one block links any two frames
+    one_block = ~off.any(axis=(1, 2))
+    push = gaussian(np.random.default_rng(seed), (count, n, n), field) * off
+    cases = [(linked, np.ones(count, dtype=bool)), (independent, one_block)]
+    for eps, holds in ((1e-3, one_block), (1e-12, np.ones(count, dtype=bool))):
+        cases.append((span_components(linked + eps * (a @ push), shapes), holds))
+    return a, pis, cases
+
+
+class TestClosedFormLinkage:
+    """The closed-form linkage against the residual-sine rule, and its
+    refusals."""
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_the_residual_sine_rule(self, n, field):
+        shapes = {_line_shape(n), IntPartition((2,) * (n // 2) + (1,) * (n % 2))}
+        if n >= 5:
+            shapes.add(IntPartition((2, 2) + (1,) * (n - 4)))
+        for shape in sorted(shapes):
+            a, pis, cases = _linkage_cases(n, shape, field, 12, 10 * n)
+            for b, holds in cases:
+                verdicts = pi_linked_stack(a, b, shape, pis, self.TOL)
+                assert np.array_equal(verdicts, holds), (n, shape)
+                for k, pi in enumerate(pis):
+                    fa, fb = _frame(a[k], shape, False), _frame(b[k], shape, False)
+                    assert _linked_by_sines(fa, fb, pi, self.TOL) == holds[k], (n, shape, k)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("shape", [_line_shape(4), IntPartition((2, 2, 1)), _line_shape(7)])
+    def test_symmetric(self, shape, field):
+        a, pis, cases = _linkage_cases(shape.n, shape, field, 8, 3)
+        for b, _ in cases:
+            for k, pi in enumerate(pis):
+                fa, fb = _frame(a[k], shape, False), _frame(b[k], shape, False)
+                assert pi_linked(fa, fb, pi, self.TOL) == pi_linked(fb, fa, pi, self.TOL)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["dependent", "nearly-dependent"])
+    def test_a_side_that_is_no_basis_raises(self, gap):
+        # a partner whose second line is (nearly) its first: it is no frame,
+        # and either order of the two sides is refused
+        shape, pi = _line_shape(4), Tableau(4, ((1, 2), (3,), (4,)))
+        a = random_frame_stack(4, [shape], COMPLEX, False, [np.random.default_rng(1)])
+        b = a.copy()
+        b[0, :, 1] = b[0, :, 0] + gap * a[0, :, 1]
+        b = span_components(b, [shape])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(SingularMatrixError):
+                pi_linked_stack(x, y, shape, [pi], self.TOL)
+
+    def test_one_tableau_per_frame(self):
+        a = np.stack([np.eye(3)] * 2)
+        with pytest.raises(ShapeMismatchError):
+            pi_linked_stack(a, a, _line_shape(3), [Tableau.singletons(3)], self.TOL)
+
+    def test_one_solve_and_no_spans(self, monkeypatch):
+        shape = _line_shape(5)
+        a, pis, cases = _linkage_cases(5, shape, COMPLEX, 6, 1)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda x, y: solves.append(1) or solve(x, y))
+        for name in ("span_stack", "residual_norms"):
+            monkeypatch.setattr(frames, name, lambda *args: pytest.fail("linkage spans"))
+        pi_linked_stack(a, cases[0][0], shape, pis, self.TOL)
+        assert len(solves) == 1
 
 
 def _maps(n, field, count, seed):
