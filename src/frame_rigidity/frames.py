@@ -141,28 +141,10 @@ class FrameTuple:
         return frame
 
 
-def _shaped(
-    components: Sequence[Subspace],
-    orthogonal: bool,
-    shape: IntPartition,
-    stacked: np.ndarray | None = None,
-) -> FrameTuple:
-    """The frame of these components, which are known to make a frame of
-    ``shape`` (a frame's components legally permuted, or the column blocks of
-    one stacked basis), built without the constructor's checks; the shape,
-    and ``stacked`` as the stacked basis, are kept rather than rebuilt."""
-    frame = object.__new__(FrameTuple)
-    object.__setattr__(frame, "ambient", components[0].ambient)
-    object.__setattr__(frame, "components", tuple(components))
-    object.__setattr__(frame, "orthogonal", bool(orthogonal))
-    object.__setattr__(frame, "_stacked", stacked)
-    object.__setattr__(frame, "_shape", shape)
-    return frame
-
-
 def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
     """The frame whose components are the column blocks of the square
-    ``basis`` along ``shape``, which are trusted to be orthonormal.
+    ``basis`` along ``shape``, which are trusted to be orthonormal; it is
+    built without the constructor's checks.
 
     ``basis`` is taken over, not copied: it is made read-only and kept as the
     stacked basis, and the components keep read-only views of its blocks, so
@@ -173,11 +155,14 @@ def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTup
         raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
     basis.setflags(write=False)
     layout = _component_layout((shape,), n)
-    components = [
+    components = tuple(
         Subspace._view(n, basis[:, start : start + d])
         for start, d in zip(layout.starts.tolist(), layout.sizes.tolist())
-    ]
-    return _shaped(components, orthogonal, shape, basis)
+    )
+    frame = object.__new__(FrameTuple)
+    for name, value in zip(FrameTuple.__slots__, (n, components, bool(orthogonal), basis, shape)):
+        object.__setattr__(frame, name, value)
+    return frame
 
 
 class _Layout(NamedTuple):
@@ -228,9 +213,9 @@ def _grouping(labels: np.ndarray) -> _Layout:
     return _Layout(trials, starts, sizes, masks, tuple(by_size), labels)
 
 
-# a chunk reads each of its layouts several times (to draw, evert and
-# compare its frames) and uses at most two of either kind; the per-trial
-# suites ask for one layout per shape, and ambient 8 has 22 shapes
+# a chunk reads each of its layouts several times (to draw, evert, coarsen
+# and compare its frames) and uses at most three of either kind; batches of
+# one ask for one layout per shape, and ambient 8 has 22 shapes
 _LAYOUTS = 24
 
 
@@ -266,6 +251,20 @@ def _block_layout(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> _Lay
     return _grouping(blocks[:, np.repeat(np.arange(s), shape.parts)])
 
 
+def _one_each(stack: Sequence, items: Sequence, what: str) -> tuple:
+    """``items`` as a tuple, one for each row of ``stack``: another count,
+    which numpy would broadcast or truncate, raises ``ShapeMismatchError``."""
+    if len(items) != len(stack):
+        raise ShapeMismatchError(f"{len(items)} {what} for a stack of {len(stack)}")
+    return tuple(items)
+
+
+def _components_of(stack: np.ndarray, shapes: Sequence[IntPartition]) -> _Layout:
+    """The component layout of the ``(B, n, n)`` stack, basis k of shape
+    ``shapes[k]``: one shape per basis, each partitioning ``n``."""
+    return _component_layout(_one_each(stack, shapes, "shapes"), stack.shape[-1])
+
+
 def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The ``(Q, n, k)`` stack of the column groups at a layout's ``index``."""
     return np.take(stack, index).swapaxes(1, 2)
@@ -287,12 +286,11 @@ def span_components(
     numerically zero line included, since the result would be no frame; a
     NaN or infinite entry raises ``NonFiniteError``.
     """
-    if len(shapes) != len(m):
-        raise ShapeMismatchError(f"{len(shapes)} shapes for {len(m)} stacked bases")
+    layout = _components_of(m, shapes)
     require_tol(tol)
     # C-ordered, so the raveled view below writes into it
     out = np.empty(m.shape, m.dtype)
-    for d, _, index in _component_layout(tuple(shapes), m.shape[-1]).by_size:
+    for d, _, index in layout.by_size:
         cols = _gather(m, index)
         if d == 1:
             try:
@@ -312,8 +310,10 @@ def frame_distances(a: np.ndarray, b: np.ndarray, shapes: Sequence[IntPartition]
     components of the ``(B, n, n)`` stacked bases ``a[k]`` and ``b[k]``, both
     of shape ``shapes[k]``: the largest principal-angle sine.  All components
     of one dimension take one :func:`linalg.residual_norms`."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
     out = np.zeros(len(a))
-    for _, t, index in _component_layout(tuple(shapes), a.shape[-1]).by_size:
+    for _, t, index in _components_of(a, shapes).by_size:
         np.maximum.at(out, t, residual_norms(_gather(b, index), _gather(a, index)))
     return out
 
@@ -341,11 +341,11 @@ def pi_linked_stack(
     on a numerically zero column, and ``SingularMatrixError`` when either
     side is no basis: a transition entry reaches ``1 / DEFAULT_TOL``.
     """
-    if a.shape != b.shape or len(pis) != len(a):
-        raise ShapeMismatchError(f"{len(pis)} tableaux for frame stacks {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
+    labels = _block_layout(shape, _one_each(a, pis, "tableaux"), a.shape[-1]).labels
     require_same_field(a, b)
     require_tol(tol)
-    labels = _block_layout(shape, tuple(pis), a.shape[-1]).labels
     both = np.stack([a, b])
     try:
         size = np.abs(np.linalg.solve(both, both[::-1]))
@@ -380,40 +380,55 @@ def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TO
     return bool(linked[0])
 
 
+def _regroup(bases: np.ndarray, shapes: Sequence[IntPartition], keys: Sequence) -> np.ndarray:
+    """The ``(B, n, n)`` stacked bases with the components of basis k, of
+    shape ``shapes[k]``, sorted stably by ``keys[k]``, one key per component:
+    the one rule by which frames are permuted and coarsened."""
+    layout = _components_of(bases, shapes)
+    # the key of every column, by the first group of its basis in the layout
+    first = np.searchsorted(layout.trials, np.arange(len(bases)))
+    column_keys = np.array([key for row in keys for key in row])[layout.labels + first[:, None]]
+    columns = np.argsort(column_keys, axis=1, kind="stable")
+    return np.take_along_axis(bases, columns[:, None, :], axis=2)
+
+
+def refine_map_stack(
+    bases: np.ndarray, shapes: Sequence[IntPartition], arrows: Sequence[RefinementArrow]
+) -> np.ndarray:
+    """Stacked :func:`refine_map`: frame k of the ``(B, n, n)`` stacked
+    bases, of shape ``shapes[k]``, coarsened along ``arrows[k]`` to the shape
+    of its coarse tableau.  The components are regrouped by the coarse block
+    of their fine block, and each coarse group spanned (:func:`span_components`).
+    """
+    for shape, arrow in zip(shapes, _one_each(bases, arrows, "arrows")):
+        if arrow.fine.shape != shape:
+            raise ShapeMismatchError(f"an arrow's fine block sizes are not {shape.parts}")
+    regrouped = _regroup(bases, shapes, [arrow.block_map for arrow in arrows])
+    return span_components(regrouped, [arrow.coarse.shape for arrow in arrows])
+
+
 def refine_map(t: FrameTuple, arrow: RefinementArrow) -> FrameTuple:
     """Coarsen a frame along a refinement arrow.
 
     The arrow's fine tableau indexes the components of ``t`` in canonical
     block order (block j of size d stands for component j of dimension d);
     coarse component k is the sum of the components whose blocks map to k.
+    The batch of one of :func:`refine_map_stack`.
     """
-    fine_sizes = [len(b) for b in arrow.fine.blocks]
-    if fine_sizes != [c.dim for c in t.components]:
-        raise ShapeMismatchError(
-            f"fine block sizes {fine_sizes} do not match component dims"
-        )
-    coarse_components = [
-        Subspace.from_columns(
-            np.hstack([c.basis for c, m in zip(t.components, arrow.block_map) if m == k])
-        )
-        for k in range(len(arrow.coarse.blocks))
-    ]
-    return FrameTuple(coarse_components, t.orthogonal)
+    basis = refine_map_stack(t.stacked_basis()[None], [t.shape], [arrow])[0]
+    return _frame(basis, arrow.coarse.shape, t.orthogonal)
 
 
 def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
     """Reorder components by sigma (new index -> old index).
 
     Only permutations moving indices within runs of equal dimensions are
-    allowed; anything else would break the weakly-decreasing profile.
+    allowed; anything else would break the weakly-decreasing profile.  The
+    batch of one of :func:`permute_stack`.
     """
-    sigma = tuple(int(i) for i in sigma)
     shape = t.shape
-    if not is_legal_permutation(shape, sigma):
-        raise IllegalPermutationError(
-            f"{sigma} moves indices across different dimensions"
-        )
-    return _shaped([t.components[i] for i in sigma], t.orthogonal, shape)
+    basis = permute_stack(t.stacked_basis()[None], [shape], [sigma])[0]
+    return _frame(basis, shape, t.orthogonal)
 
 
 def permute_stack(
@@ -422,16 +437,14 @@ def permute_stack(
     """Stacked :func:`permute`: the ``(B, n, n)`` stacked bases with the
     components of basis k, of shape ``shapes[k]``, reordered by ``sigmas[k]``
     (new index -> old index)."""
-    layout = _component_layout(tuple(shapes), bases.shape[-1])
-    starts, sizes = layout.starts.tolist(), layout.sizes.tolist()
-    order, first = [], 0
-    for shape, sigma in zip(shapes, sigmas):
-        if not is_legal_permutation(shape, tuple(sigma)):
+    places = []
+    for shape, sigma in zip(shapes, _one_each(bases, sigmas, "permutations")):
+        sigma = tuple(int(i) for i in sigma)
+        if not is_legal_permutation(shape, sigma):
             raise IllegalPermutationError(f"{sigma} moves indices across different dimensions")
-        rows = [first + i for i in sigma]
-        order.append([c for r in rows for c in range(starts[r], starts[r] + sizes[r])])
-        first += len(shape.parts)
-    return np.take_along_axis(bases, np.array(order)[:, None, :], axis=2)
+        # the new place of every old component
+        places.append(sorted(range(len(sigma)), key=sigma.__getitem__))
+    return _regroup(bases, shapes, places)
 
 
 def evert_stack(bases: np.ndarray, shapes: Sequence[IntPartition]) -> np.ndarray:
@@ -495,8 +508,8 @@ def bigobot_stack(
     require_same_field(a, b)
     require_tol(tol)
     size, n = len(a), a.shape[-1]
-    ta, sa, da, masks_a, by_size_a, _ = _component_layout(tuple(shapes_a), n)
-    tb, sb, db, masks_b, _, _ = _component_layout(tuple(shapes_b), n)
+    ta, sa, da, masks_a, by_size_a, _ = _components_of(a, shapes_a)
+    tb, sb, db, masks_b, _, _ = _components_of(b, shapes_b)
     # the table row of the component of b[k] that starts at column c, or -1
     row_b = np.full((size, n), -1, dtype=np.intp)
     row_b[tb, sb] = np.arange(len(tb))
@@ -551,8 +564,8 @@ def random_frame_stack(
     The conditioning floor of general frames is checked on the whole stack
     at once, and only the rejected draws are redrawn.
     """
-    # refuses a shape that does not partition the ambient before any draw
-    _component_layout(tuple(shapes), ambient)
+    # refuses a count or shape that does not fit before any draw
+    _component_layout(_one_each(rngs, shapes, "shapes"), ambient)
     if orthogonal:
         return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
     m, _ = conditioned_gaussian_stack(
@@ -596,7 +609,8 @@ def linked_partner_stack(
     raises ``ZeroInputError`` and one that lost rank ``ShapeMismatchError``.
     """
     field = field_of(bases)
-    layout = _block_layout(shape, tuple(pis), bases.shape[-1])
+    layout = _block_layout(shape, _one_each(bases, pis, "tableaux"), bases.shape[-1])
+    _one_each(bases, rngs, "generators")
     # every generator draws its remixes in its own block order
     draws: dict[int, list] = {d: [] for d, _, _ in layout.by_size}
     for trial, d in zip(layout.trials.tolist(), layout.sizes.tolist()):

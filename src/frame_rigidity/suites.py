@@ -16,8 +16,8 @@ its own stream in the order one trial alone would, so the chunk size changes
 no report.  ``reconstruction`` recovers a chunk's hidden maps through the
 stacked line-oracle protocol (:func:`induced.reconstruct_from_line_images_stack`),
 which asks the oracle twice per chunk: once for every probe line and once
-for all 50 sweep lines.  Only ``refinement`` and ``partitions`` run trial by
-trial, through :func:`_per_trial`.
+for all 50 sweep lines.  Only ``partitions``, which draws no frame, runs
+trial by trial, through :func:`_per_trial`.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .frames import (
-    FrameTuple,
     bigobot_stack,
     evert_stack,
     frame_distances,
     linked_partner_stack,
-    permute,
     permute_stack,
     pi_linked_stack,
-    random_frame,
     random_frame_stack,
-    refine_map,
+    refine_map_stack,
 )
 from .induced import (
     CONJUGATION,
@@ -68,6 +65,7 @@ from .linalg import (
 )
 from .partitions import (
     IntPartition,
+    RefinementArrow,
     Tableau,
     compose_refinements,
     dominance_leq,
@@ -291,13 +289,6 @@ def _partitions_for_trials(cfg: SuiteConfig, trials, rngs, breakable: bool = Fal
     return [
         _partition_for_trial(cfg.ambient, t, rng, breakable) for t, rng in zip(trials, rngs)
     ]
-
-
-def _frames_distance(s: FrameTuple, t: FrameTuple) -> float:
-    """:func:`frames.frame_distances` of two frames; 1 when their shapes differ."""
-    if s.shape != t.shape:
-        return 1.0
-    return float(frame_distances(s.stacked_basis()[None], t.stacked_basis()[None], [s.shape])[0])
 
 
 def _contiguous_tableau(shape: IntPartition) -> Tableau:
@@ -601,44 +592,42 @@ def _obot_generic_rejected(cfg, trials, rngs):
 # -- refinement: summing components along tableau arrows --------------------------
 
 
-def _refinement_identity(cfg, trial, rng):
-    shape = _random_shape(cfg.ambient, rng)
-    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
-    arrow = identity_refinement(_contiguous_tableau(shape))
-    return _frames_distance(refine_map(t, arrow), t)
+def _coarsening(fine: Tableau, rng: np.random.Generator) -> RefinementArrow:
+    """The arrow from ``fine`` to a random merge of its blocks."""
+    return reverse_refines(fine, _merge_blocks(fine, rng))
 
 
-def _refinement_functorial(cfg, trial, rng):
-    n = cfg.ambient
-    fine = _random_set_partition(n, rng)
-    mid = _merge_blocks(fine, rng)
-    coarse = _merge_blocks(mid, rng)
-    f = reverse_refines(fine, mid)
-    g = reverse_refines(mid, coarse)
-    assert f is not None and g is not None
-    t = random_frame(n, fine.shape, cfg.field, False, rng)
-    chained = refine_map(refine_map(t, f), g)
-    direct = refine_map(t, compose_refinements(f, g))
-    return _frames_distance(chained, direct)
+def _refinement_identity(cfg, trials, rngs):
+    shapes = _random_shapes(cfg, rngs)
+    t = _general_frames(cfg, shapes, rngs)
+    arrows = [identity_refinement(_contiguous_tableau(shape)) for shape in shapes]
+    return frame_distances(refine_map_stack(t, shapes, arrows), t, shapes)
 
 
-def _refinement_lift_equivariance(cfg, trial, rng):
-    n = cfg.ambient
-    fine = _random_set_partition(n, rng)
-    coarse = _merge_blocks(fine, rng)
-    arrow = reverse_refines(fine, coarse)
-    assert arrow is not None
-    t = random_frame(n, fine.shape, cfg.field, False, rng)
-    coarse_frame = refine_map(t, arrow)
-    sigma_coarse = _random_legal_permutation(coarse_frame.shape, rng)
-    sigma_fine = lift_coarse_permutation(arrow, sigma_coarse)
-    if sigma_fine is None:
-        # the permutation moves a block onto one with a different fiber
-        # profile; nothing to transport
-        return True
-    lhs = refine_map(permute(t, sigma_fine), arrow)
-    rhs = permute(coarse_frame, sigma_coarse)
-    return _frames_distance(lhs, rhs)
+def _refinement_functorial(cfg, trials, rngs):
+    f = [_coarsening(_random_set_partition(cfg.ambient, rng), rng) for rng in rngs]
+    g = [_coarsening(arrow.coarse, rng) for arrow, rng in zip(f, rngs)]
+    fine, mid = [a.fine.shape for a in f], [a.coarse.shape for a in f]
+    t = _general_frames(cfg, fine, rngs)
+    chained = refine_map_stack(refine_map_stack(t, fine, f), mid, g)
+    direct = refine_map_stack(t, fine, [compose_refinements(a, b) for a, b in zip(f, g)])
+    return frame_distances(chained, direct, [a.coarse.shape for a in g])
+
+
+def _refinement_lift_equivariance(cfg, trials, rngs):
+    arrows = [_coarsening(_random_set_partition(cfg.ambient, rng), rng) for rng in rngs]
+    fine, coarse = [a.fine.shape for a in arrows], [a.coarse.shape for a in arrows]
+    t = _general_frames(cfg, fine, rngs)
+    sigmas = [_random_legal_permutation(shape, rng) for shape, rng in zip(coarse, rngs)]
+    lifts = [lift_coarse_permutation(a, sigma) for a, sigma in zip(arrows, sigmas)]
+    # a permutation that moves a block onto one with a different fiber profile
+    # has no lift and nothing to transport: the trial holds, and the identity
+    # stands in for its lift
+    stand_ins = [lift or range(len(shape.parts)) for lift, shape in zip(lifts, fine)]
+    lhs = refine_map_stack(permute_stack(t, fine, stand_ins), fine, arrows)
+    rhs = permute_stack(refine_map_stack(t, fine, arrows), coarse, sigmas)
+    distances = frame_distances(lhs, rhs, coarse).tolist()
+    return [True if lift is None else d for lift, d in zip(lifts, distances)]
 
 
 # -- partitions: pure combinatorics -----------------------------------------------
@@ -657,11 +646,8 @@ def _partitions_conjugate_dominance(cfg, trial, rng):
 
 
 def _partitions_refinement_dominance(cfg, trial, rng):
-    m = int(rng.integers(2, 10))
-    fine = _random_set_partition(m, rng)
-    coarse = _merge_blocks(fine, rng)
-    arrow = reverse_refines(fine, coarse)
-    return arrow is not None and dominance_leq(fine.shape, coarse.shape)
+    arrow = _coarsening(_random_set_partition(int(rng.integers(2, 10)), rng), rng)
+    return arrow is not None and dominance_leq(arrow.fine.shape, arrow.coarse.shape)
 
 
 def _partitions_jump_sum(cfg, trial, rng):
@@ -749,11 +735,9 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("generic-pairs-rejected", _obot_generic_rejected),
     ),
     "refinement": (
-        _Property("identity-arrow-fixes-frame", _per_trial(_refinement_identity)),
-        _Property("composition-functoriality", _per_trial(_refinement_functorial)),
-        _Property(
-            "lifted-permutation-equivariance", _per_trial(_refinement_lift_equivariance)
-        ),
+        _Property("identity-arrow-fixes-frame", _refinement_identity),
+        _Property("composition-functoriality", _refinement_functorial),
+        _Property("lifted-permutation-equivariance", _refinement_lift_equivariance),
     ),
     "partitions": (
         _Property("conjugate-involution", _per_trial(_partitions_involution)),

@@ -22,6 +22,7 @@ from frame_rigidity.frames import (
     pi_linked,
     random_frame,
     refine_map,
+    refine_map_stack,
 )
 from frame_rigidity.linalg import COMPLEX, REAL, adjoint, spectral_norm
 from frame_rigidity.partitions import (
@@ -202,12 +203,37 @@ class TestRefineMap:
         )
         assert out.components[1].equals(line(0, 0, 1))
 
+    def test_hand_non_contiguous_coarsening(self):
+        # lines 1 and 3 sum to coarse component 0 though line 2 lies between
+        # them: {1, 3} is the larger block, so it comes first
+        t = standard_line_frame(3)
+        arrow = reverse_refines(Tableau.singletons(3), Tableau(3, ((1, 3), (2,))))
+        assert arrow.block_map == (0, 1, 0)
+        out = refine_map(t, arrow)
+        assert out.shape == IntPartition((2, 1))
+        # a stack of the frame and its reversal, coarsened along the same
+        # arrow: the reversal's lines 1 and 3 are the same two axes
+        bases = np.stack([np.eye(3), np.eye(3)[:, ::-1]])
+        stack = refine_map_stack(bases, [t.shape] * 2, [arrow] * 2)
+        assert np.array_equal(stack[0], out.stacked_basis())
+        for basis in stack:
+            plane, axis = basis[:, :2], basis[:, 2:]
+            np.testing.assert_allclose(plane @ plane.T, np.diag([1.0, 0.0, 1.0]), atol=1e-15)
+            np.testing.assert_allclose(axis @ axis.T, np.diag([0.0, 1.0, 0.0]), atol=1e-15)
+
     def test_block_size_dim_mismatch_raises(self):
         t = standard_line_frame(3)
         fine = Tableau(3, (frozenset({1, 2}), frozenset({3})))
         arrow = reverse_refines(fine, Tableau.one_block(3))
         with pytest.raises(ShapeMismatchError):
             refine_map(t, arrow)
+
+    def test_one_mismatched_arrow_in_a_stack_raises(self):
+        lines = IntPartition((1, 1, 1))
+        fits = reverse_refines(Tableau.singletons(3), Tableau.one_block(3))
+        misfit = reverse_refines(Tableau(3, ((1, 2), (3,))), Tableau.one_block(3))
+        with pytest.raises(ShapeMismatchError, match="fine block sizes"):
+            refine_map_stack(np.stack([np.eye(3)] * 3), [lines] * 3, [fits, misfit, fits])
 
     def test_functoriality_on_a_chain(self):
         from frame_rigidity.partitions import compose_refinements

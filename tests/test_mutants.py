@@ -53,3 +53,20 @@ def test_linkage_along_singletons_fails_forward_transport(monkeypatch):
 
     monkeypatch.setattr(suites, "pi_linked_stack", along_singletons)
     assert _failures(cfg)["linkage-preserved-forward"] > 0
+
+
+def test_coarsening_that_ignores_the_arrow_fails_functoriality(monkeypatch):
+    # coarse component k must sum the fine components whose blocks the arrow
+    # sends to k; one taken from the next contiguous columns agrees with it
+    # only where those blocks happen to be adjacent
+    cfg = SuiteConfig("refinement", 6, "complex", trials=300, seed=1)
+    clean = _failures(cfg)
+    assert clean["composition-functoriality"] == clean["lifted-permutation-equivariance"] == 0
+
+    def contiguous(bases, shapes, arrows):
+        return frames.span_components(bases, [arrow.coarse.shape for arrow in arrows])
+
+    monkeypatch.setattr(suites, "refine_map_stack", contiguous)
+    mutant = _failures(cfg)
+    assert mutant["composition-functoriality"] > 0
+    assert mutant["lifted-permutation-equivariance"] > 0

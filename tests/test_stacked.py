@@ -27,6 +27,7 @@ from frame_rigidity.frames import (
     bigobot_stack,
     evert,
     evert_stack,
+    frame_distances,
     linked_partner,
     linked_partner_stack,
     permute,
@@ -35,6 +36,8 @@ from frame_rigidity.frames import (
     pi_linked_stack,
     random_frame,
     random_frame_stack,
+    refine_map,
+    refine_map_stack,
     span_components,
 )
 from frame_rigidity.induced import (
@@ -64,17 +67,29 @@ from frame_rigidity.linalg import (
     span,
     spectral_norm,
 )
-from frame_rigidity.partitions import IntPartition, Tableau, partitions_of, set_partitions
+from frame_rigidity.partitions import (
+    IntPartition,
+    Tableau,
+    compose_refinements,
+    identity_refinement,
+    lift_coarse_permutation,
+    partitions_of,
+    reverse_refines,
+    set_partitions,
+)
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.subspaces import Subspace, commeasurable, commeasurable_via_complements
 from frame_rigidity.suites import (
     FALSIFY_EPS,
     LINKAGE_BAND,
     SuiteConfig,
+    _contiguous_tableau,
     _line_shape,
+    _merge_blocks,
     _partition_for_trial,
     _random_automorphism,
     _random_legal_permutation,
+    _random_set_partition,
     _random_shape,
     run_suite,
 )
@@ -420,6 +435,54 @@ def _falsify_trial(cfg, trial, rng, eps):
     )
 
 
+def _refine_by_sums(t, arrow):
+    """Coarsening by its definition: coarse component k is the span of the
+    components whose fine blocks map to k, one ``from_columns`` each."""
+    return FrameTuple(
+        [
+            Subspace.from_columns(
+                np.hstack([c.basis for c, m in zip(t.components, arrow.block_map) if m == k])
+            )
+            for k in range(len(arrow.coarse.blocks))
+        ],
+        t.orthogonal,
+    )
+
+
+def _refinement_identity(cfg, trial, rng):
+    shape = _random_shape(cfg.ambient, rng)
+    t = random_frame(cfg.ambient, shape, cfg.field, False, rng)
+    arrow = identity_refinement(_contiguous_tableau(shape))
+    return _frame_distance(_refine_by_sums(t, arrow), t)
+
+
+def _refinement_functorial(cfg, trial, rng):
+    n = cfg.ambient
+    fine = _random_set_partition(n, rng)
+    mid = _merge_blocks(fine, rng)
+    coarse = _merge_blocks(mid, rng)
+    f = reverse_refines(fine, mid)
+    g = reverse_refines(mid, coarse)
+    t = random_frame(n, fine.shape, cfg.field, False, rng)
+    chained = _refine_by_sums(_refine_by_sums(t, f), g)
+    direct = _refine_by_sums(t, compose_refinements(f, g))
+    return _frame_distance(chained, direct)
+
+
+def _refinement_lift_equivariance(cfg, trial, rng):
+    n = cfg.ambient
+    fine = _random_set_partition(n, rng)
+    arrow = reverse_refines(fine, _merge_blocks(fine, rng))
+    t = random_frame(n, fine.shape, cfg.field, False, rng)
+    coarse_frame = _refine_by_sums(t, arrow)
+    sigma_coarse = _random_legal_permutation(coarse_frame.shape, rng)
+    sigma_fine = lift_coarse_permutation(arrow, sigma_coarse)
+    if sigma_fine is None:
+        return True
+    lhs = _refine_by_sums(permute(t, sigma_fine), arrow)
+    return _frame_distance(lhs, permute(coarse_frame, sigma_coarse))
+
+
 ORACLES = {
     ("clr", "preserves-dimensions"): _clr_dims,
     ("clr", "preserves-joins"): _clr_joins,
@@ -441,6 +504,9 @@ ORACLES = {
     ("obot", "common-basis-groupings-split"): _obot_common_basis_splits,
     ("obot", "reflexive"): _obot_reflexive,
     ("obot", "generic-pairs-rejected"): _obot_generic_rejected,
+    ("refinement", "identity-arrow-fixes-frame"): _refinement_identity,
+    ("refinement", "composition-functoriality"): _refinement_functorial,
+    ("refinement", "lifted-permutation-equivariance"): _refinement_lift_equivariance,
     ("reconstruction", "hidden-map-round-trip"): _reconstruction_roundtrip,
     ("reconstruction", "rejects-distorted-oracle"): _reconstruction_rejects_distortion,
     ("falsify", "breaks-linkage"): partial(_falsify_trial, eps=FALSIFY_EPS),
@@ -474,13 +540,13 @@ _ORACLE_TRIALS = {"clr": 120, "obot": 60, "reconstruction": 60}
 
 
 class TestBatchedPropertiesMatchOracles:
-    # ambient 3..8 (2..8 for obot) x both fields: 2040 trials per property
-    # (1440 for clr, 840 for obot); ambient 7 and 8 sample their partitions
-    # instead of cycling through them
+    # ambient 3..8 (2..8 for obot and refinement) x both fields: 2040 trials
+    # per property (1440 for clr, 840 for obot, 2380 for refinement); ambient
+    # 7 and 8 sample their partitions instead of cycling through them
     @pytest.mark.parametrize("suite, name", sorted(ORACLES))
     def test_same_outcomes_as_one_trial_forms(self, suite, name):
         trials = _ORACLE_TRIALS.get(suite, 170)
-        for n in range(2 if suite == "obot" else 3, 9):
+        for n in range(2 if suite in ("obot", "refinement") else 3, 9):
             for field in FIELDS:
                 cfg = SuiteConfig(suite, n, field, trials=trials, seed=20 + n)
                 _assert_same_outcomes(cfg, name, range(trials))
@@ -496,11 +562,9 @@ class TestBatchedPropertiesMatchOracles:
         assert batched == set(ORACLES)
         assert {suite for suite, _ in batched} == {
             "clr", "clr-bis", "pfr-perp", "pfr", "eversion-order", "obot",
-            "reconstruction", "falsify",
+            "refinement", "reconstruction", "falsify",
         }
-        assert {suite for (suite, _), adapted in per_trial.items() if adapted} == {
-            "refinement", "partitions"
-        }
+        assert {suite for (suite, _), adapted in per_trial.items() if adapted} == {"partitions"}
 
     @pytest.mark.parametrize(
         "name", ["image-lines-independent", "image-preserves-sum-dimension"]
@@ -662,6 +726,21 @@ class TestScalarIsBatchOfOne:
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("n", [4, 7])
+    def test_refine_map(self, n, field):
+        arrows = [suites._coarsening(_random_set_partition(n, rng), rng) for rng in self._rngs()]
+        fine = [arrow.fine.shape for arrow in arrows]
+        assert len(set(fine)) > 1
+        # some arrow sends a later fine block to an earlier coarse block
+        assert any(list(arrow.block_map) != sorted(arrow.block_map) for arrow in arrows)
+        bases = random_frame_stack(n, fine, field, False, self._rngs(30))
+        stack = refine_map_stack(bases, fine, arrows)
+        for k, arrow in enumerate(arrows):
+            out = refine_map(_frame(bases[k].copy(), fine[k], False), arrow)
+            assert out.shape == arrow.coarse.shape and not out.orthogonal
+            assert np.array_equal(out.stacked_basis(), stack[k])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [4, 7])
     def test_pi_linked(self, n, field):
         shape = _line_shape(n)
         pis = _pis(n, self.B)
@@ -797,12 +876,16 @@ class TestFramesKeepTheirArrays:
         t = random_frame(5, shape, COMPLEX, False, rng)
         pi = Tableau(3, (frozenset({1, 3}), frozenset({2})))
         m = random_semilinear(5, COMPLEX, rng)
+        fine = Tableau(5, ((1, 2), (3, 4), (5,)))
+        coarsening = reverse_refines(fine, Tableau(5, ((1, 2, 5), (3, 4))))
         for frame in (
             t,
             random_frame(5, shape, REAL, True, rng),
             evert(t),
             linked_partner(t, pi, rng),
             induced_on_frame(m, t),
+            permute(t, (1, 0, 2)),
+            refine_map(t, coarsening),
         ):
             self._assert_read_only(frame)
 
@@ -1086,6 +1169,51 @@ class TestSpanComponentsErrors:
             linked_partner_stack(m, shape, pis, [np.random.default_rng(0)] * 2)
 
 
+def _stacked_calls(a, fit):
+    """Each stacked form on the ``(B, n, n)`` line frames ``a``, with one of
+    its per-trial lists passed through ``fit``."""
+    n, size = a.shape[-1], len(a)
+    lines = [_line_shape(n)] * size
+    pis = [Tableau(n, ((1, 2),) + tuple((k,) for k in range(3, n + 1)))] * size
+    arrows = [reverse_refines(Tableau.singletons(n), pis[0])] * size
+    sigmas = [(1, 0) + tuple(range(2, n))] * size
+    rngs = [np.random.default_rng(k) for k in range(size)]
+    conj = np.zeros(size, dtype=bool)
+    return {
+        "frame_distances": lambda: frame_distances(a, a, fit(lines)),
+        "bigobot_stack-shapes_a": lambda: bigobot_stack(a, a, fit(lines), lines),
+        "bigobot_stack-shapes_b": lambda: bigobot_stack(a, a, lines, fit(lines)),
+        "permute_stack-shapes": lambda: permute_stack(a, fit(lines), sigmas),
+        "permute_stack-sigmas": lambda: permute_stack(a, lines, fit(sigmas)),
+        "linked_partner_stack-pis": lambda: linked_partner_stack(a, lines[0], fit(pis), rngs),
+        "linked_partner_stack-rngs": lambda: linked_partner_stack(a, lines[0], pis, fit(rngs)),
+        "pi_linked_stack": lambda: pi_linked_stack(a, a, lines[0], fit(pis)),
+        "refine_map_stack-shapes": lambda: refine_map_stack(a, fit(lines), arrows),
+        "refine_map_stack-arrows": lambda: refine_map_stack(a, lines, fit(arrows)),
+        "span_components": lambda: span_components(a, fit(lines)),
+        "evert_stack": lambda: evert_stack(a, fit(lines)),
+        "induced_on_frame_stack": lambda: induced_on_frame_stack(a, conj, a, fit(lines)),
+        "random_frame_stack": lambda: random_frame_stack(n, fit(lines), REAL, True, rngs),
+    }
+
+
+class TestOneEntryPerTrial:
+    """A per-trial list of another length than the stack raises
+    ``ShapeMismatchError``: numpy would otherwise broadcast its first entry,
+    leave later rows unset or unjudged, or index past its end."""
+
+    B = 3
+
+    @pytest.mark.parametrize("count", [1, B + 1], ids=["short", "long"])
+    @pytest.mark.parametrize("form", sorted(_stacked_calls(np.eye(4)[None], list)))
+    def test_count_mismatch_raises(self, form, count):
+        rngs = [np.random.default_rng(k) for k in range(self.B)]
+        a = random_frame_stack(4, [_line_shape(4)] * self.B, REAL, False, rngs)
+        call = _stacked_calls(a, lambda seq: [seq[k % len(seq)] for k in range(count)])[form]
+        with pytest.raises(ShapeMismatchError, match=f"^{count} "):
+            call()
+
+
 def _off_block(shape, pis):
     """The ``(B, n, n)`` mask of the entries, in component coordinates, whose
     row and column lie in different blocks of trial k's tableau ``pis[k]``."""
@@ -1285,7 +1413,7 @@ class TestChunking:
         "suite",
         [
             "clr", "pfr-perp", "clr-bis", "pfr", "eversion-order", "obot",
-            "reconstruction", "falsify",
+            "refinement", "reconstruction", "falsify",
         ],
     )
     def test_reports_do_not_depend_on_the_chunk(self, suite, field, monkeypatch):
