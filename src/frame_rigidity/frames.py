@@ -36,7 +36,6 @@ from .linalg import (
     require_tol,
     residual_norms,
     span_stack,
-    unit_columns,
 )
 from .partitions import IntPartition, RefinementArrow, Tableau, is_legal_permutation
 from .subspaces import Subspace
@@ -287,20 +286,12 @@ def span_components(
     NaN or infinite entry raises ``NonFiniteError``.
     """
     layout = _components_of(m, shapes)
-    require_tol(tol)
     # C-ordered, so the raveled view below writes into it
     out = np.empty(m.shape, m.dtype)
     for d, _, index in layout.by_size:
-        cols = _gather(m, index)
-        if d == 1:
-            try:
-                u = unit_columns(cols, tol)
-            except ZeroInputError as exc:
-                raise ShapeMismatchError("a line component is numerically zero") from exc
-        else:
-            u, rank = span_stack(cols, tol)
-            if rank.min() < d:
-                raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
+        u, rank = span_stack(_gather(m, index), tol)
+        if rank.min() < d:
+            raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
         out.reshape(-1)[index] = u.swapaxes(1, 2)
     return out
 
@@ -497,50 +488,50 @@ def bigobot_stack(
     is the sum of its meets with the components of ``b[k]`` (forward), and
     the converse (backward).
 
-    The meets of all pairs whose ``a`` component has one dimension take one
-    principal-angle SVD, ``b`` padded with zero columns.  A component's sum
-    holds each meet in the other component's column slots; all sums take one
-    span (as ``Subspace.from_columns``) and one residual against their
-    component (as ``Subspace.equals``).
+    A count of dimensions.  The meet of components ``A_i`` and ``B_j`` has
+    dimension ``m_ij``, the count of their principal-angle sines at most
+    ``tol`` (Bjorck-Golub 1973); the pairs whose ``a`` component has one
+    dimension take one SVD, ``b`` padded with zero columns.  The meets of
+    ``A_i`` with the independent ``B_j`` are independent, so ``A_i`` is their
+    sum exactly when ``sum_j m_ij`` reaches ``dim A_i``; backward, ``B_j`` is
+    the sum of its meets when ``sum_i m_ij`` reaches ``dim B_j``.
     """
     if a.shape != b.shape:
         raise AmbientMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
     require_same_field(a, b)
     require_tol(tol)
     size, n = len(a), a.shape[-1]
-    ta, sa, da, masks_a, by_size_a, _ = _components_of(a, shapes_a)
+    ta, _, da, _, by_size_a, _ = _components_of(a, shapes_a)
     tb, sb, db, masks_b, _, _ = _components_of(b, shapes_b)
     # the table row of the component of b[k] that starts at column c, or -1
     row_b = np.full((size, n), -1, dtype=np.intp)
     row_b[tb, sb] = np.arange(len(tb))
-    # forward sums, then backward ones
-    sums = np.zeros((len(ta) + len(tb), n, n), dtype=a.dtype)
+    # the summed meet dimensions of every component of a, then of b
+    met = np.zeros(len(ta) + len(tb), dtype=np.intp)
     for d, _, index in by_size_a:
         # the p-th d-dimensional component of a, row i, against the component
-        # of b at column j
+        # of b at column c, row j
         rows_a = np.flatnonzero(da == d)
-        p, j = np.nonzero(row_b[ta[rows_a]] >= 0)
+        p, c = np.nonzero(row_b[ta[rows_a]] >= 0)
         i = rows_a[p]
-        t, rows, slot = ta[i], row_b[ta[i], j], sa[i, None] + np.arange(d)
-        dj = db[rows]
-        sines, vectors = principal_angles(_gather(a, index[p]), b[t] * masks_b[rows])
-        meets = vectors * (sines <= tol)[:, None, :]
-        sums[len(ta) + rows[:, None], :, slot] = meets.swapaxes(1, 2)
-        # only the last min(d, dj) sines can lie below 1: they end the slot
-        e, r = np.nonzero(np.arange(d) >= (d - dj)[:, None])
-        sums[i[e], :, (j + dj - d)[e] + r] = meets[e, :, r]
-    components = np.concatenate([a[ta], b[tb]]) * np.concatenate([masks_a, masks_b])
-    q, rank = span_stack(sums)
-    split = (rank == np.concatenate([da, db])) & (residual_norms(components, q) <= tol)
+        j = row_b[ta[i], c]
+        sines, _ = principal_angles(_gather(a, index[p]), b[ta[i]] * masks_b[j])
+        meets = (sines <= tol).sum(axis=-1)
+        np.add.at(met, i, meets)
+        np.add.at(met, len(ta) + j, meets)
+    split = met >= np.concatenate([da, db])
     failed = np.bincount(np.concatenate([ta, tb + size])[~split], minlength=2 * size)
     return failed[:size] == 0, failed[size:] == 0
 
 
 def bigobot(a: FrameTuple, b: FrameTuple, tol: float = DEFAULT_TOL) -> bool:
     """Block-intersection splitting: every component of each frame is the
-    sum of its intersections with the other frame's components.  The batch
-    of one of :func:`bigobot_stack`; the two directions agree on genuinely
-    independent frames, and a disagreement raises ``InconsistencyError``.
+    sum of its intersections with the other frame's components, which holds
+    exactly when the dimensions of those intersections, each the count of
+    principal-angle sines at most ``tol``, add up to the component's own.
+    The batch of one of :func:`bigobot_stack`; the two directions agree on
+    genuinely independent frames, and a disagreement raises
+    ``InconsistencyError``.
     """
     forward, backward = bigobot_stack(
         a.stacked_basis()[None], b.stacked_basis()[None], [a.shape], [b.shape], tol

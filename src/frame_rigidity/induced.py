@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .frames import FrameTuple, _frame, span_components
+from .frames import FrameTuple, _frame, _one_each, span_components
 from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
@@ -198,6 +198,7 @@ def induced_on_frame_stack(
     """
     if matrices.shape != bases.shape:
         raise AmbientMismatchError(f"maps {matrices.shape} do not fit frames {bases.shape}")
+    _one_each(bases, conj, "conjugation flags")
     if np.iscomplexobj(bases) and not np.iscomplexobj(matrices):
         raise FieldMismatchError("complex subspace under a real-tagged map")
     return span_components(apply_tagged_stack(matrices, conj, bases), shapes, tol)

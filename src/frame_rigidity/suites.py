@@ -395,20 +395,9 @@ def _clrbis_sum_dims(cfg, trials, rngs):
     sizes = np.array([int(rng.integers(2, n + 1)) for rng in rngs])
     order = np.array([rng.permutation(n) for rng in rngs])
     lines = np.take_along_axis(image, order[:, None, :], axis=2)
-    # summing the chosen lines one at a time, the sum reaches dimension
-    # ``size`` exactly when every step adds one
-    full = np.ones(len(rngs), dtype=bool)
-    total = lines[:, :, :1]
-    for step in range(1, n):
-        active = np.flatnonzero(full & (sizes > step))
-        if not active.size:
-            break
-        cols = np.concatenate([total[active], lines[active, :, step : step + 1]], axis=2)
-        span, rank = span_stack(cols, cfg.tol)
-        full[active] = rank == step + 1
-        total = np.empty_like(cols, shape=(len(rngs),) + cols.shape[1:])
-        total[active] = span
-    return full
+    # the first ``size`` lines, the others zeroed, span a sum of their count
+    _, rank = span_stack(lines * (np.arange(n) < sizes[:, None])[:, None, :], cfg.tol)
+    return rank == sizes
 
 
 # -- pfr-perp: linkage of orthogonal line frames ---------------------------------

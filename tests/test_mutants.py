@@ -70,3 +70,23 @@ def test_coarsening_that_ignores_the_arrow_fails_functoriality(monkeypatch):
     mutant = _failures(cfg)
     assert mutant["composition-functoriality"] > 0
     assert mutant["lifted-permutation-equivariance"] > 0
+
+
+def test_meets_counted_without_tol_fail_generic_rejection(monkeypatch):
+    # every pair of components counted as meeting in the smaller of their
+    # dimensions: the meets then always fill both frames, so two independent
+    # frames read as commensurable
+    cfg = SuiteConfig("obot", 4, "real", trials=30, seed=1)
+    assert _failures(cfg)["generic-pairs-rejected"] == 0
+
+    def by_dimensions(a, b, shapes_a, shapes_b, tol):
+        def split(own, other):
+            return [
+                all(sum(min(d, e) for e in y.parts) >= d for d in x.parts)
+                for x, y in zip(own, other)
+            ]
+
+        return np.array(split(shapes_a, shapes_b)), np.array(split(shapes_b, shapes_a))
+
+    monkeypatch.setattr(suites, "bigobot_stack", by_dimensions)
+    assert _failures(cfg)["generic-pairs-rejected"] > 0

@@ -1091,6 +1091,43 @@ class TestBigobotStack:
         forward, backward = self._check(a, a, shapes, lines)
         assert forward.all() and backward.all()
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3])
+    def test_one_shared_direction_rotated(self, eps, n, field):
+        # two groupings of one Haar basis, then one column of b rotated by eps
+        # toward a column that lies in other components of both frames: the
+        # frames split within the band at tol 1e-9 and fall apart outside it
+        rng = np.random.default_rng(n)
+        proper = [s for s in partitions_of(n) if len(s.parts) > 1]
+        shapes_a = [proper[(5 * k) % len(proper)] for k in range(self.B)]
+        shapes_b = [proper[(3 * k + 1) % len(proper)] for k in range(self.B)]
+        a = np.stack([haar(rng, (n, n), field) for _ in range(self.B)])
+        perms = np.array([rng.permutation(n) for _ in range(self.B)])
+        b = np.take_along_axis(a, perms[:, None, :], axis=2)
+        for k in range(self.B):
+            label_a = np.repeat(np.arange(len(shapes_a[k].parts)), shapes_a[k].parts)[perms[k]]
+            label_b = np.repeat(np.arange(len(shapes_b[k].parts)), shapes_b[k].parts)
+            apart = (label_a[:, None] != label_a) & (label_b[:, None] != label_b)
+            c, other = np.argwhere(apart)[0]
+            b[k, :, c] = np.cos(eps) * b[k, :, c] + np.sin(eps) * b[k, :, other]
+        b = span_components(b, shapes_b)
+        forward, backward = self._check(a, b, shapes_a, shapes_b)
+        assert list(forward) == list(backward) == [eps < self.TOL] * self.B
+
+    def test_one_principal_angle_svd_per_dimension_and_no_spans(self, monkeypatch):
+        a, shapes_a = self._frames(7, COMPLEX, False, 0)
+        b, shapes_b = self._frames(7, COMPLEX, False, 101)
+        widths = []
+        angles = frames.principal_angles
+        monkeypatch.setattr(
+            frames, "principal_angles", lambda qa, qb: widths.append(qa.shape[-1]) or angles(qa, qb)
+        )
+        for name in ("span_stack", "residual_norms"):
+            monkeypatch.setattr(frames, name, lambda *args: pytest.fail("bigobot spans"))
+        bigobot_stack(a, b, shapes_a, shapes_b, self.TOL)
+        assert sorted(widths) == sorted({d for shape in shapes_a for d in shape.parts})
+
     def test_mismatched_frames_refused(self):
         t = random_frame(3, _line_shape(3), REAL, False, np.random.default_rng(0))
         u = random_frame(4, _line_shape(4), REAL, False, np.random.default_rng(0))
@@ -1193,6 +1230,7 @@ def _stacked_calls(a, fit):
         "span_components": lambda: span_components(a, fit(lines)),
         "evert_stack": lambda: evert_stack(a, fit(lines)),
         "induced_on_frame_stack": lambda: induced_on_frame_stack(a, conj, a, fit(lines)),
+        "induced_on_frame_stack-conj": lambda: induced_on_frame_stack(a, fit(conj), a, lines),
         "random_frame_stack": lambda: random_frame_stack(n, fit(lines), REAL, True, rngs),
     }
 
