@@ -29,7 +29,6 @@ from .linalg import (
     adjoint,
     conditioned_gaussian_stack,
     field_of,
-    gaussian,
     gaussian_stack,
     principal_angles,
     require_same_field,
@@ -165,26 +164,37 @@ def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTup
 
 
 class _Layout(NamedTuple):
-    """Groups of the columns of ``(B, n, n)`` stacked bases, each group a
-    component of a basis or a block of a trial's tableau, listed in trial
-    and then group order.  Every array is read-only."""
+    """The components of ``(B, n, n)`` stacked bases, listed in trial and
+    then component order.  Every array is read-only."""
 
-    trials: np.ndarray  # (P,): the basis of each group
+    trials: np.ndarray  # (P,): the basis of each component
     starts: np.ndarray  # (P,): its first column
     sizes: np.ndarray  # (P,): its column count
     masks: np.ndarray  # (P, 1, n): its columns
     # (k, trials, index) per column count k, ascending: the (Q,) trials of the
-    # groups of k columns, in trial and then group order, and the (Q, k, n)
-    # flat positions of their columns in a C-ordered (B, n, n) stack
+    # components of k columns, in trial and then component order, and the
+    # (Q, k, n) flat positions of their columns in a C-ordered (B, n, n) stack
     by_size: tuple
-    labels: np.ndarray  # (B, n): the group of each column of each basis
+    labels: np.ndarray  # (B, n): the component of each column of each basis
 
 
-def _grouping(labels: np.ndarray) -> _Layout:
-    """The layout of a ``(B, n)`` array of column labels: column c of basis
-    k lies in group ``labels[k, c]`` of that basis, whose groups are
-    numbered from 0 up."""
-    size, n = labels.shape
+# a chunk reads each of its layouts and masks several times (to draw, evert,
+# coarsen and compare its frames) and uses at most three of either kind;
+# batches of one ask for one layout per shape, and ambient 8 has 22 shapes
+_LAYOUTS = 24
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _component_layout(shapes: tuple[IntPartition, ...], n: int) -> _Layout:
+    """The components of ``(B, n, n)`` stacked bases, basis k of shape
+    ``shapes[k]``.  Raises ``ShapeMismatchError`` unless every shape
+    partitions ``n``."""
+    for shape in dict.fromkeys(shapes):
+        if shape.n != n:
+            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
+    labels = [i for shape in shapes for i, d in enumerate(shape.parts) for _ in range(d)]
+    size = len(shapes)
+    labels = np.array(labels, dtype=np.intp).reshape(size, n)
     counts = labels.max(axis=1) + 1
     # one number per group of the stack, in trial and then group order
     group = (labels + (np.cumsum(counts) - counts)[:, None]).ravel()
@@ -212,30 +222,12 @@ def _grouping(labels: np.ndarray) -> _Layout:
     return _Layout(trials, starts, sizes, masks, tuple(by_size), labels)
 
 
-# a chunk reads each of its layouts several times (to draw, evert, coarsen
-# and compare its frames) and uses at most three of either kind; batches of
-# one ask for one layout per shape, and ambient 8 has 22 shapes
-_LAYOUTS = 24
-
-
 @functools.lru_cache(maxsize=_LAYOUTS)
-def _component_layout(shapes: tuple[IntPartition, ...], n: int) -> _Layout:
-    """The components of ``(B, n, n)`` stacked bases, basis k of shape
-    ``shapes[k]``.  Raises ``ShapeMismatchError`` unless every shape
-    partitions ``n``."""
-    for shape in dict.fromkeys(shapes):
-        if shape.n != n:
-            raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
-    labels = [i for shape in shapes for i, d in enumerate(shape.parts) for _ in range(d)]
-    return _grouping(np.array(labels, dtype=np.intp).reshape(len(shapes), n))
-
-
-@functools.lru_cache(maxsize=_LAYOUTS)
-def _block_layout(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> _Layout:
-    """The blocks of ``(B, n, n)`` stacked bases of one ``shape``: block j of
-    basis k holds the components in block j of ``pis[k]``, in the tableau's
-    canonical block order.  Raises ``ShapeMismatchError`` unless ``shape``
-    partitions ``n`` and every tableau partitions its components."""
+def _block_mask(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> np.ndarray:
+    """The read-only ``(B, n, n)`` mask of the transition entries between
+    stacked bases of one ``shape`` that frames linked along ``pis[k]`` allow:
+    row and column in one block.  Raises ``ShapeMismatchError`` unless
+    ``shape`` partitions ``n`` and every tableau partitions its components."""
     if shape.n != n:
         raise ShapeMismatchError(f"shape {shape.parts} is not a partition of {n}")
     s = len(shape.parts)
@@ -243,11 +235,11 @@ def _block_layout(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> _Lay
         if pi.n != s:
             raise ShapeMismatchError(f"partition of {pi.n} symbols cannot index {s} components")
     # the block of each component of each trial, then of each column
-    rows = np.repeat(np.arange(len(pis)), s)
-    symbols = [i - 1 for pi in pis for block in pi.blocks for i in block]
-    blocks = np.empty((len(pis), s), dtype=np.intp)
-    blocks[rows, symbols] = [j for pi in pis for j, block in enumerate(pi.blocks) for _ in block]
-    return _grouping(blocks[:, np.repeat(np.arange(s), shape.parts)])
+    blocks = np.array([[pi.block_of(i) for i in range(1, s + 1)] for pi in pis], dtype=np.intp)
+    labels = blocks.reshape(len(pis), s)[:, np.repeat(np.arange(s), shape.parts)]
+    mask = labels[:, :, None] == labels[:, None, :]
+    mask.setflags(write=False)
+    return mask
 
 
 def _one_each(stack: Sequence, items: Sequence, what: str) -> tuple:
@@ -309,6 +301,25 @@ def frame_distances(a: np.ndarray, b: np.ndarray, shapes: Sequence[IntPartition]
     return out
 
 
+def _transition(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The moduli of the entries of ``a^-1 b``, every matrix of the stack ``a``
+    a basis.  An entry of ``1 / DEFAULT_TOL`` or more raises ``NonFiniteError``
+    if ``a`` holds a NaN or infinite entry, ``ZeroInputError`` if it holds a
+    numerically zero column, and ``SingularMatrixError`` otherwise."""
+    try:
+        size = np.abs(np.linalg.solve(a, b))
+    except np.linalg.LinAlgError:
+        size = np.array(np.inf)
+    # false for a NaN entry too
+    if not size.max(initial=0.0) < 1.0 / DEFAULT_TOL:
+        if not np.isfinite(a).all():
+            raise NonFiniteError("a frame has non-finite entries")
+        if (np.abs(a).max(axis=-2) <= DEFAULT_TOL).any():
+            raise ZeroInputError("a column of a frame is numerically zero")
+        raise SingularMatrixError("the components of a frame are dependent")
+    return size
+
+
 def pi_linked_stack(
     a: np.ndarray,
     b: np.ndarray,
@@ -324,9 +335,9 @@ def pi_linked_stack(
     ``A^-1 B`` is block-diagonal along the tableau's blocks of columns.  One
     solve of ``[a; b]`` against ``[b; a]`` gives both transitions, so the
     verdict is symmetric: linked when no off-block entry of either exceeds
-    ``tol`` in modulus (a NaN is unlinked).  Such an entry and the largest
-    principal-angle sine between block spans differ by up to the frames'
-    condition number (Higham 2002, ch. 7).
+    ``tol`` in modulus.  Such an entry and the largest principal-angle sine
+    between block spans differ by up to the frames' condition number
+    (Higham 2002, ch. 7).
 
     Raises ``NonFiniteError`` on a NaN or infinite entry, ``ZeroInputError``
     on a numerically zero column, and ``SingularMatrixError`` when either
@@ -334,22 +345,11 @@ def pi_linked_stack(
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"frame stacks differ in shape: {a.shape} vs {b.shape}")
-    labels = _block_layout(shape, _one_each(a, pis, "tableaux"), a.shape[-1]).labels
+    mask = _block_mask(shape, _one_each(a, pis, "tableaux"), a.shape[-1])
     require_same_field(a, b)
     require_tol(tol)
     both = np.stack([a, b])
-    try:
-        size = np.abs(np.linalg.solve(both, both[::-1]))
-    except np.linalg.LinAlgError:
-        size = np.array(np.inf)
-    if not size.max(initial=0.0) < 1.0 / DEFAULT_TOL:
-        if not np.isfinite(both).all():
-            raise NonFiniteError("a frame has non-finite entries")
-        if (np.abs(both).max(axis=-2) <= DEFAULT_TOL).any():
-            raise ZeroInputError("a column of a frame is numerically zero")
-        raise SingularMatrixError("the components of a frame are dependent")
-    off = labels[:, :, None] != labels[:, None, :]
-    return (size * off).max(axis=(0, 2, 3), initial=0.0) <= tol
+    return (_transition(both, both[::-1]) * ~mask).max(axis=(0, 2, 3), initial=0.0) <= tol
 
 
 def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TOL) -> bool:
@@ -592,30 +592,22 @@ def linked_partner_stack(
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Stacked :func:`linked_partner`: a partner of frame k of the ``(B, n, n)``
-    stacked bases, linked along ``pis[k]`` and drawn from ``rngs[k]``.
+    stacked bases, of one ``shape``, linked along ``pis[k]`` and drawn from
+    ``rngs[k]``.
 
-    Each generator draws its block remixes in its tableau's block order, as
-    :func:`linked_partner` does; the blocks of all trials are then spanned and
-    remixed in one stack per block dimension.  A numerically zero block
-    raises ``ZeroInputError`` and one that lost rank ``ShapeMismatchError``.
+    Each generator draws one ``n x n`` Gaussian, masked to the transition
+    entries its tableau allows; its unitary QR factor is a block-diagonal
+    remix, so ``bases @ remix`` keeps every block span (and an orthogonal
+    frame stays orthogonal) before each component is re-spanned.  Before any
+    draw it refuses what :func:`pi_linked_stack` refuses: an inverse entry of
+    ``1 / DEFAULT_TOL`` or more, dependence across blocks included.
     """
-    field = field_of(bases)
-    layout = _block_layout(shape, _one_each(bases, pis, "tableaux"), bases.shape[-1])
+    n = bases.shape[-1]
+    mask = _block_mask(shape, _one_each(bases, pis, "tableaux"), n)
     _one_each(bases, rngs, "generators")
-    # every generator draws its remixes in its own block order
-    draws: dict[int, list] = {d: [] for d, _, _ in layout.by_size}
-    for trial, d in zip(layout.trials.tolist(), layout.sizes.tolist()):
-        draws[d].append(gaussian(rngs[trial], (d, d), field))
-    out = np.empty(bases.shape, bases.dtype)
-    for d, _, index in layout.by_size:
-        span, rank = span_stack(_gather(bases, index))
-        if rank.min() == 0:
-            raise ZeroInputError("a block of the frame is numerically zero")
-        if rank.min() < d:
-            raise ShapeMismatchError("a block of the frame lost rank; it has no partner")
-        mixed = span @ np.linalg.qr(np.stack(draws[d])).Q
-        out.reshape(-1)[index] = mixed.swapaxes(1, 2)
-    return out
+    _transition(bases, np.eye(n))
+    remix = np.linalg.qr(gaussian_stack(rngs, (n, n), field_of(bases)) * mask).Q
+    return span_components(bases @ remix, [shape] * len(bases))
 
 
 def linked_partner(
@@ -624,10 +616,12 @@ def linked_partner(
     """Sample a frame linked to ``t`` along ``pi`` by remixing each block.
 
     Within every block the component sum is kept fixed while the individual
-    components are redrawn from a unitary remix of the block span, so the
+    components are redrawn by a unitary remix of the block's columns, so the
     result is linked to ``t`` along ``pi`` by construction (and generically
     along no strictly finer partition).  The batch of one of
-    :func:`linked_partner_stack`.
+    :func:`linked_partner_stack`, whose refusals it shares: a frame whose
+    components are dependent, even across blocks, raises
+    ``SingularMatrixError``.
     """
     shape = t.shape
     basis = linked_partner_stack(t.stacked_basis()[None], shape, [pi], [rng])[0]

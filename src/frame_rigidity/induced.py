@@ -459,7 +459,9 @@ def reconstruct_from_line_images(
 def induced_line_map_stack(matrices: np.ndarray, conj: np.ndarray):
     """The stacked line oracle of the ``(B, n, n)`` maps ``matrices`` with
     conjugation flags ``conj``: ``(B, n, P)`` line bases to the unit columns
-    of their images, as :func:`induced_line_map` spans them."""
+    of their images, as :func:`induced_line_map` spans them.  A flag array
+    of another length than the stack raises ``ShapeMismatchError``."""
+    _one_each(matrices, conj, "conjugation flags")
 
     def oracle(lines: np.ndarray) -> np.ndarray:
         return unit_columns(apply_tagged_stack(matrices, conj, lines))

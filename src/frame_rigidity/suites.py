@@ -420,12 +420,10 @@ def _pfrp_both_directions(cfg, trials, rngs):
     linked = np.array([rng.random() < 0.5 for rng in rngs])
     b = np.empty_like(a)
     partners, fresh = np.flatnonzero(linked), np.flatnonzero(~linked)
-    if partners.size:
-        b[partners] = linked_partner_stack(
-            a[partners], shape, [pis[i] for i in partners], [rngs[i] for i in partners]
-        )
-    if fresh.size:
-        b[fresh] = _line_frames(cfg, True, [rngs[i] for i in fresh])
+    b[partners] = linked_partner_stack(
+        a[partners], shape, [pis[i] for i in partners], [rngs[i] for i in partners]
+    )
+    b[fresh] = _line_frames(cfg, True, [rngs[i] for i in fresh])
     maps = _random_maps(cfg, rngs)
     before = pi_linked_stack(a, b, shape, pis, LINKAGE_BAND * cfg.tol)
     after = pi_linked_stack(

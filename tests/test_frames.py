@@ -18,9 +18,12 @@ from frame_rigidity.frames import (
     bigobot,
     evert,
     linked_partner,
+    linked_partner_stack,
     permute,
     pi_linked,
+    pi_linked_stack,
     random_frame,
+    random_frame_stack,
     refine_map,
     refine_map_stack,
 )
@@ -157,11 +160,26 @@ class TestPiLinked:
                     b = linked_partner(a, pi, rng)
                     assert pi_linked(a, b, pi, 1e-8)
 
-    def test_linked_partner_on_orthogonal_frames_stays_orthogonal(self):
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "shape",
+        [IntPartition((1,) * n) for n in range(3, 9)] + [IntPartition((2, 2, 1))],
+        ids=str,
+    )
+    def test_linked_partner_on_orthogonal_frames_stays_orthogonal(self, shape, field):
+        # every tableau at once: the stacked partners are unitary and linked,
+        # and the scalar partners of a few are sound orthogonal frames
+        pis = list(set_partitions(len(shape.parts)))
+        rngs = [np.random.default_rng(55 + k) for k in range(2 * len(pis))]
+        a = random_frame_stack(shape.n, [shape] * len(pis), field, True, rngs[: len(pis)])
+        b = linked_partner_stack(a, shape, pis, rngs[len(pis) :])
+        assert np.abs(adjoint(b) @ b - np.eye(shape.n)).max() <= 1e-12
+        assert pi_linked_stack(a, b, shape, pis, 1e-8).all()
         rng = np.random.default_rng(55)
-        a = random_frame(4, IntPartition((1, 1, 1, 1)), COMPLEX, True, rng)
-        b = linked_partner(a, Tableau(4, (frozenset({1, 2, 3}), frozenset({4}))), rng)
-        assert b.orthogonal and sound_frame(b)
+        for pi in pis[:: max(1, len(pis) // 8)]:
+            t = random_frame(shape.n, shape, field, True, rng)
+            partner = linked_partner(t, pi, rng)
+            assert partner.orthogonal and sound_frame(partner)
 
     def test_equivalence_relation_on_linked_triples(self):
         rng = np.random.default_rng(56)

@@ -622,6 +622,9 @@ def _non_finite_entries():
         "pi_linked_stack_partner": lambda m: pi_linked_stack(
             np.eye(3, dtype=m.dtype)[None], m[None], lines, [pi]
         ),
+        "linked_partner_stack": lambda m: linked_partner_stack(
+            m[None], lines, [pi], [np.random.default_rng(0)]
+        ),
     }
 
 

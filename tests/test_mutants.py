@@ -90,3 +90,23 @@ def test_meets_counted_without_tol_fail_generic_rejection(monkeypatch):
 
     monkeypatch.setattr(suites, "bigobot_stack", by_dimensions)
     assert _failures(cfg)["generic-pairs-rejected"] > 0
+
+
+def test_partners_remixed_as_one_block_fail_linkage(monkeypatch):
+    # a partner that remixes the whole frame, whatever the tableau, keeps no
+    # block span: it is linked along the one-block tableau alone
+    cfgs = {
+        "pfr-perp": "linkage-preserved-forward",
+        "pfr": "eversion-preserves-linkage",
+        "falsify": "zero-distortion-control",
+    }
+    for suite, name in cfgs.items():
+        assert _failures(SuiteConfig(suite, 4, "complex", trials=30, seed=1))[name] == 0
+
+    def one_block(bases, shape, pis, rngs):
+        whole = [Tableau.one_block(len(shape.parts))] * len(pis)
+        return frames.linked_partner_stack(bases, shape, whole, rngs)
+
+    monkeypatch.setattr(suites, "linked_partner_stack", one_block)
+    for suite, name in cfgs.items():
+        assert _failures(SuiteConfig(suite, 4, "complex", trials=30, seed=1))[name] > 0

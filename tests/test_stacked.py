@@ -19,6 +19,7 @@ from frame_rigidity.errors import (
     NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
+    ZeroInputError,
 )
 from frame_rigidity.frames import (
     FrameTuple,
@@ -66,6 +67,7 @@ from frame_rigidity.linalg import (
     residual_norms,
     span,
     spectral_norm,
+    unit_columns,
 )
 from frame_rigidity.partitions import (
     IntPartition,
@@ -908,16 +910,6 @@ def _component_lists(shapes):
     return out
 
 
-def _block_lists(shape, pis):
-    """Each trial's blocks in its tableau's canonical order, each a list of
-    the ascending columns of its components."""
-    [components] = _component_lists([shape])
-    return [
-        [[c for i in sorted(block) for c in components[i - 1]] for block in pi.blocks]
-        for pi in pis
-    ]
-
-
 def _assert_layout(layout, groups_per_trial, n):
     """``layout`` against the one built from Python lists: every group in
     trial and then group order, and the same groups by column count."""
@@ -968,53 +960,59 @@ def test_component_layout_matches_the_list_built_form(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_block_layout_matches_the_list_built_form(n):
-    # the blocks of each trial in its tableau's canonical order: the order in
-    # which linked_partner_stack hands each stream's draws to the blocks
+def test_block_mask_matches_the_list_built_form(n):
     rng = np.random.default_rng(100 + n)
     shapes = list(partitions_of(n))
     for shape in (shapes[-1], shapes[rng.integers(len(shapes))], shapes[0]):
         tableaux = list(set_partitions(len(shape.parts)))
         for size in (1, 5, 40):
             pis = tuple(tableaux[k] for k in rng.integers(len(tableaux), size=size))
-            layout = frames._block_layout(shape, pis, n)
-            _assert_layout(layout, _block_lists(shape, pis), n)
+            mask = frames._block_mask(shape, pis, n)
+            assert mask.dtype == bool and np.array_equal(mask, ~_off_block(shape, pis))
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0, 0, 0] = False
 
 
 def test_layouts_are_cached_and_refuse_a_shape_of_another_width():
     shapes = (IntPartition((2, 1)), IntPartition((1, 1, 1)))
-    assert frames._component_layout(shapes, 3) is frames._component_layout(shapes, 3)
     pis = (Tableau(2, ((1,), (2,))), Tableau(2, ((1, 2),)))
-    assert frames._block_layout(shapes[0], pis, 3) is frames._block_layout(shapes[0], pis, 3)
+    for cached, key in (
+        (frames._component_layout, (shapes, 3)),
+        (frames._block_mask, (shapes[0], pis, 3)),
+    ):
+        cached.cache_clear()
+        assert cached(*key) is cached(*key)
+        assert cached.cache_info()[:2] == (1, 1)
     with pytest.raises(ShapeMismatchError):
         frames._component_layout(shapes, 4)
     with pytest.raises(ShapeMismatchError):
-        frames._block_layout(shapes[0], pis, 4)
+        frames._block_mask(shapes[0], pis, 4)
     with pytest.raises(ShapeMismatchError):
-        frames._block_layout(shapes[1], pis, 3)
+        frames._block_mask(shapes[1], pis, 3)
 
 
 def test_a_chunk_builds_each_layout_once(monkeypatch):
-    """Each distinct layout that a pfr chunk and an eversion-order chunk ask
-    for is built once: the cache holds a chunk's working set."""
-    asked, built = set(), []
-    for name in ("_component_layout", "_block_layout"):
+    """Each distinct layout and mask that a pfr chunk and an eversion-order
+    chunk ask for is built once: the caches hold a chunk's working set."""
+    asked = {}
+    for name in ("_component_layout", "_block_mask"):
         cached = getattr(frames, name)
         cached.cache_clear()
+        keys = asked[cached] = set()
 
-        def asking(*key, name=name, cached=cached):
-            asked.add((name, key))
+        def asking(*key, cached=cached, keys=keys):
+            keys.add(key)
             return cached(*key)
 
         monkeypatch.setattr(frames, name, asking)
-    grouping = frames._grouping
-    monkeypatch.setattr(frames, "_grouping", lambda labels: built.append(1) or grouping(labels))
     for suite in ("pfr", "eversion-order"):
         # ten trials: every property runs one chunk
         report = suites.run_suite(SuiteConfig(suite, ambient=8, trials=10, seed=4))
         assert all(p.passed for p in report.properties)
-    assert len(asked) >= 8
-    assert len(built) == len(asked)
+    assert sum(len(keys) for keys in asked.values()) >= 8
+    for cached, keys in asked.items():
+        assert keys and cached.cache_info().misses == len(keys)
 
 
 class TestBigobotStack:
@@ -1231,6 +1229,7 @@ def _stacked_calls(a, fit):
         "evert_stack": lambda: evert_stack(a, fit(lines)),
         "induced_on_frame_stack": lambda: induced_on_frame_stack(a, conj, a, fit(lines)),
         "induced_on_frame_stack-conj": lambda: induced_on_frame_stack(a, fit(conj), a, lines),
+        "induced_line_map_stack-conj": lambda: induced_line_map_stack(a, fit(conj)),
         "random_frame_stack": lambda: random_frame_stack(n, fit(lines), REAL, True, rngs),
     }
 
@@ -1317,7 +1316,7 @@ class TestClosedFormLinkage:
     @pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["dependent", "nearly-dependent"])
     def test_a_side_that_is_no_basis_raises(self, gap):
         # a partner whose second line is (nearly) its first: it is no frame,
-        # and either order of the two sides is refused
+        # either order of the two sides is refused, and it has no partner
         shape, pi = _line_shape(4), Tableau(4, ((1, 2), (3,), (4,)))
         a = random_frame_stack(4, [shape], COMPLEX, False, [np.random.default_rng(1)])
         b = a.copy()
@@ -1326,6 +1325,40 @@ class TestClosedFormLinkage:
         for x, y in ((a, b), (b, a)):
             with pytest.raises(SingularMatrixError):
                 pi_linked_stack(x, y, shape, [pi], self.TOL)
+        with pytest.raises(SingularMatrixError):
+            linked_partner_stack(b, shape, [pi], [np.random.default_rng(2)])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("dependent", SingularMatrixError),
+            ("dependent-across-blocks", SingularMatrixError),
+            ("nan", NonFiniteError),
+            ("zero", ZeroInputError),
+            ("short-tableaux", ShapeMismatchError),
+        ],
+    )
+    def test_a_refused_partner_draws_nothing(self, bad, error):
+        # the refusal comes before any generator of the stack draws
+        shape, pi = _line_shape(4), Tableau(4, ((1, 2), (3,), (4,)))
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        bases = random_frame_stack(4, [shape] * 3, REAL, False, rngs)
+        pis = [pi] * 3
+        if bad == "dependent":
+            bases[1, :, 1] = bases[1, :, 0]
+        elif bad == "dependent-across-blocks":
+            # each block spans its dimension, the frame does not
+            bases[2, :, 3] = unit_columns(bases[2, :, :1] + bases[2, :, 2:3])[:, 0]
+        elif bad == "nan":
+            bases[2, 0, 0] = np.nan
+        elif bad == "zero":
+            bases[1, :, 2] = 0.0
+        else:
+            pis = pis[:2]
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(error):
+            linked_partner_stack(bases, shape, pis, rngs)
+        assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_one_tableau_per_frame(self):
         a = np.stack([np.eye(3)] * 2)
@@ -1342,6 +1375,33 @@ class TestClosedFormLinkage:
             monkeypatch.setattr(frames, name, lambda *args: pytest.fail("linkage spans"))
         pi_linked_stack(a, cases[0][0], shape, pis, self.TOL)
         assert len(solves) == 1
+
+    def test_a_partner_is_one_draw_one_qr_and_no_block_spans(self, monkeypatch):
+        # a chunk of mixed tableaux: each generator fills one n x n remix,
+        # the whole chunk takes one QR, and only the components are spanned
+        n, count = 5, 8
+        shape = _line_shape(n)
+        rngs = [np.random.default_rng(k) for k in range(2 * count)]
+        a = random_frame_stack(n, [shape] * count, COMPLEX, False, rngs[:count])
+        pis = _pis(n, count)
+        assert len(set(pis)) > 1
+        calls = {}
+
+        def counting(module, name):
+            f, calls[name] = getattr(module, name), 0
+
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("gaussian_stack", "span_components", "span_stack"):
+            counting(frames, name)
+        counting(np.linalg, "qr")
+        linked_partner_stack(a, shape, pis, rngs[count:])
+        # one span of the lines of the chunk, which span_components makes
+        assert calls == {"gaussian_stack": 1, "span_components": 1, "span_stack": 1, "qr": 1}
 
 
 def _maps(n, field, count, seed):
