@@ -10,6 +10,7 @@ involution).
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,48 +48,51 @@ _CONDITION_FLOOR = 1e-3
 
 class FrameTuple:
     """Ordered tuple of subspaces with weakly decreasing dimensions summing
-    to the ambient dimension.
+    to the ambient dimension, held as one square stacked basis cut into
+    column blocks along its shape.
 
-    The constructor performs structural checks only (ambient and field
-    agreement, dimension profile); numerical soundness — actual linear
-    independence, orthogonality when flagged — is not checked, so defective
-    frames can still be built, and the operations that need an independent
-    frame (:func:`evert`, say) refuse a dependent one.
+    The constructor stacks the components' bases and performs structural
+    checks only (ambient and field agreement, dimension profile); numerical
+    soundness — actual linear independence, orthogonality when flagged — is
+    not checked, so defective frames can still be built, and the operations
+    that need an independent frame (:func:`evert`, say) refuse a dependent
+    one.  The components are read-only views of the column blocks, built on
+    first read and kept.
     """
 
-    __slots__ = ("ambient", "components", "orthogonal", "_stacked", "_shape")
+    __slots__ = ("_basis", "shape", "orthogonal", "_components")
 
     def __init__(self, components: Sequence[Subspace], orthogonal: bool = False):
         components = tuple(components)
         if not components:
             raise ValueError("frame needs at least one component")
-        ambient = components[0].ambient
-        field = components[0].field
+        ambient, field = components[0].ambient, components[0].field
         for c in components:
             if c.ambient != ambient:
                 raise AmbientMismatchError("components live in different ambients")
             if c.field != field:
                 raise FieldMismatchError("components carry different field tags")
-        dims = [c.dim for c in components]
-        if any(d <= 0 for d in dims):
-            raise ShapeMismatchError("zero-dimensional component")
-        if any(dims[i] < dims[i + 1] for i in range(len(dims) - 1)):
-            raise ShapeMismatchError("component dims must be weakly decreasing")
-        if sum(dims) != ambient:
-            raise ShapeMismatchError(
-                f"component dims {dims} do not sum to ambient {ambient}"
-            )
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "orthogonal", bool(orthogonal))
-        object.__setattr__(self, "_stacked", None)
-        object.__setattr__(self, "_shape", None)
+        try:
+            shape = IntPartition(tuple(c.dim for c in components))
+        except ValueError as exc:
+            raise ShapeMismatchError(f"component dims: {exc}") from None
+        self._hold(np.hstack([c.basis for c in components]), shape, orthogonal)
+
+    def _hold(self, basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> None:
+        """Keep ``basis``, made read-only, cut along ``shape``, which must
+        partition its width and its height."""
+        n = basis.shape[0]
+        if shape.n != n or basis.shape != (n, n):
+            raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
+        basis.setflags(write=False)
+        for name, value in zip(self.__slots__, (basis, shape, bool(orthogonal), None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FrameTuple is immutable")
 
     def __len__(self):
-        return len(self.components)
+        return len(self.shape)
 
     def __iter__(self):
         return iter(self.components)
@@ -100,27 +104,29 @@ class FrameTuple:
         )
 
     @property
-    def shape(self) -> IntPartition:
-        """The component dimensions, built on first access and kept."""
-        if self._shape is None:
-            shape = IntPartition(tuple(c.dim for c in self.components))
-            object.__setattr__(self, "_shape", shape)
-        return self._shape
+    def ambient(self) -> int:
+        return self._basis.shape[0]
 
     @property
     def field(self) -> str:
-        return self.components[0].field
+        return field_of(self._basis)
+
+    @property
+    def components(self) -> tuple[Subspace, ...]:
+        """The column blocks of the stacked basis as read-only subspace
+        views, built on first read and kept."""
+        if self._components is None:
+            parts = self.shape.parts
+            views = tuple(
+                Subspace._view(self.ambient, self._basis[:, end - d : end])
+                for d, end in zip(parts, itertools.accumulate(parts))
+            )
+            object.__setattr__(self, "_components", views)
+        return self._components
 
     def stacked_basis(self) -> np.ndarray:
-        """All component bases side by side; square by the dimension count.
-
-        Built once per frame, which is immutable, and read-only.
-        """
-        if self._stacked is None:
-            m = np.hstack([c.basis for c in self.components])
-            m.setflags(write=False)
-            object.__setattr__(self, "_stacked", m)
-        return self._stacked
+        """All component bases side by side, square and read-only."""
+        return self._basis
 
     def to_json(self) -> dict:
         return {
@@ -142,24 +148,14 @@ class FrameTuple:
 def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
     """The frame whose components are the column blocks of the square
     ``basis`` along ``shape``, which are trusted to be orthonormal; it is
-    built without the constructor's checks.
+    built without the constructor's checks on components.
 
     ``basis`` is taken over, not copied: it is made read-only and kept as the
-    stacked basis, and the components keep read-only views of its blocks, so
-    the caller must hand over an array that nothing else writes to.
+    stacked basis, so the caller must hand over an array that nothing else
+    writes to.
     """
-    n = basis.shape[0]
-    if shape.n != n or basis.shape != (n, n):
-        raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
-    basis.setflags(write=False)
-    layout = _component_layout((shape,), n)
-    components = tuple(
-        Subspace._view(n, basis[:, start : start + d])
-        for start, d in zip(layout.starts.tolist(), layout.sizes.tolist())
-    )
     frame = object.__new__(FrameTuple)
-    for name, value in zip(FrameTuple.__slots__, (n, components, bool(orthogonal), basis, shape)):
-        object.__setattr__(frame, name, value)
+    frame._hold(basis, shape, orthogonal)
     return frame
 
 

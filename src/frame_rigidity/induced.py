@@ -33,6 +33,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     conditioned_gaussian_stack,
+    field_dtype,
     field_of,
     gaussian,
     matrix_from_json,
@@ -210,9 +211,8 @@ def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_T
 
     The orthogonal flag survives only when the map is unitary up to scale;
     otherwise images of perpendicular components need not stay perpendicular.
+    A map on another ambient raises ``AmbientMismatchError``.
     """
-    if t.ambient != frame.ambient:
-        raise AmbientMismatchError(f"map on {t.ambient} dims, frame in {frame.ambient}")
     shape = frame.shape
     conj = np.array([t.automorphism == CONJUGATION])
     basis = induced_on_frame_stack(
@@ -329,7 +329,7 @@ def _probe_lines(ambient: int, field: str) -> tuple[np.ndarray, np.ndarray]:
         probes.append(eye[:, 0] + 1j * eye[:, 1])
     probe_rng = np.random.default_rng(_PROBE_SEED)
     sweep = [gaussian(probe_rng, (ambient,), field) for _ in range(_PROBE_COUNT)]
-    dtype = np.complex128 if field == COMPLEX else np.float64
+    dtype = field_dtype(field)
     out = tuple(unit_columns(np.stack(v, axis=1).astype(dtype)) for v in (probes, sweep))
     for bases in out:
         bases.setflags(write=False)

@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import COMPLEX, REAL, haar, require_tol
+from .linalg import field_dtype, haar, require_tol
 from .subspaces import commutator_norms, remainder_norms
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
@@ -79,8 +79,7 @@ def _check_arguments(
 ) -> None:
     if not _integer(ambient) or ambient < 2:
         raise ValueError(f"ambient must be an integer >= 2, got {ambient!r}")
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field tag {field!r}")
+    field_dtype(field)  # refuses an unknown tag
     if not _integer(count) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     require_tol(tol)

@@ -19,11 +19,22 @@ from .errors import FieldMismatchError, NonFiniteError, SingularMatrixError, Zer
 
 REAL = "real"
 COMPLEX = "complex"
+_DTYPES = {REAL: np.dtype(np.float64), COMPLEX: np.dtype(np.complex128)}
 
 #: Default relative tolerance for rank and residual decisions. Ambient
 #: dimensions stay <= 8 in double precision, which leaves several orders of
 #: magnitude of headroom above roundoff.
 DEFAULT_TOL = 1e-9
+
+
+def field_dtype(field: str) -> np.dtype:
+    """The dtype of a field tag's arrays, float64 for real and complex128 for
+    complex: the library's one reading of a tag.  An unknown tag raises
+    ``ValueError``."""
+    try:
+        return _DTYPES[field]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown field tag {field!r}") from None
 
 
 def as_matrix(a, field: str | None = None) -> np.ndarray:
@@ -34,21 +45,12 @@ def as_matrix(a, field: str | None = None) -> np.ndarray:
     imaginary part raises ``FieldMismatchError``.
     """
     m = np.asarray(a)
-    if field is None:
-        field = COMPLEX if np.iscomplexobj(m) else REAL
-    if field == REAL:
-        if np.iscomplexobj(m):
-            if np.any(m.imag != 0):
-                raise FieldMismatchError("complex entries in real-tagged matrix")
-            m = m.real
-        m = np.asarray(m, dtype=np.float64)
-    elif field == COMPLEX:
-        m = np.asarray(m, dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown field tag {field!r}")
-    if m.ndim != 2:
-        m = np.atleast_2d(m)
-    return m
+    dtype = field_dtype(field_of(m) if field is None else field)
+    if dtype.kind == "f" and np.iscomplexobj(m):
+        if np.any(m.imag != 0):
+            raise FieldMismatchError("complex entries in real-tagged matrix")
+        m = m.real
+    return np.atleast_2d(np.asarray(m, dtype=dtype))
 
 
 def field_of(m: np.ndarray) -> str:
@@ -276,24 +278,22 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     """Standard Gaussian array; complex entries have unit variance split
-    evenly between the real and imaginary parts, drawn after all real parts."""
-    g = rng.standard_normal(shape)
-    if field == COMPLEX:
-        g = (g + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return g
+    evenly between the real and imaginary parts, drawn after all real parts.
+    The batch of one of :func:`gaussian_stack`."""
+    return gaussian_stack([rng], shape, field)[0]
 
 
 def gaussian_stack(rngs, shape: tuple, field: str) -> np.ndarray:
     """One :func:`gaussian` array of ``shape`` from each generator, stacked.
 
     Each generator fills its slot of one buffer in a single call, all its
-    real parts and then all its imaginary parts, as :func:`gaussian` draws
-    them; the buffer is combined once by :func:`gaussian`'s expression."""
-    parts = 2 if field == COMPLEX else 1
-    buf = np.empty((len(rngs), parts) + tuple(shape))
+    real parts and then all its imaginary parts; the buffer is combined
+    once.  An unknown field tag raises ``ValueError`` before any draw."""
+    complex_ = field_dtype(field).kind == "c"
+    buf = np.empty((len(rngs), 1 + complex_) + tuple(shape))
     for rng, draws in zip(rngs, buf):
         rng.standard_normal(out=draws)
-    if field == COMPLEX:
+    if complex_:
         return (buf[:, 0] + 1j * buf[:, 1]) / np.sqrt(2.0)
     return buf[:, 0]
 

@@ -127,8 +127,9 @@ class Tableau:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @functools.cached_property
     def shape(self) -> IntPartition:
+        """The block sizes, built on first read and kept."""
         return IntPartition(tuple(len(b) for b in self.blocks))
 
     def block_of(self, symbol: int) -> int:

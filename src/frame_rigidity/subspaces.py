@@ -20,13 +20,13 @@ import numpy as np
 
 from .errors import AmbientMismatchError
 from .linalg import (
-    COMPLEX,
     DEFAULT_TOL,
     REAL,
     _finite_svd,
     _principal,
     adjoint,
     as_matrix,
+    field_dtype,
     field_of,
     matrix_from_json,
     matrix_to_json,
@@ -95,13 +95,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int, field: str = REAL) -> "Subspace":
-        dtype = np.complex128 if field == COMPLEX else np.float64
-        return cls(ambient, np.zeros((ambient, 0), dtype=dtype))
+        return cls(ambient, np.zeros((ambient, 0), dtype=field_dtype(field)))
 
     @classmethod
     def full(cls, ambient: int, field: str = REAL) -> "Subspace":
-        dtype = np.complex128 if field == COMPLEX else np.float64
-        return cls(ambient, np.eye(ambient, dtype=dtype))
+        return cls(ambient, np.eye(ambient, dtype=field_dtype(field)))
 
     # -- lattice operations ------------------------------------------------
 
@@ -190,8 +188,7 @@ class Subspace:
         require_tol(tol)
         ambient = int(obj["ambient"])
         field = obj["field"]
-        if field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field tag {field!r}")
+        field_dtype(field)  # refuses an unknown tag
         rows = obj["basis"]
         if len(rows) != ambient:
             raise ValueError("basis row count does not match ambient dimension")

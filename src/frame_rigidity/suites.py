@@ -16,8 +16,8 @@ its own stream in the order one trial alone would, so the chunk size changes
 no report.  ``reconstruction`` recovers a chunk's hidden maps through the
 stacked line-oracle protocol (:func:`induced.reconstruct_from_line_images_stack`),
 which asks the oracle twice per chunk: once for every probe line and once
-for all 50 sweep lines.  Only ``partitions``, which draws no frame, runs
-trial by trial, through :func:`_per_trial`.
+for all 50 sweep lines.  ``partitions``, which draws no frame, keeps a
+chunk as lists of combinatorial objects, one per stream.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     _finite_svd,
+    field_dtype,
     gaussian,
     gaussian_stack,
     principal_angles,
@@ -159,22 +160,11 @@ def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# a trial returns what it measured: its verdict (True when the property
-# holds) or a residual
-TrialFn = Callable[[SuiteConfig, int, np.random.Generator], "bool | float"]
-# a batch of trials returns one outcome per trial, in trial order
+# a batch of trials returns what each trial measured, in trial order: its
+# verdict (True when the property holds) or a residual
 BatchFn = Callable[
     [SuiteConfig, Sequence[int], Sequence[np.random.Generator]], Sequence["bool | float"]
 ]
-
-
-def _per_trial(trial_fn: TrialFn) -> BatchFn:
-    """Run a one-trial property over a batch, trial by trial."""
-
-    def run(cfg, trials, rngs):
-        return [trial_fn(cfg, trial, rng) for trial, rng in zip(trials, rngs)]
-
-    return run
 
 
 @dataclass(frozen=True)
@@ -533,7 +523,7 @@ def _obot_matches_pairwise(cfg, trials, rngs):
     # per stream a Haar subspace of dimension 1..n-1 and then another: the
     # complete Q of its Gaussian, padded with zero columns, is its basis and
     # then one of its orthocomplement
-    g = np.zeros((2, len(rngs), n, n), dtype=np.complex128 if cfg.field == COMPLEX else float)
+    g = np.zeros((2, len(rngs), n, n), dtype=field_dtype(cfg.field))
     dims = np.empty((2, len(rngs)), dtype=np.intp)
     for side in range(2):
         for k, rng in enumerate(rngs):
@@ -620,31 +610,36 @@ def _refinement_lift_equivariance(cfg, trials, rngs):
 # -- partitions: pure combinatorics -----------------------------------------------
 
 
-def _partitions_involution(cfg, trial, rng):
-    mu = _random_partition_number(int(rng.integers(1, 31)), rng)
-    return mu.conjugate().conjugate() == mu
+def _partitions_drawn(rngs, most: int) -> list:
+    """One partition per stream, of a number it draws from 1..most."""
+    return [_random_partition_number(int(rng.integers(1, most + 1)), rng) for rng in rngs]
 
 
-def _partitions_conjugate_dominance(cfg, trial, rng):
-    m = int(rng.integers(1, 13))
-    mu = _random_partition_number(m, rng)
-    nu = _random_partition_number(m, rng)
-    return dominance_leq(mu, nu) == dominance_leq(nu.conjugate(), mu.conjugate())
+def _partitions_involution(cfg, trials, rngs):
+    return [mu.conjugate().conjugate() == mu for mu in _partitions_drawn(rngs, 30)]
 
 
-def _partitions_refinement_dominance(cfg, trial, rng):
-    arrow = _coarsening(_random_set_partition(int(rng.integers(2, 10)), rng), rng)
-    return arrow is not None and dominance_leq(arrow.fine.shape, arrow.coarse.shape)
+def _partitions_conjugate_dominance(cfg, trials, rngs):
+    out = []
+    for rng in rngs:
+        m = int(rng.integers(1, 13))
+        mu, nu = _random_partition_number(m, rng), _random_partition_number(m, rng)
+        out.append(dominance_leq(mu, nu) == dominance_leq(nu.conjugate(), mu.conjugate()))
+    return out
 
 
-def _partitions_jump_sum(cfg, trial, rng):
-    mu = _random_partition_number(int(rng.integers(1, 41)), rng)
-    return sum(mu.jmp_sequence()) == mu.parts[0]
+def _partitions_refinement_dominance(cfg, trials, rngs):
+    fines = [_random_set_partition(int(rng.integers(2, 10)), rng) for rng in rngs]
+    arrows = [_coarsening(fine, rng) for fine, rng in zip(fines, rngs)]
+    return [a is not None and dominance_leq(a.fine.shape, a.coarse.shape) for a in arrows]
 
 
-def _partitions_symmetry_count(cfg, trial, rng):
-    mu = _random_partition_number(int(rng.integers(1, 41)), rng)
-    return sum(mu.symmetry_factors()) == len(mu.parts)
+def _partitions_jump_sum(cfg, trials, rngs):
+    return [sum(mu.jmp_sequence()) == mu.parts[0] for mu in _partitions_drawn(rngs, 40)]
+
+
+def _partitions_symmetry_count(cfg, trials, rngs):
+    return [sum(mu.symmetry_factors()) == len(mu.parts) for mu in _partitions_drawn(rngs, 40)]
 
 
 # -- reconstruction: recovering a map from its action on lines --------------------
@@ -727,15 +722,11 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("lifted-permutation-equivariance", _refinement_lift_equivariance),
     ),
     "partitions": (
-        _Property("conjugate-involution", _per_trial(_partitions_involution)),
-        _Property(
-            "conjugation-reverses-dominance", _per_trial(_partitions_conjugate_dominance)
-        ),
-        _Property(
-            "refinement-implies-dominance", _per_trial(_partitions_refinement_dominance)
-        ),
-        _Property("jump-sum-recovers-largest-part", _per_trial(_partitions_jump_sum)),
-        _Property("symmetry-factors-count-parts", _per_trial(_partitions_symmetry_count)),
+        _Property("conjugate-involution", _partitions_involution),
+        _Property("conjugation-reverses-dominance", _partitions_conjugate_dominance),
+        _Property("refinement-implies-dominance", _partitions_refinement_dominance),
+        _Property("jump-sum-recovers-largest-part", _partitions_jump_sum),
+        _Property("symmetry-factors-count-parts", _partitions_symmetry_count),
     ),
     "reconstruction": (
         _Property("hidden-map-round-trip", _reconstruction_roundtrip, band=100.0),

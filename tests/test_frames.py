@@ -8,6 +8,7 @@ import pytest
 
 from frame_rigidity import frames
 from frame_rigidity.errors import (
+    AmbientMismatchError,
     FieldMismatchError,
     IllegalPermutationError,
     ShapeMismatchError,
@@ -77,6 +78,18 @@ class TestConstruction:
     def test_field_mixing_rejected(self):
         with pytest.raises(FieldMismatchError):
             FrameTuple([line(1, 0), cline([0, 1])])
+
+    def test_zero_dimensional_component_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            FrameTuple([Subspace.full(3), Subspace.zero(3)])
+
+    def test_ambient_mixing_rejected(self):
+        with pytest.raises(AmbientMismatchError):
+            FrameTuple([line(1, 0, 0), line(0, 1)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            FrameTuple([])
 
     def test_shape_property(self):
         plane = Subspace.from_columns(np.eye(3)[:, :2])

@@ -36,6 +36,7 @@ from frame_rigidity.induced import (
     induced_on_frame,
     induced_on_frame_stack,
     is_unitary_up_to_scale,
+    random_semilinear,
     reconstruct_from_line_images,
     reconstruct_from_line_images_stack,
     scale_equivalent,
@@ -46,6 +47,7 @@ from frame_rigidity.linalg import (
     REAL,
     adjoint,
     as_matrix,
+    field_dtype,
     field_of,
     gaussian,
     gaussian_stack,
@@ -489,6 +491,30 @@ class TestFieldTags:
 
     def test_spectral_norm_of_empty_is_zero(self):
         assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+    def test_tags_map_to_dtypes(self):
+        assert field_dtype(REAL) == np.float64 and field_dtype(COMPLEX) == np.complex128
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            field_dtype,
+            lambda tag: as_matrix(np.eye(2), tag),
+            lambda tag: gaussian(np.random.default_rng(0), (2, 2), tag),
+            lambda tag: gaussian_stack([np.random.default_rng(0)], (2, 2), tag),
+            lambda tag: haar(np.random.default_rng(0), (3, 3), tag),
+            lambda tag: random_frame(3, IntPartition((2, 1)), tag, False, np.random.default_rng(0)),
+            lambda tag: random_frame(3, IntPartition((2, 1)), tag, True, np.random.default_rng(0)),
+            lambda tag: random_semilinear(3, tag, np.random.default_rng(0)),
+            lambda tag: Subspace.zero(3, tag),
+            lambda tag: Subspace.full(3, tag),
+        ],
+    )
+    @pytest.mark.parametrize("tag", ["Complex", "REAL", "", ["real"]])
+    def test_unknown_tag_refused(self, make, tag):
+        # a misspelled tag is no silent real run
+        with pytest.raises(ValueError, match="unknown field tag"):
+            make(tag)
 
 
 class TestPrincipalAngles:

@@ -181,6 +181,11 @@ class TestTableau:
         with pytest.raises(ValueError):
             Tableau(3, (frozenset({1, 2}),))
 
+    def test_shape_built_once(self):
+        pi = Tableau(4, (frozenset({1, 2}), frozenset({3}), frozenset({4})))
+        assert pi.shape is pi.shape
+        assert pi == Tableau(4, ((4,), (3,), (1, 2))) and hash(pi) == hash((4, pi.blocks))
+
     def test_block_of(self):
         t = Tableau(4, (frozenset({1, 2}), frozenset({3, 4})))
         assert t.block_of(3) == 1

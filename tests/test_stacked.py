@@ -73,6 +73,7 @@ from frame_rigidity.partitions import (
     IntPartition,
     Tableau,
     compose_refinements,
+    dominance_leq,
     identity_refinement,
     lift_coarse_permutation,
     partitions_of,
@@ -85,12 +86,14 @@ from frame_rigidity.suites import (
     FALSIFY_EPS,
     LINKAGE_BAND,
     SuiteConfig,
+    _coarsening,
     _contiguous_tableau,
     _line_shape,
     _merge_blocks,
     _partition_for_trial,
     _random_automorphism,
     _random_legal_permutation,
+    _random_partition_number,
     _random_set_partition,
     _random_shape,
     run_suite,
@@ -485,6 +488,33 @@ def _refinement_lift_equivariance(cfg, trial, rng):
     return _frame_distance(lhs, permute(coarse_frame, sigma_coarse))
 
 
+def _partitions_involution(cfg, trial, rng):
+    mu = _random_partition_number(int(rng.integers(1, 31)), rng)
+    return mu.conjugate().conjugate() == mu
+
+
+def _partitions_conjugate_dominance(cfg, trial, rng):
+    m = int(rng.integers(1, 13))
+    mu = _random_partition_number(m, rng)
+    nu = _random_partition_number(m, rng)
+    return dominance_leq(mu, nu) == dominance_leq(nu.conjugate(), mu.conjugate())
+
+
+def _partitions_refinement_dominance(cfg, trial, rng):
+    arrow = _coarsening(_random_set_partition(int(rng.integers(2, 10)), rng), rng)
+    return arrow is not None and dominance_leq(arrow.fine.shape, arrow.coarse.shape)
+
+
+def _partitions_jump_sum(cfg, trial, rng):
+    mu = _random_partition_number(int(rng.integers(1, 41)), rng)
+    return sum(mu.jmp_sequence()) == mu.parts[0]
+
+
+def _partitions_symmetry_count(cfg, trial, rng):
+    mu = _random_partition_number(int(rng.integers(1, 41)), rng)
+    return sum(mu.symmetry_factors()) == len(mu.parts)
+
+
 ORACLES = {
     ("clr", "preserves-dimensions"): _clr_dims,
     ("clr", "preserves-joins"): _clr_joins,
@@ -509,6 +539,11 @@ ORACLES = {
     ("refinement", "identity-arrow-fixes-frame"): _refinement_identity,
     ("refinement", "composition-functoriality"): _refinement_functorial,
     ("refinement", "lifted-permutation-equivariance"): _refinement_lift_equivariance,
+    ("partitions", "conjugate-involution"): _partitions_involution,
+    ("partitions", "conjugation-reverses-dominance"): _partitions_conjugate_dominance,
+    ("partitions", "refinement-implies-dominance"): _partitions_refinement_dominance,
+    ("partitions", "jump-sum-recovers-largest-part"): _partitions_jump_sum,
+    ("partitions", "symmetry-factors-count-parts"): _partitions_symmetry_count,
     ("reconstruction", "hidden-map-round-trip"): _reconstruction_roundtrip,
     ("reconstruction", "rejects-distorted-oracle"): _reconstruction_rejects_distortion,
     ("falsify", "breaks-linkage"): partial(_falsify_trial, eps=FALSIFY_EPS),
@@ -554,19 +589,11 @@ class TestBatchedPropertiesMatchOracles:
                 _assert_same_outcomes(cfg, name, range(trials))
 
     def test_every_batched_property_has_an_oracle(self):
-        # every property that does not run through the per-trial adapter
-        per_trial = {
-            (suite, p.name): getattr(p.run, "__qualname__", "").startswith("_per_trial.")
-            for suite, props in suites._REGISTRY.items()
-            for p in props
-        }
-        batched = {key for key, adapted in per_trial.items() if not adapted}
+        # every property takes chunks; none runs through a per-trial adapter
+        batched = {(suite, p.name) for suite, props in suites._REGISTRY.items() for p in props}
         assert batched == set(ORACLES)
-        assert {suite for suite, _ in batched} == {
-            "clr", "clr-bis", "pfr-perp", "pfr", "eversion-order", "obot",
-            "refinement", "reconstruction", "falsify",
-        }
-        assert {suite for (suite, _), adapted in per_trial.items() if adapted} == {"partitions"}
+        assert {suite for suite, _ in batched} == set(suites.list_suites())
+        assert not hasattr(suites, "_per_trial")
 
     @pytest.mark.parametrize(
         "name", ["image-lines-independent", "image-preserves-sum-dimension"]
@@ -860,8 +887,8 @@ class TestEversionIsBatchOfOne:
 
 
 class TestFramesKeepTheirArrays:
-    """A frame built from a fresh stacked basis keeps that array, read-only,
-    and its components are read-only views of it."""
+    """A frame holds one read-only stacked basis, taken over when it is
+    built from a fresh one, and its components are read-only views of it."""
 
     def _assert_read_only(self, frame):
         stacked = frame.stacked_basis()
@@ -872,7 +899,8 @@ class TestFramesKeepTheirArrays:
             with pytest.raises(ValueError):
                 c.basis[0, 0] = 1.0
 
-    def test_sampled_and_derived_frames(self):
+    def _derived_frames(self):
+        """A sampled frame and every scalar form's result from it."""
         rng = np.random.default_rng(5)
         shape = IntPartition((2, 2, 1))
         t = random_frame(5, shape, COMPLEX, False, rng)
@@ -880,7 +908,7 @@ class TestFramesKeepTheirArrays:
         m = random_semilinear(5, COMPLEX, rng)
         fine = Tableau(5, ((1, 2), (3, 4), (5,)))
         coarsening = reverse_refines(fine, Tableau(5, ((1, 2, 5), (3, 4))))
-        for frame in (
+        return (
             t,
             random_frame(5, shape, REAL, True, rng),
             evert(t),
@@ -888,12 +916,42 @@ class TestFramesKeepTheirArrays:
             induced_on_frame(m, t),
             permute(t, (1, 0, 2)),
             refine_map(t, coarsening),
-        ):
+        )
+
+    def test_sampled_and_derived_frames(self):
+        for frame in self._derived_frames():
             self._assert_read_only(frame)
+
+    def test_constructed_frames(self):
+        # the components handed in are stacked once; the frame's own
+        # components are views of that basis, equal to them
+        handed = [random_subspace(5, 2, COMPLEX, np.random.default_rng(k)) for k in range(2)]
+        handed.append(Subspace.from_columns(np.ones((5, 1)), field=COMPLEX))
+        frame = FrameTuple(handed)
+        self._assert_read_only(frame)
+        for c, h in zip(frame.components, handed):
+            assert np.array_equal(c.basis, h.basis) and not np.shares_memory(c.basis, h.basis)
+
+    def test_a_frame_holds_only_its_basis_shape_and_flag(self, monkeypatch):
+        views = []
+        real_view = Subspace._view.__func__
+        monkeypatch.setattr(
+            Subspace, "_view", classmethod(lambda cls, *a: views.append(a) or real_view(cls, *a))
+        )
+        frames_ = self._derived_frames()
+        assert views == []
+        for frame in frames_:
+            assert frame._components is None
+            assert not any(hasattr(frame, name) for name in ("_stacked", "_shape", "__dict__"))
+            assert len(frame) == len(frame.shape.parts) and frame.ambient == 5
+            assert frame.components is frame.components
+        assert len(views) == sum(len(frame.shape.parts) for frame in frames_)
 
     def test_the_basis_is_kept_not_copied(self):
         basis = np.linalg.qr(np.random.default_rng(6).standard_normal((4, 4))).Q
+        layouts = frames._component_layout.cache_info()
         frame = frames._frame(basis, IntPartition((2, 1, 1)), True)
+        assert frames._component_layout.cache_info() == layouts
         assert frame.stacked_basis() is basis
         assert not basis.flags.writeable
 

@@ -19,7 +19,6 @@ from frame_rigidity.suites import (
     MIN_TOL,
     SuiteConfig,
     _Property,
-    _per_trial,
     _run_property,
     list_suites,
     run_suite,
@@ -217,7 +216,7 @@ class TestRunSuite:
 
 def _judge(outcome, band=10.0):
     """Run a three-trial property whose every trial returns ``outcome``, at tol 1e-9."""
-    prop = _Property("probe", _per_trial(lambda cfg, trial, rng: outcome), band=band)
+    prop = _Property("probe", lambda cfg, trials, rngs: [outcome] * len(trials), band=band)
     return _run_property(SuiteConfig(suite="partitions", trials=3, tol=1e-9), prop)
 
 
@@ -273,7 +272,7 @@ class TestRunProperty:
     def test_nan_residual_reaches_the_report(self):
         # max(worst, nan) keeps worst, which hid a NaN trial behind a clean one
         prop = _Property(
-            "probe", _per_trial(lambda cfg, trial, rng: float("nan") if trial == 1 else 1e-12)
+            "probe", lambda cfg, trials, rngs: [float("nan") if t == 1 else 1e-12 for t in trials]
         )
         cfg = SuiteConfig(suite="pfr", ambient=4, field="real", trials=3, seed=0)
         result = _run_property(cfg, prop)
@@ -342,7 +341,7 @@ class TestCli:
         assert lines[-1].startswith("suite partitions: PASS")
 
     def test_property_failure_exits_one(self, monkeypatch, capsys):
-        failing = _Property("always-violated", _per_trial(lambda cfg, trial, rng: False))
+        failing = _Property("always-violated", lambda cfg, trials, rngs: [False] * len(trials))
         monkeypatch.setitem(suites._REGISTRY, "partitions", (failing,))
         assert cli.main(["--suite", "partitions", "--trials", "5"]) == 1
         assert "FAIL always-violated" in capsys.readouterr().out
