@@ -212,8 +212,9 @@ def commutator_norms(qa: np.ndarray, qb: np.ndarray):
     projectors onto span ``Q_A`` and span ``Q_B``, for two orthonormal bases
     (a float) or for each pair of two ``(B, n, k)`` stacks (an array).
     The projectors are Hermitian, so ``P_B P_A`` is the adjoint of
-    ``P_A P_B``."""
-    product = (qa @ adjoint(qa)) @ (qb @ adjoint(qb))
+    ``P_A P_B = Q_A (Q_A^H Q_B) Q_B^H``, formed through the small product
+    ``Q_A^H Q_B`` rather than the two ``n x n`` projectors."""
+    product = qa @ ((adjoint(qa) @ qb) @ adjoint(qb))
     return spectral_norm(product - adjoint(product))
 
 
@@ -221,12 +222,19 @@ def remainder_norms(qa: np.ndarray, qb: np.ndarray, tol: float):
     """Route 2: ``|(P_A - P_C)(P_B - P_C)|`` for the meet C of span ``Q_A``
     and span ``Q_B`` at ``tol``, for two orthonormal bases or two stacks.
 
-    The principal directions ``V_r`` of A at sine above ``tol`` map to the
-    part of A orthogonal to C (:func:`linalg.principal_angles`), whose
-    projector is ``P_A - P_C``.  So ``(P_A - P_C) P_C = 0`` and
-    ``(P_A - P_C)(P_B - P_C) = (P_A - P_C) P_B``, whose norm is that of
-    ``Q_B^H Q_A V_r = G V_r``, with ``G`` the product the angles came from.
+    The norm is symmetric in A and B (the adjoint of the product swaps
+    them, and C is the meet from either side), so it is read from the
+    narrower operand, A below: the operands are swapped when ``Q_A`` has
+    more columns than ``Q_B``, and the one thin SVD is of an
+    ``n x min(d_A, d_B)`` matrix.  The principal directions
+    ``V_r`` of A at sine above ``tol`` map to the part of A orthogonal to C
+    (:func:`linalg.principal_angles`), whose projector is ``P_A - P_C``.  So
+    ``(P_A - P_C) P_C = 0`` and ``(P_A - P_C)(P_B - P_C) = (P_A - P_C) P_B``,
+    whose norm is that of ``Q_B^H Q_A V_r = G V_r``, with ``G`` the product
+    the angles came from.
     """
+    if qa.shape[-1] > qb.shape[-1]:
+        qa, qb = qb, qa
     g, sines, v = _principal(qa, qb)
     return spectral_norm(g @ (v * (sines > tol)[..., None, :]))
 
@@ -241,7 +249,8 @@ def commeasurable(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
 
 def commeasurable_via_complements(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
     """Lattice test: the parts of each operand beyond the meet are orthogonal
-    within 10*tol (:func:`remainder_norms`).
+    within 10*tol (:func:`remainder_norms`, which reads the meet from the
+    principal angles of the narrower operand against the other).
 
     Kept deliberately independent of the projector-commutator route so the
     two can cross-check each other.

@@ -154,6 +154,103 @@ class TestFullBatch:
         assert bool(np.all(batch.via_complements[full_both]))
 
 
+def _per_bucket_reference(ambient, field, count, rng, tol, adversarial_fraction):
+    """The kernel as one stack per (dim A, dim B) bucket, each pair in its
+    drawn orientation: two QRs per bucket, and the adversarial pairs in
+    buckets of their own.  It draws what the kernel draws, in the same order,
+    so the two must give the same result for every pair."""
+    n = ambient
+    n_adv = int(round(count * adversarial_fraction))
+    n_rand = count - n_adv
+    via_comm = np.zeros(count, dtype=bool)
+    via_comp = np.zeros(count, dtype=bool)
+    comm_norms = np.zeros(count)
+    dims_a = np.zeros(count, dtype=np.int64)
+    dims_b = np.zeros(count, dtype=np.int64)
+
+    def buckets(da_all, db_all):
+        for da in range(1, n + 1):
+            for db in range(1, n + 1):
+                idx = np.nonzero((da_all == da) & (db_all == db))[0]
+                if idx.size:
+                    yield da, db, idx
+
+    def record(idx, da, db, qa, qb):
+        via_comm[idx], via_comp[idx], comm_norms[idx] = _dual_paths_for_bucket(qa, qb, tol)
+        dims_a[idx], dims_b[idx] = da, db
+
+    da_rand = rng.integers(1, n + 1, size=n_rand)
+    db_rand = rng.integers(1, n + 1, size=n_rand)
+    for da, db, idx in buckets(da_rand, db_rand):
+        qa = haar(rng, (idx.size, n, da), field)
+        record(idx, da, db, qa, haar(rng, (idx.size, n, db), field))
+    if n_adv > 0:
+        q = haar(rng, (n_adv, n, n), field)
+        da_adv = rng.integers(1, n, size=n_adv)
+        db_adv = rng.integers(1, n - da_adv + 1)
+        eps = np.resize(ADVERSARIAL_ANGLES, n_adv)
+        rotated = np.cos(eps)[:, None] * q[:, :, 0] + np.sin(eps)[:, None] * q[:, :, n - 1]
+        for da, db, sel in buckets(da_adv, db_adv):
+            qb = np.concatenate(
+                [rotated[sel][:, :, None], q[sel][:, :, da : da + db - 1]], axis=2
+            )
+            record(n_rand + sel, da, db, q[sel, :, :da], qb)
+    return via_comm, via_comp, comm_norms, dims_a, dims_b, np.arange(count) >= n_rand
+
+
+class TestPairForPair:
+    """The kernel, which groups pairs by width, against the per-bucket loop:
+    route agreement alone cannot see a group's results land on the wrong
+    pairs."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("ambient", [2, 3, 4, 5, 6])
+    def test_same_pairs_and_verdicts(self, ambient, field, fraction):
+        key = (3, "kernel-reference", f"{ambient}-{field}-{fraction}", 0)
+        rng, reference_rng = trial_rng(*key), trial_rng(*key)
+        batch = batched_commeasurability_check(
+            ambient, field, 600, rng, TOL, adversarial_fraction=fraction
+        )
+        via_comm, via_comp, norms, dims_a, dims_b, adversarial = _per_bucket_reference(
+            ambient, field, 600, reference_rng, TOL, fraction
+        )
+        assert np.array_equal(batch.dims_a, dims_a)
+        assert np.array_equal(batch.dims_b, dims_b)
+        assert np.array_equal(batch.adversarial, adversarial)
+        assert np.array_equal(batch.via_commutator, via_comm)
+        assert np.array_equal(batch.via_complements, via_comp)
+        assert np.max(np.abs(batch.commutator_norms - norms)) <= 1e-15
+        # the same draws, so both leave the stream at the same place
+        assert rng.random(4).tolist() == reference_rng.random(4).tolist()
+
+
+class TestLapackCalls:
+    """One QR per column width and both routes once per unordered pair of
+    widths, whatever the number of pairs."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("ambient", [2, 3, 4, 5, 6])
+    def test_calls_per_kernel_call(self, ambient, field, monkeypatch):
+        calls = dict.fromkeys(("qr", "svd", "eigvalsh"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = trial_rng(5, "kernel-calls", f"{ambient}-{field}", 0)
+        batch = batched_commeasurability_check(ambient, field, 2000, rng, TOL)
+        n = ambient
+        # every unordered pair of widths occurs, so every group is counted
+        widths = {tuple(sorted(p)) for p in zip(batch.dims_a.tolist(), batch.dims_b.tolist())}
+        assert len(widths) == n * (n + 1) // 2
+        assert 0 < calls["qr"] <= n + 1
+        assert 0 < calls["svd"] <= n * (n + 1) // 2
+        assert 0 < calls["eigvalsh"] <= n * (n + 1)
+
+
 class TestAgainstComplementsOracle:
     """The principal-angle route 2 against the complete-QR complements."""
 
@@ -240,6 +337,12 @@ class TestArgumentValidation:
             {"adversarial_fraction": 1.5},
             {"adversarial_fraction": -0.5},
             {"adversarial_fraction": float("nan")},
+            {"adversarial_fraction": True},
+            {"adversarial_fraction": False},
+            {"adversarial_fraction": np.bool_(True)},
+            {"adversarial_fraction": "0.1"},
+            {"adversarial_fraction": None},
+            {"adversarial_fraction": 0.1 + 0j},
             {"ambient": 1},
             {"ambient": 3.0},
             {"count": -5},

@@ -529,6 +529,46 @@ class TestStackIsItsRows:
                             assert abs(norms[k] - value) <= 1e-14
 
 
+def _a_side_remainder(qa, qb, tol):
+    """Route 2 read from the principal angles of A against B whatever the
+    widths, with no swap to the narrower operand."""
+    g = adjoint(qb) @ qa
+    _, sines, vh = np.linalg.svd(qa - qb @ g, full_matrices=False)
+    product = g @ (adjoint(vh) * (sines > tol)[..., None, :])
+    if product.size == 0:
+        return np.zeros(product.shape[:-2])
+    return np.linalg.norm(product, 2, axis=(-2, -1))
+
+
+class TestNarrowSide:
+    """Route 2 reads the narrower operand's principal angles; on pairs of
+    unequal widths, zero-width and full-space operands included, it gives
+    the norm and verdict of A's side."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matches_the_a_side_formula(self, field):
+        rng = np.random.default_rng(2718)
+        tol, band = 1e-8, 1e-7
+        for n in range(2, 7):
+            for da in range(n + 1):
+                for db in range(n + 1):
+                    if da == db:
+                        continue
+                    qa, qb = _mixed_pairs(n, da, db, field, rng)
+                    want = _a_side_remainder(qa, qb, tol)
+                    got = remainder_norms(qa, qb, tol)
+                    # on commuting rows, whose norm is 0, either side's
+                    # rounding reaches about 1.1e-14 at n = 5, 6
+                    assert np.max(np.abs(got - want)) <= 2e-14
+                    assert (got <= band).tolist() == (want <= band).tolist()
+                    for x, y, value in zip(qa, qb, want):
+                        assert abs(remainder_norms(x, y, tol) - value) <= 2e-14
+                        verdict = commeasurable_via_complements(
+                            Subspace(n, x), Subspace(n, y), tol
+                        )
+                        assert verdict is bool(value <= band)
+
+
 class TestLatticeInvariants:
     def test_de_morgan(self):
         rng = np.random.default_rng(909)
