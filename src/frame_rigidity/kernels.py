@@ -14,7 +14,11 @@ At a few dozen pairs per stack, numpy's cost per LAPACK call is as large as
 the arithmetic, so the kernel makes few calls and pads nothing: one QR per
 column width over every Gaussian of that width, and both routes once per
 unordered pair of widths, on the pairs of those widths oriented narrower
-operand first.
+operand first.  Both routes read their norms on the narrow side, from
+``n x min(d_A, d_B)`` matrices, so a width pair with a line operand takes
+neither an SVD nor an eigensolve: route 1's norm is that of one column of
+the commutator, route 2's sine that of one column outside the other basis.
+At n = 6 a call makes 51 LAPACK calls: 6 QRs, 15 SVDs and 30 eigensolves.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import field_dtype, gaussian, require_tol
+from .linalg import _number, field_dtype, gaussian, require_tol
 from .subspaces import commutator_norms, remainder_norms
 
 ADVERSARIAL_ANGLES = (1e-12, 1e-6, 1e-3)
@@ -75,11 +79,6 @@ def _adversarial_operands(q: np.ndarray, da: np.ndarray, eps: np.ndarray) -> tup
         np.cos(eps)[:, None] * q[:, :, 0] + np.sin(eps)[:, None] * q[:, :, -1]
     )
     return (q, turned), (np.zeros_like(da), da - 1)
-
-
-def _number(value, kind) -> bool:
-    # a bool is an Integral, but no dimension, count or fraction
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_arguments(

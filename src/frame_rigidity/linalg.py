@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -72,10 +73,18 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
+def _number(value, kind) -> bool:
+    # a bool is an Integral, but no dimension, count, fraction or tolerance
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def require_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless ``0 < tol < inf``; a NaN is refused too."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    """Raise ``ValueError`` unless ``tol`` is a real number, not a bool, with
+    ``0 < tol < inf``; a NaN, a string, ``None``, a complex number and an
+    array are refused too."""
+    # a float, np.float64 included, skips the slower abstract-class check
+    if not ((isinstance(tol, float) or _number(tol, Real)) and 0.0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite positive real number, got {tol!r}")
 
 
 def spectral_norm(m: np.ndarray):
@@ -134,7 +143,8 @@ def _finite_svd(m: np.ndarray, compute_uv: bool, full_matrices: bool = False):
 def _outside(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``G = Q_B^H Q_A`` and ``Q_A - Q_B G``, the part of each column of
     ``Q_A`` outside the span of the orthonormal ``Q_B``, for two bases or two
-    stacks."""
+    stacks.  A NaN or infinite entry makes NaN or infinite entries; the
+    caller silences numpy's warnings about them and refuses them."""
     g = adjoint(qb) @ qa
     return g, qa - qb @ g
 
@@ -147,15 +157,28 @@ def residual_norms(qa: np.ndarray, qb: np.ndarray):
     them, one sine per pair.  It is at most ``tol`` when A lies in B within
     ``tol``, and at equal dimensions it is the projector distance
     ``|P_A - P_B|`` (Bjorck-Golub 1973).  NaN or infinite entries raise
-    ``NonFiniteError``.
+    ``NonFiniteError``, without a numpy warning.
     """
-    return spectral_norm(_outside(qa, qb)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        outside = _outside(qa, qb)[1]
+    return spectral_norm(outside)
 
 
 def _principal(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``G = Q_B^H Q_A`` and, from one thin SVD ``Q_A - Q_B G = U S V^H``, the
-    sines ``S`` and principal directions ``V`` of span ``Q_A`` against ``Q_B``."""
-    g, outside = _outside(qa, qb)
+    """``G = Q_B^H Q_A`` and the sines ``S`` and principal directions ``V`` of
+    span ``Q_A`` against ``Q_B``, from the thin SVD ``Q_A - Q_B G = U S V^H``.
+
+    When ``Q_A`` is one column, so is ``Q_A - Q_B G``, and its one singular
+    value is its norm, at ``V = 1``: no SVD is taken.  A norm that is not
+    finite takes the SVD, which refuses NaN or infinite entries with
+    ``NonFiniteError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, outside = _outside(qa, qb)
+    if outside.shape[-1] == 1:
+        sines = _column_norms(outside)[..., 0, :]
+        if math.isfinite(sines.sum()):
+            return g, sines, np.ones_like(outside[..., :1, :])
     _, sines, vh = _finite_svd(outside, compute_uv=True)
     return g, sines, adjoint(vh)
 
@@ -166,9 +189,11 @@ def principal_angles(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.nda
 
     From one thin SVD ``Q_A - Q_B (Q_B^H Q_A) = U S V^H``: returns the sines
     ``S``, descending along the last axis, and the principal vectors
-    ``Q_A V`` of A, column j at sine ``S[j]``.  The vectors at sine at most
-    ``tol`` span the meet of A and B at ``tol``.  NaN or infinite entries
-    raise ``NonFiniteError``.
+    ``Q_A V`` of A, column j at sine ``S[j]``.  A single column ``Q_A`` takes
+    no SVD: its one sine is the norm of ``Q_A - Q_B (Q_B^H Q_A)`` and its
+    principal vector is ``Q_A`` itself, which the SVD gives up to a phase.
+    The vectors at sine at most ``tol`` span the meet of A and B at ``tol``.
+    NaN or infinite entries raise ``NonFiniteError``, without a numpy warning.
     """
     _, sines, v = _principal(qa, qb)
     return sines, qa @ v
@@ -241,8 +266,8 @@ def _column_norms(m: np.ndarray) -> np.ndarray:
     memory layout of ``m`` or on the other columns, bit for bit."""
     rows = np.ascontiguousarray(np.swapaxes(m, -1, -2))
     # an infinite entry gives a NaN imaginary part here, and a finite one
-    # above 1e154 an infinite square; the caller refuses the first and
-    # rescales the second, without numpy's warnings
+    # above 1e154 an infinite square; the callers refuse the first and
+    # rescale the second, or hand both to the SVD, without numpy's warnings
     with np.errstate(invalid="ignore", over="ignore"):
         if np.iscomplexobj(rows):
             squares = (rows.conj() * rows).real

@@ -211,11 +211,25 @@ def commutator_norms(qa: np.ndarray, qb: np.ndarray):
     """Route 1: the spectral norm of the commutator of the orthogonal
     projectors onto span ``Q_A`` and span ``Q_B``, for two orthonormal bases
     (a float) or for each pair of two ``(B, n, k)`` stacks (an array).
+
     The projectors are Hermitian, so ``P_B P_A`` is the adjoint of
     ``P_A P_B = Q_A (Q_A^H Q_B) Q_B^H``, formed through the small product
-    ``Q_A^H Q_B`` rather than the two ``n x n`` projectors."""
-    product = qa @ ((adjoint(qa) @ qb) @ adjoint(qb))
-    return spectral_norm(product - adjoint(product))
+    ``Q_A^H Q_B`` rather than the two ``n x n`` projectors.  In the
+    decomposition ``A + A^perp`` the commutator is block anti-diagonal,
+    ``[[0, Y], [-Y^H, 0]]`` with ``Y = P_A P_B`` restricted to ``A^perp``
+    (Halmos, *Two subspaces*, 1969), so its norm is that of its restriction
+    to A, ``(P_A P_B - P_B P_A) Q_A``.  The norm is symmetric in A and B, and
+    A is taken as the narrower operand: the operands are swapped when
+    ``Q_A`` has more columns than ``Q_B``, and the norm is read from an
+    ``n x min(d_A, d_B)`` matrix, a vector norm for a line.  NaN or infinite
+    entries raise ``NonFiniteError``, without a numpy warning.
+    """
+    if qa.shape[-1] > qb.shape[-1]:
+        qa, qb = qb, qa
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = qa @ ((adjoint(qa) @ qb) @ adjoint(qb))
+        restricted = (product - adjoint(product)) @ qa
+    return spectral_norm(restricted)
 
 
 def remainder_norms(qa: np.ndarray, qb: np.ndarray, tol: float):

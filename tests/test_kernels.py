@@ -227,16 +227,20 @@ class TestPairForPair:
 
 class TestLapackCalls:
     """One QR per column width and both routes once per unordered pair of
-    widths, whatever the number of pairs."""
+    widths, whatever the number of pairs; a width pair with a line operand
+    takes neither an SVD nor an eigensolve."""
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("ambient", [2, 3, 4, 5, 6])
     def test_calls_per_kernel_call(self, ambient, field, monkeypatch):
         calls = dict.fromkeys(("qr", "svd", "eigvalsh"), 0)
+        svd_widths = []
         for name in calls:
 
             def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
+                if _name == "svd":
+                    svd_widths.append(args[0].shape[-1])
                 return _call(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -247,8 +251,10 @@ class TestLapackCalls:
         widths = {tuple(sorted(p)) for p in zip(batch.dims_a.tolist(), batch.dims_b.tolist())}
         assert len(widths) == n * (n + 1) // 2
         assert 0 < calls["qr"] <= n + 1
-        assert 0 < calls["svd"] <= n * (n + 1) // 2
-        assert 0 < calls["eigvalsh"] <= n * (n + 1)
+        # the n width pairs with a line operand take none of either
+        assert 0 < calls["svd"] <= n * (n - 1) // 2
+        assert 0 < calls["eigvalsh"] <= n * (n - 1)
+        assert min(svd_widths) > 1
 
 
 class TestAgainstComplementsOracle:

@@ -569,6 +569,63 @@ class TestNarrowSide:
                         assert verdict is bool(value <= band)
 
 
+def _full_commutator_norms(qa, qb):
+    """Route 1 without its restriction to the narrower operand: the spectral
+    norm of the whole ``n x n`` commutator ``P_A P_B - P_B P_A``."""
+    product = qa @ ((adjoint(qa) @ qb) @ adjoint(qb))
+    return spectral_norm(product - adjoint(product))
+
+
+class TestCommutatorOnNarrowSide:
+    """Route 1 reads the commutator restricted to the narrower operand; its
+    norm is that of the whole ``n x n`` commutator, which is block
+    anti-diagonal in ``A + A^perp`` (Halmos 1969)."""
+
+    @staticmethod
+    def _assert_matches_oracle(qa, qb):
+        want = _full_commutator_norms(qa, qb)
+        got = commutator_norms(qa, qb)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+        for x, y, value in zip(qa, qb, want):
+            assert abs(commutator_norms(x, y) - value) <= 1e-15
+        return got
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_every_width_pair(self, field):
+        rng = np.random.default_rng(1969)
+        for n in range(2, 9):
+            # zero-width and full-space operands included
+            for da in range(n + 1):
+                for db in range(n + 1):
+                    qa, qb = _mixed_pairs(n, da, db, field, rng)
+                    got = self._assert_matches_oracle(qa, qb)
+                    # cut from one basis, the even rows commute
+                    assert np.max(got[::2]) <= 1e-14
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_adversarial_pairs(self, field):
+        rng = np.random.default_rng(1973)
+        for n in range(2, 9):
+            for eps in (1e-12, 1e-6, 1e-3):
+                pairs = [adversarial_pair(n, field, eps, rng) for _ in range(6)]
+                for a, b in pairs:
+                    want = _full_commutator_norms(a.basis, b.basis)
+                    got = commutator_norms(a.basis, b.basis)
+                    assert abs(got - want) <= 1e-15
+                    assert abs(got - np.cos(eps) * np.sin(eps)) <= 1e-15
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_padded_bases(self, field):
+        # as the obot property passes them: each a complete Haar basis with
+        # its columns beyond the dimension zeroed, both n wide
+        rng = np.random.default_rng(1214)
+        for n in range(2, 9):
+            q = haar(rng, (2, 40, n, n), field)
+            dims = rng.integers(1, n, size=(2, 40))
+            bases = q * (np.arange(n) < dims[..., None])[..., None, :]
+            self._assert_matches_oracle(*bases)
+
+
 class TestLatticeInvariants:
     def test_de_morgan(self):
         rng = np.random.default_rng(909)
@@ -667,7 +724,6 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteError):
             Subspace.from_json(payload)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "relation",
