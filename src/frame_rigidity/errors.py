@@ -41,10 +41,6 @@ class IllegalPermutationError(FrameRigidityError):
     """A permutation moves components across different dimensions."""
 
 
-class NotSemilinearError(FrameRigidityError):
-    """A line-map oracle failed verification against its reconstructed map."""
-
-
 class DegenerateOracleError(FrameRigidityError):
     """A line-map oracle returned probe images that no invertible map produces."""
 

@@ -5,12 +5,15 @@ tag (identity or conjugation).  Beyond the pointwise action this module
 provides: scale-equivalence (the "same map up to a global scalar" relation),
 the transform that moves eversion past an induced map (the contragredient
 ``inv(T)^H``, which is U P^{-1} for the polar factors T = U P), and the
-reconstruction of a hidden map from its action on lines alone.
+reconstruction of hidden maps from their action on lines alone, asked of a
+stacked line oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +23,6 @@ from .errors import (
     DegenerateOracleError,
     FieldMismatchError,
     NonFiniteError,
-    NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -30,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     _finite_svd,
+    _number,
     adjoint,
     as_matrix,
     conditioned_gaussian_stack,
@@ -226,22 +229,17 @@ def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_
     """Whether the two maps agree up to one global nonzero scalar.
 
     The scalar estimate comes from the largest-magnitude entry of the second
-    matrix (avoiding division by near-zeros), then the whole matrix is
-    verified entrywise.
+    matrix (nonzero, since the map is invertible), then the whole matrix is
+    verified entrywise against ``tol`` times the larger of the two matrices'
+    largest entries, so a global scale of either map leaves the verdict
+    unchanged.
     """
     require_tol(tol)
-    if t1.automorphism != t2.automorphism:
-        return False
-    if t1.ambient != t2.ambient:
+    if t1.automorphism != t2.automorphism or t1.ambient != t2.ambient:
         return False
     m1, m2 = np.asarray(t1.matrix), np.asarray(t2.matrix)
-    flat = np.argmax(np.abs(m2))
-    i, j = np.unravel_index(flat, m2.shape)
-    if abs(m2[i, j]) == 0.0:
-        return False
+    i, j = np.unravel_index(np.argmax(np.abs(m2)), m2.shape)
     lam = m1[i, j] / m2[i, j]
-    if abs(lam) <= tol:
-        return False
     scale = max(np.max(np.abs(m1)), abs(lam) * np.max(np.abs(m2)))
     return float(np.max(np.abs(m1 - lam * m2))) <= tol * scale
 
@@ -384,10 +382,14 @@ def reconstruct_from_line_images_stack(
     whose candidate is singular at ``tol`` (one SVD for the stack) or fails
     the sweep.  A probe image that no invertible map produces, outside the
     span the other probes fix or missing a column, raises
-    ``DegenerateOracleError``.
+    ``DegenerateOracleError``.  A ``size`` that is no non-negative integer,
+    or an ``ambient`` that is no integer of at least 2, raises ``ValueError``
+    before the oracle is asked.
     """
-    if ambient < 2:
-        raise ValueError("need ambient dimension at least 2")
+    if not _number(size, Integral) or size < 0:
+        raise ValueError(f"size must be a non-negative integer, got {size!r}")
+    if not _number(ambient, Integral) or ambient < 2:
+        raise ValueError(f"ambient must be an integer >= 2, got {ambient!r}")
     require_tol(tol)
     n = ambient
     probes, sweep = _probe_lines(n, field)
@@ -426,41 +428,11 @@ def reconstruct_from_line_images_stack(
     return matrices, conj, refused
 
 
-def reconstruct_from_line_images(
-    oracle, ambient: int, field: str, tol: float = DEFAULT_TOL
-) -> SemilinearMap:
-    """Recover a semilinear map (up to scale) from a line oracle, a map from
-    line ``Subspace`` objects to line ``Subspace`` objects; the batch of one
-    of :func:`reconstruct_from_line_images_stack`, the oracle asked about one
-    probe column at a time.
-
-    An image that is not a line of the same space raises
-    ``DegenerateOracleError``; a refused oracle raises ``NotSemilinearError``.
-    """
-
-    def ask(lines: np.ndarray) -> np.ndarray:
-        images = np.empty(lines.shape, dtype=lines.dtype)
-        for k in range(lines.shape[-1]):
-            image = oracle(Subspace._view(ambient, lines[0, :, k : k + 1]))
-            if (
-                not isinstance(image, Subspace)
-                or (image.ambient, image.dim, image.field) != (ambient, 1, field)
-            ):
-                raise DegenerateOracleError("probe image is not a line of the same space")
-            images[0, :, k] = image.basis[:, 0]
-        return images
-
-    matrices, conj, refused = reconstruct_from_line_images_stack(ask, 1, ambient, field, tol)
-    if refused[0]:
-        raise NotSemilinearError("no semilinear map fits the oracle's line images")
-    return SemilinearMap._invertible(matrices[0], CONJUGATION if conj[0] else IDENTITY)
-
-
 def induced_line_map_stack(matrices: np.ndarray, conj: np.ndarray):
     """The stacked line oracle of the ``(B, n, n)`` maps ``matrices`` with
     conjugation flags ``conj``: ``(B, n, P)`` line bases to the unit columns
-    of their images, as :func:`induced_line_map` spans them.  A flag array
-    of another length than the stack raises ``ShapeMismatchError``."""
+    of their images.  A flag array of another length than the stack raises
+    ``ShapeMismatchError``."""
     _one_each(matrices, conj, "conjugation flags")
 
     def oracle(lines: np.ndarray) -> np.ndarray:
@@ -469,55 +441,38 @@ def induced_line_map_stack(matrices: np.ndarray, conj: np.ndarray):
     return oracle
 
 
-def induced_line_map(t: SemilinearMap):
-    """The oracle view of a map: its action on lines only."""
-
-    def oracle(line: Subspace) -> Subspace:
-        return apply_to_subspace(t, line)
-
-    return oracle
-
-
 def cubic_line_distortion_stack(eps: float, tol: float = DEFAULT_TOL):
-    """Stacked :func:`cubic_line_distortion`: a map from ``(..., n, P)`` line
-    bases to the unit columns of their distorted lines, each column warped
-    on its own.
+    """A line self-map that is scaling-gauge-invariant but not semilinear:
+    ``(..., n, P)`` line bases to the unit columns of their distorted lines,
+    each column warped on its own.
 
     Each column is normalized, its first entry above ``10 tol`` in modulus
     (the pivot) made real positive by dividing out its phase, every entry
-    boosted to v_k (1 + eps |v_k|^2), and the result re-spanned.  A column
-    with no pivot raises ``DegenerateOracleError``.
+    boosted to v_k (1 + eps |v_k|^2), and the result re-spanned.  At eps = 0
+    this is the identity on lines.  Coordinate lines and equal-magnitude
+    diagonal lines are fixed, so the distortion slips past columnwise probes
+    and only genuinely random lines, such as the reconstruction sweep's,
+    catch it.
+
+    A NaN or infinite entry raises ``NonFiniteError``; a column whose norm
+    is at most ``tol`` or overflows, or that has no pivot, raises
+    ``DegenerateOracleError``.  Both are found before any division.
     """
     require_tol(tol)
 
     def distort(lines: np.ndarray) -> np.ndarray:
-        v = lines / np.linalg.norm(lines, axis=-2, keepdims=True)
+        if not np.isfinite(lines).all():
+            raise NonFiniteError("line basis has non-finite entries")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(lines, axis=-2, keepdims=True)
+        if not ((tol < norms) & (norms < math.inf)).all():
+            raise DegenerateOracleError("a line column is numerically zero or overflows")
+        v = lines / norms
         large = np.abs(v) > 10.0 * tol
         if not large.any(axis=-2).all():
             raise DegenerateOracleError("zero representative")
         pivot = np.take_along_axis(v, large.argmax(axis=-2)[..., None, :], axis=-2)
         v = v / (pivot / np.abs(pivot))
         return unit_columns(v * (1.0 + eps * np.abs(v) ** 2))
-
-    return distort
-
-
-def cubic_line_distortion(eps: float, tol: float = DEFAULT_TOL):
-    """A line self-map that is scaling-gauge-invariant but not semilinear.
-
-    Each line picks its normalized representative (unit norm, first
-    above-tolerance coordinate made real positive); every coordinate then
-    gets the cubic boost v_k (1 + eps |v_k|^2).  At eps = 0 this is the
-    identity on lines.  Coordinate lines and equal-magnitude diagonal lines
-    are fixed, so the distortion slips past columnwise probes and must be
-    caught by genuinely random ones.  The batch of one of
-    :func:`cubic_line_distortion_stack`.
-    """
-    distort_columns = cubic_line_distortion_stack(eps, tol)
-
-    def distort(line: Subspace) -> Subspace:
-        if line.dim != 1:
-            raise ShapeMismatchError("distortion acts on lines")
-        return Subspace(line.ambient, distort_columns(line.basis))
 
     return distort

@@ -285,8 +285,10 @@ def unit_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     require_tol(tol)
     norms = _column_norms(m)
+    # the initial values pass an empty stack, which has no column to refuse
+    low, high = float(norms.min(initial=math.inf)), float(norms.max(initial=0.0))
     # false for a NaN norm too
-    if not (tol < float(norms.min()) and float(norms.max()) < math.inf):
+    if not (tol < low and high < math.inf):
         if not np.isfinite(m).all():
             raise NonFiniteError("matrix has non-finite entries")
         overflowed = norms == math.inf

@@ -21,16 +21,16 @@ from frame_rigidity.frames import (
 from frame_rigidity.induced import (
     CONJUGATION,
     IDENTITY,
+    SemilinearMap,
     apply_to_subspace,
-    cubic_line_distortion,
+    cubic_line_distortion_stack,
     evert_conjugate,
-    induced_line_map,
+    induced_line_map_stack,
     induced_on_frame,
     random_semilinear,
-    reconstruct_from_line_images,
+    reconstruct_from_line_images_stack,
     scale_equivalent,
 )
-from frame_rigidity.errors import NotSemilinearError
 from frame_rigidity.kernels import batched_commeasurability_check
 from frame_rigidity.linalg import COMPLEX, REAL, spectral_norm
 from frame_rigidity.partitions import (
@@ -70,6 +70,11 @@ def _random_map(n: int, field: str, rng):
     if field == COMPLEX and rng.random() < 0.5:
         automorphism = CONJUGATION
     return random_semilinear(n, field, rng, automorphism)
+
+
+def _line_oracle(t):
+    """The stacked line oracle of one map, a stack of one."""
+    return induced_line_map_stack(t.matrix[None], np.array([t.automorphism == CONJUGATION]))
 
 
 def _commuting_pair(n: int, field: str, rng):
@@ -289,13 +294,13 @@ def test_6_reconstruction_uniqueness_up_to_scale(capsys):
         else:
             field, automorphism = COMPLEX, CONJUGATION
         hidden = random_semilinear(n, field, rng, automorphism)
-        try:
-            recovered = reconstruct_from_line_images(
-                induced_line_map(hidden), n, field
-            )
-        except NotSemilinearError:
+        matrices, conj, refused = reconstruct_from_line_images_stack(
+            _line_oracle(hidden), 1, n, field
+        )
+        if refused[0]:
             misclassified += 1
             continue
+        recovered = SemilinearMap(matrices[0], CONJUGATION if conj[0] else IDENTITY)
         if not scale_equivalent(recovered, hidden, SCALE_BAND):
             misclassified += 1
     # 50 distorted oracles must all be refused
@@ -304,13 +309,13 @@ def test_6_reconstruction_uniqueness_up_to_scale(capsys):
         n = 3 + trial % 3
         field = _field_for(trial)
         hidden = _random_map(n, field, rng)
-        base = induced_line_map(hidden)
-        warp = cubic_line_distortion(0.1)
-        try:
-            reconstruct_from_line_images(lambda line: base(warp(line)), n, field)
-        except NotSemilinearError:
-            continue
-        misclassified += 1
+        base = _line_oracle(hidden)
+        warp = cubic_line_distortion_stack(0.1)
+        _, _, refused = reconstruct_from_line_images_stack(
+            lambda lines: base(warp(lines)), 1, n, field
+        )
+        if not refused[0]:
+            misclassified += 1
     ok = misclassified == 0
     _verdict(
         capsys, 6, "reconstruction up to scale, distortion refused", ok,

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from frame_rigidity.errors import (
     AmbientMismatchError,
+    DegenerateOracleError,
     FieldMismatchError,
     NonFiniteError,
-    NotSemilinearError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -27,16 +27,25 @@ from frame_rigidity.induced import (
     IDENTITY,
     SemilinearMap,
     apply_to_subspace,
-    cubic_line_distortion,
+    cubic_line_distortion_stack,
     evert_conjugate,
-    induced_line_map,
+    induced_line_map_stack,
     induced_on_frame,
     is_unitary_up_to_scale,
     random_semilinear,
-    reconstruct_from_line_images,
+    reconstruct_from_line_images_stack,
     scale_equivalent,
 )
-from frame_rigidity.linalg import COMPLEX, REAL, haar, polar_decompose
+from frame_rigidity.linalg import (
+    COMPLEX,
+    REAL,
+    field_dtype,
+    gaussian,
+    haar,
+    polar_decompose,
+    residual_norms,
+    unit_columns,
+)
 from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
 from frame_rigidity.subspaces import Subspace
 from test_frames import sound_frame
@@ -262,6 +271,33 @@ class TestScaleEquivalent:
         p[0, 1] = 1e-3
         assert not scale_equivalent(SemilinearMap(m), SemilinearMap(p), 1e-6)
 
+    def test_scale_free_and_symmetric(self):
+        # 300 maps against c M for |c| = 1e-14 .. 1e14, a random sign or
+        # phase on c; each verdict in both argument orders
+        rng = np.random.default_rng(43)
+
+        def both(t1, t2):
+            return {scale_equivalent(t1, t2), scale_equivalent(t2, t1)}
+
+        for trial in range(300):
+            field = REAL if trial % 2 else COMPLEX
+            n = 2 + trial % 5
+            auto = CONJUGATION if (field == COMPLEX and trial % 4 == 0) else IDENTITY
+            t = random_semilinear(n, field, rng, auto)
+            other = random_semilinear(n, field, rng, auto)
+            wider = random_semilinear(n + 1, field, rng, auto)
+            for exponent in range(-14, 15, 2):
+                if field == REAL:
+                    c = 10.0**exponent * rng.choice([-1.0, 1.0])
+                else:
+                    c = 10.0**exponent * np.exp(2j * np.pi * rng.random())
+                assert both(t, SemilinearMap(c * t.matrix, auto)) == {True}
+                assert both(t, SemilinearMap(c * other.matrix, auto)) == {False}
+                assert both(t, SemilinearMap(c * wider.matrix, auto)) == {False}
+                if field == COMPLEX:
+                    flipped = IDENTITY if auto == CONJUGATION else CONJUGATION
+                    assert both(t, SemilinearMap(c * t.matrix, flipped)) == {False}
+
 
 class TestEvertConjugate:
     def test_unitary_is_fixed(self):
@@ -316,23 +352,41 @@ class TestEvertConjugate:
                 assert all(x.equals(y, 1e-7) for x, y in zip(left, right))
 
 
+def _line_oracle(t):
+    """The stacked line oracle of one map, a stack of one."""
+    return induced_line_map_stack(t.matrix[None], np.array([t.automorphism == CONJUGATION]))
+
+
+def _recovered(oracle, n, field):
+    """The map reconstructed from a stack-of-one oracle, or None if refused."""
+    matrices, conj, refused = reconstruct_from_line_images_stack(oracle, 1, n, field)
+    if refused[0]:
+        return None
+    return SemilinearMap(matrices[0], CONJUGATION if conj[0] else IDENTITY)
+
+
+def _line_sines(x, y):
+    """The sine between column p of ``x`` and column p of ``y``, per column."""
+    return residual_norms(unit_columns(x).T[:, :, None], unit_columns(y).T[:, :, None])
+
+
 class TestReconstruction:
     def test_identity_oracle(self):
         t = SemilinearMap(np.eye(3))
-        got = reconstruct_from_line_images(induced_line_map(t), 3, REAL)
+        got = _recovered(_line_oracle(t), 3, REAL)
         assert scale_equivalent(got, t, 1e-7)
 
     def test_rotation_times_diagonal(self):
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         hidden = SemilinearMap(np.diag([1.0, 2.0, 3.0]) @ rot)
-        got = reconstruct_from_line_images(induced_line_map(hidden), 3, REAL)
+        got = _recovered(_line_oracle(hidden), 3, REAL)
         assert scale_equivalent(got, hidden, 1e-7)
 
     def test_conjugate_linear_detected(self):
         rng = np.random.default_rng(70)
         hidden = random_semilinear(3, COMPLEX, rng, CONJUGATION)
-        got = reconstruct_from_line_images(induced_line_map(hidden), 3, COMPLEX)
+        got = _recovered(_line_oracle(hidden), 3, COMPLEX)
         assert got.automorphism == CONJUGATION
         assert scale_equivalent(got, hidden, 1e-7)
 
@@ -343,62 +397,93 @@ class TestReconstruction:
             field = REAL if trial % 2 else COMPLEX
             auto = CONJUGATION if (field == COMPLEX and trial % 4 == 0) else IDENTITY
             hidden = random_semilinear(n, field, rng, auto)
-            got = reconstruct_from_line_images(induced_line_map(hidden), n, field)
+            got = _recovered(_line_oracle(hidden), n, field)
             assert scale_equivalent(got, hidden, 1e-7)
             assert got.automorphism == auto
 
     def test_distorted_oracle_rejected(self):
         for field in (REAL, COMPLEX):
-            with pytest.raises(NotSemilinearError):
-                reconstruct_from_line_images(cubic_line_distortion(0.1), 3, field)
+            assert _recovered(cubic_line_distortion_stack(0.1), 3, field) is None
 
     def test_zero_distortion_is_identity(self):
-        got = reconstruct_from_line_images(cubic_line_distortion(0.0), 3, REAL)
+        got = _recovered(cubic_line_distortion_stack(0.0), 3, REAL)
         assert scale_equivalent(got, SemilinearMap(np.eye(3)), 1e-7)
 
-    def test_collapsing_oracle_rejected(self):
-        target = line(1, 1, 1)
+    def test_collapsing_oracle_refused_without_raising(self):
+        target = np.ones((3, 1)) / np.sqrt(3.0)
 
-        def collapse(_):
-            return target
+        def collapse(lines):
+            return np.broadcast_to(target, lines.shape)
 
-        with pytest.raises(NotSemilinearError):
-            reconstruct_from_line_images(collapse, 3, REAL)
+        _, _, refused = reconstruct_from_line_images_stack(collapse, 2, 3, REAL)
+        assert refused.tolist() == [True, True]
 
-    def test_plane_valued_oracle_rejected(self):
-        from frame_rigidity.errors import DegenerateOracleError
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_empty_stack(self, field):
+        calls = []
+        honest = induced_line_map_stack(
+            np.zeros((0, 4, 4), dtype=field_dtype(field)), np.zeros(0, dtype=bool)
+        )
 
-        plane = Subspace.from_columns(np.eye(3)[:, :2])
+        def oracle(lines):
+            calls.append(lines.shape)
+            return honest(lines)
 
-        def widen(_):
-            return plane
+        matrices, conj, refused = reconstruct_from_line_images_stack(oracle, 0, 4, field)
+        assert matrices.shape == (0, 4, 4) and matrices.dtype == field_dtype(field)
+        assert conj.shape == refused.shape == (0,)
+        assert conj.dtype == refused.dtype == bool
+        # the sweep is not asked when no trial is left to check
+        assert len(calls) == 1
 
-        with pytest.raises(DegenerateOracleError):
-            reconstruct_from_line_images(widen, 3, REAL)
+    @pytest.mark.parametrize(
+        "size, ambient",
+        [(True, 3), (-1, 3), (2.0, 3), ("2", 3), (None, 3), (2, 3.0), (2, True), (2, 1)],
+    )
+    def test_bad_arguments_refused_before_the_oracle(self, size, ambient):
+        def oracle(lines):
+            raise AssertionError("the oracle was asked")
+
+        with pytest.raises(ValueError):
+            reconstruct_from_line_images_stack(oracle, size, ambient, REAL)
+
+    def test_numpy_integers_accepted(self):
+        t = SemilinearMap(np.eye(3))
+        _, _, refused = reconstruct_from_line_images_stack(
+            _line_oracle(t), np.int64(1), np.int32(3), REAL
+        )
+        assert refused.tolist() == [False]
 
 
 class TestCubicDistortion:
     def test_fixes_coordinate_lines(self):
-        f = cubic_line_distortion(0.1)
-        for k in range(3):
-            ell = Subspace.from_columns(np.eye(3)[:, [k]])
-            assert f(ell).equals(ell, 1e-12)
+        f = cubic_line_distortion_stack(0.1)
+        assert (_line_sines(f(np.eye(3)), np.eye(3)) <= 1e-12).all()
 
     def test_moves_generic_lines(self):
-        f = cubic_line_distortion(0.1)
-        ell = line(1, 2, 3)
-        assert not f(ell).equals(ell, 1e-6)
+        f = cubic_line_distortion_stack(0.1)
+        ell = np.array([[1.0], [2.0], [3.0]])
+        assert _line_sines(f(ell), ell)[0] > 1e-6
 
     def test_gauge_invariance(self):
         # the same line presented with different spanning vectors maps equally
-        f = cubic_line_distortion(0.1)
-        a = cline([1.0, 2.0j, -0.5])
-        b = Subspace.from_columns((3.7j * a.basis[:, 0]).reshape(3, 1))
-        assert f(a).equals(f(b), 1e-10)
+        f = cubic_line_distortion_stack(0.1)
+        a = np.array([[1.0], [2.0j], [-0.5]])
+        assert _line_sines(f(a), f(3.7j * a))[0] <= 1e-10
 
     def test_zero_strength_is_identity(self):
-        f = cubic_line_distortion(0.0)
-        rng = np.random.default_rng(80)
-        for _ in range(20):
-            ell = random_subspace(4, 1, COMPLEX, rng)
-            assert f(ell).equals(ell, 1e-12)
+        f = cubic_line_distortion_stack(0.0)
+        lines = gaussian(np.random.default_rng(80), (4, 20), COMPLEX)
+        assert (_line_sines(f(lines), lines) <= 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [1e-12, 0.0, 0.0], [1e200, 1e200, 0.0]],
+        ids=["zero", "underflowing", "below-tol", "overflowing"],
+    )
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_degenerate_columns_refused(self, column, field):
+        lines = np.eye(3, dtype=field_dtype(field))
+        lines[:, 1] = column
+        with pytest.raises(DegenerateOracleError):
+            cubic_line_distortion_stack(0.1)(lines[None])

@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from frame_rigidity.errors import (
+    DegenerateOracleError,
     FieldMismatchError,
     NonFiniteError,
     ShapeMismatchError,
@@ -27,17 +28,14 @@ from frame_rigidity.frames import (
 from frame_rigidity.induced import (
     SemilinearMap,
     apply_to_subspace,
-    cubic_line_distortion,
     cubic_line_distortion_stack,
     evert_conjugate,
     evert_conjugate_stack,
-    induced_line_map,
     induced_line_map_stack,
     induced_on_frame,
     induced_on_frame_stack,
     is_unitary_up_to_scale,
     random_semilinear,
-    reconstruct_from_line_images,
     reconstruct_from_line_images_stack,
     scale_equivalent,
 )
@@ -295,6 +293,20 @@ class TestSpanStack:
         q, rank = span_stack(m, 1e-9)
         assert rank.tolist() == [1, 0] and not q[1].any()
         assert_allclose(q[0], np.eye(3)[:, :1], atol=1e-15)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_empty_stack(self, width, field):
+        q, rank = span_stack(np.zeros((0, 3, width), dtype=field_dtype(field)))
+        assert q.shape == (0, 3, width) and q.dtype == field_dtype(field)
+        assert rank.shape == (0,)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0), (2, 3, 0)])
+    def test_unit_columns_of_no_column(self, shape, field):
+        m = np.zeros(shape, dtype=field_dtype(field))
+        out = unit_columns(m)
+        assert out.shape == shape and out.dtype == m.dtype
 
     def test_full_rank_stack_is_not_masked(self):
         m = gaussian(np.random.default_rng(32), (4, 5, 3), COMPLEX)
@@ -628,13 +640,9 @@ def _tol_entries():
         "scale_equivalent": lambda tol: scale_equivalent(t, t, tol),
         "evert_conjugate_stack": lambda tol: evert_conjugate_stack(e[None], tol),
         "evert_conjugate": lambda tol: evert_conjugate(t, tol),
-        "reconstruct": lambda tol: reconstruct_from_line_images(
-            induced_line_map(t), 3, REAL, tol
-        ),
         "reconstruct_stack": lambda tol: reconstruct_from_line_images_stack(
             induced_line_map_stack(e[None], np.array([False])), 1, 3, REAL, tol
         ),
-        "cubic_line_distortion": lambda tol: cubic_line_distortion(0.1, tol),
         "cubic_line_distortion_stack": lambda tol: cubic_line_distortion_stack(0.1, tol),
         "kernel": lambda tol: batched_commeasurability_check(
             3, REAL, 4, np.random.default_rng(0), tol
@@ -695,6 +703,7 @@ def _non_finite_entries():
         "linked_partner_stack": lambda m: linked_partner_stack(
             m[None], lines, [pi], [np.random.default_rng(0)]
         ),
+        "cubic_line_distortion_stack": lambda m: cubic_line_distortion_stack(0.1)(m[None]),
     }
 
 
@@ -704,8 +713,8 @@ def _plane(m):
 
 
 def _zero_block_entries():
-    """The stacked frame entries that refuse an all-zero block, with the
-    error each raises: the block is no subspace of its dimension."""
+    """The stacked entries that refuse an all-zero block or line column, with
+    the error each raises: the block is no subspace of its dimension."""
     z = np.zeros((1, 3, 3))
     lines, pi = IntPartition((1, 1, 1)), Tableau(3, ((1, 2), (3,)))
     rng = np.random.default_rng(0)
@@ -716,6 +725,9 @@ def _zero_block_entries():
         ),
         "span_components": (
             ShapeMismatchError, lambda: span_components(z, [IntPartition((2, 1))])
+        ),
+        "cubic_line_distortion_stack": (
+            DegenerateOracleError, lambda: cubic_line_distortion_stack(0.1)(z)
         ),
     }
 

@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import frame_rigidity
+from frame_rigidity import induced
 
 EXPORTED = [
     "CONJUGATION",
@@ -50,6 +51,28 @@ SUBSPACE_SURFACE = [
     "zero",
 ]
 
+# the public surface of the induced module: one line-oracle protocol, a
+# stacked oracle asked by one stacked reconstruction; a per-line adapter or a
+# second reconstruction entry added beside them shows up here
+INDUCED_SURFACE = [
+    "CONJUGATION",
+    "IDENTITY",
+    "SemilinearMap",
+    "apply_tagged_stack",
+    "apply_to_subspace",
+    "cubic_line_distortion_stack",
+    "evert_conjugate",
+    "evert_conjugate_stack",
+    "induced_line_map_stack",
+    "induced_on_frame",
+    "induced_on_frame_stack",
+    "is_unitary_up_to_scale",
+    "random_semilinear",
+    "random_semilinear_stack",
+    "reconstruct_from_line_images_stack",
+    "scale_equivalent",
+]
+
 BENCHMARK_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
@@ -82,3 +105,15 @@ def test_benchmark_imports_are_exported():
 def test_subspace_surface_is_pinned():
     public = sorted(name for name in dir(frame_rigidity.Subspace) if not name.startswith("_"))
     assert public == SUBSPACE_SURFACE
+
+
+def test_induced_surface_is_pinned():
+    # the names the module itself binds at top level, not those it imports
+    tree = ast.parse(Path(induced.__file__).read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert sorted(name for name in defined if not name.startswith("_")) == INDUCED_SURFACE
