@@ -12,7 +12,6 @@ stacked line oracle.
 from __future__ import annotations
 
 import functools
-import math
 from numbers import Integral
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    ZeroInputError,
 )
 from .frames import FrameTuple, _frame, _one_each, span_components
 from .linalg import (
@@ -334,15 +334,18 @@ def _probe_lines(ambient: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _ask(oracle, lines: np.ndarray, size: int) -> np.ndarray:
+def _ask(oracle, lines: np.ndarray, size: int, field: str) -> np.ndarray:
     """The stacked oracle's image columns of the ``(n, P)`` line bases
-    ``lines``, asked for all ``size`` trials in one call."""
+    ``lines``, asked for all ``size`` trials in one call.  Images of another
+    shape, or complex images of real lines, raise ``DegenerateOracleError``."""
     stack = np.broadcast_to(lines, (size,) + lines.shape)
     images = oracle(stack)
     if np.shape(images) != stack.shape:
         raise DegenerateOracleError(
             f"oracle returned {np.shape(images)} images of {stack.shape} line bases"
         )
+    if field == REAL and np.iscomplexobj(images):
+        raise DegenerateOracleError("oracle returned complex images of real lines")
     return images
 
 
@@ -382,7 +385,8 @@ def reconstruct_from_line_images_stack(
     whose candidate is singular at ``tol`` (one SVD for the stack) or fails
     the sweep.  A probe image that no invertible map produces, outside the
     span the other probes fix or missing a column, raises
-    ``DegenerateOracleError``.  A ``size`` that is no non-negative integer,
+    ``DegenerateOracleError``, as do images of another shape than the lines
+    asked and complex images of real lines.  A ``size`` that is no non-negative integer,
     or an ``ambient`` that is no integer of at least 2, raises ``ValueError``
     before the oracle is asked.
     """
@@ -394,7 +398,7 @@ def reconstruct_from_line_images_stack(
     n = ambient
     probes, sweep = _probe_lines(n, field)
     # the image of probe p of trial k is row p of images[k]
-    images = _ask(oracle, probes, size).swapaxes(1, 2)
+    images = _ask(oracle, probes, size, field).swapaxes(1, 2)
     columns, diagonals = images[:, :n], images[:, n : 2 * n - 1]
     first = np.broadcast_to(columns[:, :1], diagonals.shape)
     alpha, beta, fits = _solve_two_term(diagonals, first, columns[:, 1:], tol)
@@ -419,7 +423,7 @@ def reconstruct_from_line_images_stack(
     refused = s[:, -1] <= tol * s[:, 0]
     kept = np.flatnonzero(~refused)
     if kept.size:
-        expected = _ask(oracle, sweep, size)[kept]
+        expected = _ask(oracle, sweep, size, field)[kept]
         got = unit_columns(apply_tagged_stack(matrices[kept], conj[kept], sweep), tol)
         overlap = np.sum(got.conj() * expected, axis=1, keepdims=True)
         distance = np.linalg.norm(expected - got * overlap, axis=1)
@@ -455,19 +459,15 @@ def cubic_line_distortion_stack(eps: float, tol: float = DEFAULT_TOL):
     catch it.
 
     A NaN or infinite entry raises ``NonFiniteError``; a column whose norm
-    is at most ``tol`` or overflows, or that has no pivot, raises
-    ``DegenerateOracleError``.  Both are found before any division.
+    is at most ``tol``, or that has no pivot, raises ``DegenerateOracleError``.
     """
     require_tol(tol)
 
     def distort(lines: np.ndarray) -> np.ndarray:
-        if not np.isfinite(lines).all():
-            raise NonFiniteError("line basis has non-finite entries")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(lines, axis=-2, keepdims=True)
-        if not ((tol < norms) & (norms < math.inf)).all():
-            raise DegenerateOracleError("a line column is numerically zero or overflows")
-        v = lines / norms
+        try:
+            v = unit_columns(lines, tol)
+        except ZeroInputError as exc:
+            raise DegenerateOracleError("a line column is numerically zero") from exc
         large = np.abs(v) > 10.0 * tol
         if not large.any(axis=-2).all():
             raise DegenerateOracleError("zero representative")
