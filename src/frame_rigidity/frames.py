@@ -231,8 +231,8 @@ def _block_mask(shape: IntPartition, pis: tuple[Tableau, ...], n: int) -> np.nda
         if pi.n != s:
             raise ShapeMismatchError(f"partition of {pi.n} symbols cannot index {s} components")
     # the block of each component of each trial, then of each column
-    blocks = np.array([[pi.block_of(i) for i in range(1, s + 1)] for pi in pis], dtype=np.intp)
-    labels = blocks.reshape(len(pis), s)[:, np.repeat(np.arange(s), shape.parts)]
+    blocks = np.array([pi.labels for pi in pis], dtype=np.intp).reshape(len(pis), s)
+    labels = blocks[:, np.repeat(np.arange(s), shape.parts)]
     mask = labels[:, :, None] == labels[:, None, :]
     mask.setflags(write=False)
     return mask
@@ -426,7 +426,6 @@ def permute_stack(
     (new index -> old index)."""
     places = []
     for shape, sigma in zip(shapes, _one_each(bases, sigmas, "permutations")):
-        sigma = tuple(int(i) for i in sigma)
         if not is_legal_permutation(shape, sigma):
             raise IllegalPermutationError(f"{sigma} moves indices across different dimensions")
         # the new place of every old component

@@ -4,6 +4,11 @@ The combinatorial indexing layer: numeric partitions order the dimension
 vectors of frames, tableaux say which frame components get summed together,
 and refinement arrows between tableaux are the morphisms along which frames
 are coarsened.
+
+A tableau works through its label vector, the block index of each symbol:
+:meth:`Tableau.from_labels` alone groups labels into blocks, and
+:func:`set_partitions` yields restricted growth strings in lexicographic order.
+Parts, symbols, labels, indices and permutations must hold integers, not bools.
 """
 
 from __future__ import annotations
@@ -11,9 +16,20 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Optional
 
-from .errors import ChainMismatchError, SizeMismatchError
+from .errors import ChainMismatchError, IllegalPermutationError, SizeMismatchError
+from .linalg import _number
+
+
+def _integer(value, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; raises ``error`` unless a Python or numpy integer."""
+    if type(value) is int:  # skips the slower abstract-class check
+        return value
+    if not _number(value, Integral):
+        raise error(f"{value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -23,7 +39,7 @@ class IntPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(_integer(p) for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
@@ -104,28 +120,37 @@ class Tableau:
     Blocks are frozensets ordered by decreasing size, ties broken by the
     smallest element; the numeric shape is the tuple of block sizes.  Two
     tableaux with the same shape but different blocks stay distinct.
+    ``labels`` gives the block index of each symbol 1..n.
     """
 
     n: int
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        blocks = tuple(frozenset(int(x) for x in b) for b in self.blocks)
-        blocks = tuple(sorted(blocks, key=lambda b: (-len(b), min(b))))
-        object.__setattr__(self, "blocks", blocks)
-        if any(not b for b in blocks):
+        n = _integer(self.n)
+        blocks = tuple(frozenset(_integer(s) for s in b) for b in self.blocks)
+        if not all(blocks):
             raise ValueError("empty block")
-        seen: set[int] = set()
-        for b in blocks:
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks must partition 1..{self.n}")
-        object.__setattr__(self, "_hash", hash((self.n, blocks)))  # the dataclass hash, once
+        blocks = tuple(sorted(blocks, key=lambda b: (-len(b), min(b))))
+        if sorted(s for b in blocks for s in b) != list(range(1, n + 1)):
+            raise ValueError(f"every symbol of 1..{n} must lie in exactly one block")
+        where = {s: k for k, b in enumerate(blocks) for s in b}
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "labels", tuple(where[s] for s in range(1, n + 1)))
+        object.__setattr__(self, "_hash", hash((n, blocks)))  # the dataclass hash, once
 
     def __hash__(self) -> int:
         return self._hash
+
+    @classmethod
+    def from_labels(cls, labels) -> "Tableau":
+        """The tableau putting symbols s and t in one block when ``labels[s - 1]``
+        and ``labels[t - 1]`` are equal integers."""
+        groups: dict[int, list[int]] = {}
+        for symbol, label in enumerate(labels, start=1):
+            groups.setdefault(_integer(label), []).append(symbol)
+        return cls(len(labels), tuple(groups.values()))
 
     @functools.cached_property
     def shape(self) -> IntPartition:
@@ -134,10 +159,9 @@ class Tableau:
 
     def block_of(self, symbol: int) -> int:
         """Index (0-based) of the block containing the given symbol."""
-        for k, b in enumerate(self.blocks):
-            if symbol in b:
-                return k
-        raise KeyError(symbol)
+        if not (_number(symbol, Integral) and 1 <= symbol <= self.n):
+            raise KeyError(symbol)
+        return self.labels[symbol - 1]
 
     @classmethod
     def singletons(cls, n: int) -> "Tableau":
@@ -152,25 +176,16 @@ class Tableau:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tableau":
-        return cls(int(obj["n"]), tuple(frozenset(b) for b in obj["blocks"]))
+        return cls(obj["n"], obj["blocks"])
 
 
 def set_partitions(n: int) -> Iterator[Tableau]:
-    """All set partitions of {1..n} in canonical tableau form."""
-
-    def gen(symbol: int, blocks: list[list[int]]):
-        if symbol > n:
-            yield Tableau(n, tuple(frozenset(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(symbol)
-            yield from gen(symbol + 1, blocks)
-            b.pop()
-        blocks.append([symbol])
-        yield from gen(symbol + 1, blocks)
-        blocks.pop()
-
-    yield from gen(1, [])
+    """All set partitions of {1..n} as restricted growth strings (each label at
+    most one above the largest before it), in lexicographic order."""
+    strings = [()]
+    for _ in range(n):
+        strings = [w + (label,) for w in strings for label in range(max(w, default=-1) + 2)]
+    return map(Tableau.from_labels, strings)
 
 
 @dataclass(frozen=True)
@@ -183,19 +198,15 @@ class RefinementArrow:
     block_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "block_map", tuple(int(k) for k in self.block_map))
+        object.__setattr__(self, "block_map", tuple(_integer(k) for k in self.block_map))
         if len(self.block_map) != len(self.fine.blocks):
             raise ValueError("block_map must assign every fine block")
         if self.fine.n != self.coarse.n:
             raise SizeMismatchError("tableaux over different symbol sets")
-        covered: list[set[int]] = [set() for _ in self.coarse.blocks]
-        for j, k in enumerate(self.block_map):
-            if not self.fine.blocks[j] <= self.coarse.blocks[k]:
-                raise ValueError(f"fine block {j} escapes coarse block {k}")
-            covered[k] |= self.fine.blocks[j]
-        for k, c in enumerate(covered):
-            if c != set(self.coarse.blocks[k]):
-                raise ValueError(f"coarse block {k} not covered")
+        # each symbol's coarse block is its fine block's image: this covers too
+        for j, k in zip(self.fine.labels, self.coarse.labels):
+            if self.block_map[j] != k:
+                raise ValueError(f"fine block {j} escapes coarse block {self.block_map[j]}")
 
 
 def identity_refinement(t: Tableau) -> RefinementArrow:
@@ -206,13 +217,12 @@ def reverse_refines(fine: Tableau, coarse: Tableau) -> Optional[RefinementArrow]
     """The unique arrow fine -> coarse, or None when a fine block splits."""
     if fine.n != coarse.n:
         raise SizeMismatchError("tableaux over different symbol sets")
-    block_map = []
-    for b in fine.blocks:
-        k = coarse.block_of(min(b))
-        if not b <= coarse.blocks[k]:
-            return None
-        block_map.append(k)
-    return RefinementArrow(fine, coarse, tuple(block_map))
+    # the coarse block of one symbol of each fine block; the arrow checks the rest
+    homes = dict(zip(fine.labels, coarse.labels))
+    try:
+        return RefinementArrow(fine, coarse, tuple(homes[j] for j in range(len(fine.blocks))))
+    except ValueError:
+        return None
 
 
 def compose_refinements(f: RefinementArrow, g: RefinementArrow) -> RefinementArrow:
@@ -255,6 +265,7 @@ def legal_permutations(shape: IntPartition) -> Iterator[tuple[int, ...]]:
 
 
 def is_legal_permutation(shape: IntPartition, sigma: tuple[int, ...]) -> bool:
+    sigma = [_integer(i, IllegalPermutationError) for i in sigma]
     parts = shape.parts
     if sorted(sigma) != list(range(len(parts))):
         return False

@@ -197,11 +197,7 @@ def _shapes(n: int, proper: bool) -> tuple:
 
 
 def _random_set_partition(n: int, rng: np.random.Generator) -> Tableau:
-    labels = rng.integers(0, n, size=n)
-    blocks: dict[int, list[int]] = {}
-    for symbol, label in enumerate(labels, start=1):
-        blocks.setdefault(int(label), []).append(symbol)
-    return Tableau(n, tuple(tuple(b) for b in blocks.values()))
+    return Tableau.from_labels(rng.integers(0, n, size=n).tolist())
 
 
 def _partition_for_trial(
@@ -282,21 +278,13 @@ def _partitions_for_trials(cfg: SuiteConfig, trials, rngs, breakable: bool = Fal
 
 
 def _contiguous_tableau(shape: IntPartition) -> Tableau:
-    blocks = []
-    start = 1
-    for d in shape.parts:
-        blocks.append(tuple(range(start, start + d)))
-        start += d
-    return Tableau(shape.n, tuple(blocks))
+    return Tableau.from_labels(np.repeat(np.arange(len(shape.parts)), shape.parts).tolist())
 
 
 def _merge_blocks(tab: Tableau, rng: np.random.Generator) -> Tableau:
     k = int(rng.integers(1, len(tab.blocks) + 1))
-    labels = rng.integers(0, k, size=len(tab.blocks))
-    merged: dict[int, list[int]] = {}
-    for block, label in zip(tab.blocks, labels):
-        merged.setdefault(int(label), []).extend(block)
-    return Tableau(tab.n, tuple(tuple(b) for b in merged.values()))
+    merged = rng.integers(0, k, size=len(tab.blocks)).tolist()
+    return Tableau.from_labels([merged[j] for j in tab.labels])
 
 
 # -- clr: induced maps respect the partial lattice -------------------------------

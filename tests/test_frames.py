@@ -299,6 +299,16 @@ class TestPermute:
         with pytest.raises(IllegalPermutationError):
             permute(t, (1, 0))
 
+    @pytest.mark.parametrize("sigma", [(1.9, 0.2, 2.7), (1.0, 0.0, 2.0), (True, False, 2)])
+    def test_non_integral_permutation_rejected(self, sigma):
+        with pytest.raises(IllegalPermutationError):
+            permute(standard_line_frame(3), sigma)
+
+    def test_numpy_integer_permutation_accepted(self):
+        t = standard_line_frame(3)
+        out = permute(t, np.array([1, 0, 2]))
+        assert out.components[0].equals(t.components[1])
+
 
 class TestEvert:
     def test_fixes_orthogonal_frames(self):

@@ -1,10 +1,15 @@
 """Tests for partitions, tableaux, refinement arrows, and the group embedding."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frame_rigidity.errors import ChainMismatchError, SizeMismatchError
+from frame_rigidity.errors import (
+    ChainMismatchError,
+    IllegalPermutationError,
+    SizeMismatchError,
+)
 from frame_rigidity.partitions import (
     IntPartition,
     RefinementArrow,
@@ -47,6 +52,21 @@ def bell_numbers(upto: int) -> list[int]:
     return bells
 
 
+def stirling2(n: int, k: int) -> int:
+    # independent oracle: S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def growth_string(labels) -> tuple[int, ...]:
+    # independent oracle: relabel by order of first occurrence
+    first: dict = {}
+    return tuple(first.setdefault(label, len(first)) for label in labels)
+
+
 class TestIntPartition:
     def test_rejects_increasing_parts(self):
         with pytest.raises(ValueError):
@@ -55,6 +75,15 @@ class TestIntPartition:
     def test_rejects_nonpositive_parts(self):
         with pytest.raises(ValueError):
             IntPartition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(1.7, 1), (2.0,), (True,), ("1",), (np.float64(1.0),)])
+    def test_rejects_non_integral_parts(self, parts):
+        with pytest.raises(ValueError, match="integer"):
+            IntPartition(parts)
+
+    def test_numpy_integer_parts_become_ints(self):
+        mu = IntPartition((np.int64(2), np.uint8(1)))
+        assert mu == IntPartition((2, 1)) and all(type(p) is int for p in mu.parts)
 
     def test_conjugate_row(self):
         assert IntPartition((4,)).conjugate() == IntPartition((1, 1, 1, 1))
@@ -166,6 +195,20 @@ class TestEnumerators:
             1, 2, 5, 15, 52, 203,
         ]
 
+    def test_set_partitions_in_growth_string_order(self):
+        # the suites cycle through this tuple by trial index, so its order is
+        # part of every report: restricted growth strings, lexicographically
+        for n in range(8):
+            strings = [growth_string(pi.labels) for pi in set_partitions(n)]
+            assert strings == sorted(set(strings))
+        assert [[sorted(b) for b in pi.blocks] for pi in set_partitions(3)] == [
+            [[1, 2, 3]],
+            [[1, 2], [3]],
+            [[1, 3], [2]],
+            [[2, 3], [1]],
+            [[1], [2], [3]],
+        ]
+
 
 class TestTableau:
     def test_canonical_ordering(self):
@@ -189,8 +232,54 @@ class TestTableau:
     def test_block_of(self):
         t = Tableau(4, (frozenset({1, 2}), frozenset({3, 4})))
         assert t.block_of(3) == 1
-        with pytest.raises(KeyError):
-            t.block_of(9)
+        for symbol in (0, 9, -1):
+            with pytest.raises(KeyError):
+                t.block_of(symbol)
+
+    def test_labels_name_the_canonical_block_of_each_symbol(self):
+        t = Tableau(5, (frozenset({5}), frozenset({1, 4}), frozenset({2, 3})))
+        assert t.labels == (0, 1, 1, 0, 2)
+        assert Tableau.from_labels((7, 3, 3, 7, -1)) == t
+        assert Tableau.from_labels(np.array([2, 0, 0, 2, 1])) == t
+        assert Tableau.from_labels(()) == Tableau(0, ())
+
+    def test_labels_round_trip(self):
+        for n in range(7):
+            for pi in set_partitions(n):
+                assert Tableau.from_labels(pi.labels) == pi
+                assert all(s in pi.blocks[k] for s, k in enumerate(pi.labels, start=1))
+
+    @pytest.mark.parametrize(
+        "blocks", [((1.5,), (2,)), ((True,), (2,)), (("1",), (2,)), ((1.0,), (2.0,))]
+    )
+    def test_rejects_non_integral_symbols(self, blocks):
+        with pytest.raises(ValueError, match="integer"):
+            Tableau(2, blocks)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_rejects_non_integral_size(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            Tableau(n, ((1,), (2,)))
+
+    @pytest.mark.parametrize("labels", [(0.0, 1.0), (0, 0.5), (True, False), ("a", "b")])
+    def test_from_labels_rejects_non_integral_labels(self, labels):
+        with pytest.raises(ValueError, match="integer"):
+            Tableau.from_labels(labels)
+
+    def test_numpy_integer_symbols_become_ints(self):
+        t = Tableau(np.int64(2), ((np.int32(2),), (np.uint8(1),)))
+        assert t == Tableau(2, ((1,), (2,)))
+        assert type(t.n) is int and all(type(s) is int for b in t.blocks for s in b)
+        assert t.to_json() == {"n": 2, "blocks": [[1], [2]]}
+
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError, match="empty block"):
+            Tableau(3, ((1, 2, 3), ()))
+
+    def test_rejects_symbol_outside_range(self):
+        for blocks in (((1, 2, 4),), ((0, 1, 2),), ((1, 2, 3), (3,))):
+            with pytest.raises(ValueError, match="exactly one block"):
+                Tableau(3, blocks)
 
     def test_json_golden(self):
         t = Tableau(6, (frozenset({5}), frozenset({3, 4}), frozenset({1, 2}), frozenset({6})))
@@ -244,6 +333,53 @@ class TestRefinement:
         coarse = Tableau.one_block(2)
         with pytest.raises(ValueError):
             RefinementArrow(fine, coarse, (0,))  # wrong length
+
+    def test_arrow_refuses_an_escaping_block(self):
+        fine = Tableau(3, ((1, 2), (3,)))
+        coarse = Tableau(3, ((1, 3), (2,)))
+        for block_map in ((0, 1), (0, 0), (1, 0), (0, 2)):
+            with pytest.raises(ValueError, match="escapes"):
+                RefinementArrow(fine, coarse, block_map)
+        # a negative index names no coarse block, not the last one
+        with pytest.raises(ValueError, match="escapes"):
+            RefinementArrow(Tableau.one_block(2), Tableau.one_block(2), (-1,))
+
+    @pytest.mark.parametrize("block_map", [(0.0, 0), (True, 0), ("0", "0")])
+    def test_arrow_refuses_a_non_integral_block_map(self, block_map):
+        with pytest.raises(ValueError, match="integer"):
+            RefinementArrow(Tableau.singletons(2), Tableau.one_block(2), block_map)
+
+    def test_reverse_refines_against_block_containment(self):
+        # independent oracle on frozensets: an arrow exists exactly when every
+        # fine block lies inside a coarse block, and its block_map names it
+        for n in range(6):
+            tableaux = list(set_partitions(n))
+            for fine in tableaux:
+                for coarse in tableaux:
+                    homes = [
+                        [k for k, c in enumerate(coarse.blocks) if b <= c] for b in fine.blocks
+                    ]
+                    arrow = reverse_refines(fine, coarse)
+                    if all(homes):
+                        assert arrow.block_map == tuple(h[0] for h in homes)
+                        assert (arrow.fine, arrow.coarse) == (fine, coarse)
+                    else:
+                        assert arrow is None
+
+    def test_arrow_count_is_the_sum_of_bell_numbers(self):
+        # the arrows out of a tableau of k blocks are the set partitions of
+        # those blocks: sum over n <= 6 of S(n, k) Bell(k) arrows
+        bells = bell_numbers(6)
+        expected = sum(
+            stirling2(n, k) * bells[k - 1] for n in range(1, 7) for k in range(1, n + 1)
+        )
+        count = sum(
+            reverse_refines(fine, coarse) is not None
+            for n in range(1, 7)
+            for fine in set_partitions(n)
+            for coarse in set_partitions(n)
+        )
+        assert count == expected == 2905
 
     def test_compose_with_identity(self):
         fine = Tableau.singletons(3)
@@ -314,6 +450,19 @@ class TestPermutations:
 
     def test_illegal_cross_dimension_swap(self):
         assert not is_legal_permutation(IntPartition((2, 1)), (1, 0))
+
+    @pytest.mark.parametrize("sigma", [(0.0, 1.0), (1.0, 0), (True, False), ("0", "1")])
+    def test_non_integral_permutations_refused(self, sigma):
+        with pytest.raises(IllegalPermutationError):
+            is_legal_permutation(IntPartition((1, 1)), sigma)
+        arrow = reverse_refines(Tableau.singletons(2), Tableau.singletons(2))
+        with pytest.raises(IllegalPermutationError):
+            lift_coarse_permutation(arrow, sigma)
+
+    def test_numpy_integer_permutations_accepted(self):
+        assert is_legal_permutation(IntPartition((1, 1)), np.array([1, 0]))
+        arrow = reverse_refines(Tableau.singletons(2), Tableau.one_block(2))
+        assert lift_coarse_permutation(arrow, (np.int64(0),)) == (0, 1)
 
     def test_group_size_matches_symmetry_factors(self):
         import math

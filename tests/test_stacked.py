@@ -1312,7 +1312,9 @@ def _off_block(shape, pis):
     """The ``(B, n, n)`` mask of the entries, in component coordinates, whose
     row and column lie in different blocks of trial k's tableau ``pis[k]``."""
     component = np.repeat(np.arange(len(shape.parts)), shape.parts)
-    labels = np.array([[pi.block_of(int(c) + 1) for c in component] for pi in pis])
+    labels = np.array(
+        [[next(k for k, b in enumerate(pi.blocks) if c + 1 in b) for c in component] for pi in pis]
+    )
     return labels[:, :, None] != labels[:, None, :]
 
 

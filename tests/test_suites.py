@@ -1,6 +1,7 @@
 """Suite runner and CLI behavior: config validation, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -256,6 +257,28 @@ def test_report_bytes_are_pinned(suite, field):
 
 def test_every_suite_has_pinned_report_bytes():
     assert {suite for suite, _ in REPORT_DIGESTS} == set(ALL_SUITES)
+
+
+# sha256 over the concatenated determinism_bytes of every suite at every
+# ambient 2..8 it accepts, real then complex, seed 3 then 9, 40 trials: 256
+# reports.  The pins above hold ambient 4 only; this one also holds the
+# exhaustive set-partition cycling at ambients 5 and 6 and the sampled set
+# partitions at 7 and 8
+SWEEP_DIGEST = "9e5c27ebfdf50537cc59f7ba1cb5d43f27d7f3d73be9f920e3cf2bf417d98d94"
+
+
+def test_sweep_bytes_are_pinned():
+    digest, runs = hashlib.sha256(), 0
+    grid = itertools.product(ALL_SUITES, range(2, 9), ("real", "complex"), (3, 9))
+    for suite, ambient, field, seed in grid:
+        cfg = SuiteConfig(suite=suite, ambient=ambient, field=field, trials=40, seed=seed)
+        try:
+            report = run_suite(cfg)
+        except ConfigError:
+            continue
+        digest.update(report.determinism_bytes())
+        runs += 1
+    assert (runs, digest.hexdigest()) == (256, SWEEP_DIGEST)
 
 
 class TestRunProperty:
