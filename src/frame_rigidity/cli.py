@@ -101,10 +101,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             trials=args.trials,
             seed=args.seed,
             tol=_resolve_tol(args.tol),
-            report_path=args.report,
         )
         cfg.validate()
-        report_file = _open_report(cfg.report_path)
+        report_file = _open_report(args.report)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -122,7 +121,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if handle is not None:
             handle.write(report.to_json())
     if handle is not None:
-        print(f"report written to {cfg.report_path}")
+        print(f"report written to {args.report}")
 
     return 0 if report.passed else 1
 

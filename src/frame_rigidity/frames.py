@@ -52,15 +52,16 @@ class FrameTuple:
     column blocks along its shape.
 
     The constructor stacks the components' bases and performs structural
-    checks only (ambient and field agreement, dimension profile); numerical
-    soundness — actual linear independence, orthogonality when flagged — is
-    not checked, so defective frames can still be built, and the operations
-    that need an independent frame (:func:`evert`, say) refuse a dependent
-    one.  The components are read-only views of the column blocks, built on
-    first read and kept.
+    checks only (ambient and field agreement, dimension profile), so a
+    dependent frame can still be built, and the operations that need an
+    independent frame (:func:`evert`, say) refuse it.  A frame records no
+    orthogonality: ``orthogonal=True`` claims it, and a stacked basis ``M``
+    with ``M^H M`` off ``I`` by more than ``10 DEFAULT_TOL`` raises
+    ``ValueError``.  The components are read-only views of the column blocks,
+    built on first read and kept.
     """
 
-    __slots__ = ("_basis", "shape", "orthogonal", "_components")
+    __slots__ = ("_basis", "shape", "_components")
 
     def __init__(self, components: Sequence[Subspace], orthogonal: bool = False):
         components = tuple(components)
@@ -76,16 +77,20 @@ class FrameTuple:
             shape = IntPartition(tuple(c.dim for c in components))
         except ValueError as exc:
             raise ShapeMismatchError(f"component dims: {exc}") from None
-        self._hold(np.hstack([c.basis for c in components]), shape, orthogonal)
+        basis = np.hstack([c.basis for c in components])
+        gap = np.abs(adjoint(basis) @ basis - np.eye(ambient)).max() if orthogonal else 0.0
+        if not gap <= 10.0 * DEFAULT_TOL:  # false for a NaN entry too
+            raise ValueError("components claimed orthogonal are not orthonormal")
+        self._hold(basis, shape)
 
-    def _hold(self, basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> None:
+    def _hold(self, basis: np.ndarray, shape: IntPartition) -> None:
         """Keep ``basis``, made read-only, cut along ``shape``, which must
         partition its width and its height."""
         n = basis.shape[0]
         if shape.n != n or basis.shape != (n, n):
             raise ShapeMismatchError(f"shape {shape.parts} does not fit a {basis.shape} basis")
         basis.setflags(write=False)
-        for name, value in zip(self.__slots__, (basis, shape, bool(orthogonal), None)):
+        for name, value in zip(self.__slots__, (basis, shape, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -98,10 +103,7 @@ class FrameTuple:
         return iter(self.components)
 
     def __repr__(self):
-        return (
-            f"FrameTuple(ambient={self.ambient}, shape={self.shape.parts}, "
-            f"orthogonal={self.orthogonal})"
-        )
+        return f"FrameTuple(ambient={self.ambient}, shape={self.shape.parts})"
 
     @property
     def ambient(self) -> int:
@@ -132,20 +134,23 @@ class FrameTuple:
         return {
             "ambient": self.ambient,
             "shape": list(self.shape.parts),
-            "orthogonal": self.orthogonal,
             "components": [c.to_json() for c in self.components],
         }
 
     @classmethod
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "FrameTuple":
-        comps = [Subspace.from_json(c, tol) for c in obj["components"]]
-        frame = cls(comps, bool(obj["orthogonal"]))
-        if list(frame.shape.parts) != [int(p) for p in obj["shape"]]:
+        """Rebuild a frame from its components.  A declared shape that is no
+        partition raises ``ValueError``; a declared shape or ambient other than
+        the components' raises ``ShapeMismatchError`` or ``AmbientMismatchError``."""
+        frame = cls([Subspace.from_json(c, tol) for c in obj["components"]])
+        if IntPartition(tuple(obj["shape"])) != frame.shape:
             raise ShapeMismatchError("declared shape does not match components")
+        if obj["ambient"] != frame.ambient:
+            raise AmbientMismatchError("declared ambient does not match components")
         return frame
 
 
-def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTuple:
+def _frame(basis: np.ndarray, shape: IntPartition) -> FrameTuple:
     """The frame whose components are the column blocks of the square
     ``basis`` along ``shape``, which are trusted to be orthonormal; it is
     built without the constructor's checks on components.
@@ -155,7 +160,7 @@ def _frame(basis: np.ndarray, shape: IntPartition, orthogonal: bool) -> FrameTup
     writes to.
     """
     frame = object.__new__(FrameTuple)
-    frame._hold(basis, shape, orthogonal)
+    frame._hold(basis, shape)
     return frame
 
 
@@ -297,23 +302,23 @@ def frame_distances(a: np.ndarray, b: np.ndarray, shapes: Sequence[IntPartition]
     return out
 
 
-def _transition(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The moduli of the entries of ``a^-1 b``, every matrix of the stack ``a``
-    a basis.  An entry of ``1 / DEFAULT_TOL`` or more raises ``NonFiniteError``
-    if ``a`` holds a NaN or infinite entry, ``ZeroInputError`` if it holds a
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b``, every matrix of the stack ``a`` a basis.  An entry of
+    modulus ``1 / DEFAULT_TOL`` or more raises ``NonFiniteError`` if ``a``
+    holds a NaN or infinite entry, ``ZeroInputError`` if it holds a
     numerically zero column, and ``SingularMatrixError`` otherwise."""
     try:
-        size = np.abs(np.linalg.solve(a, b))
+        x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        size = np.array(np.inf)
+        x = np.array(np.inf)
     # false for a NaN entry too
-    if not size.max(initial=0.0) < 1.0 / DEFAULT_TOL:
+    if not np.abs(x).max(initial=0.0) < 1.0 / DEFAULT_TOL:
         if not np.isfinite(a).all():
             raise NonFiniteError("a frame has non-finite entries")
         if (np.abs(a).max(axis=-2) <= DEFAULT_TOL).any():
             raise ZeroInputError("a column of a frame is numerically zero")
         raise SingularMatrixError("the components of a frame are dependent")
-    return size
+    return x
 
 
 def pi_linked_stack(
@@ -345,7 +350,7 @@ def pi_linked_stack(
     require_same_field(a, b)
     require_tol(tol)
     both = np.stack([a, b])
-    return (_transition(both, both[::-1]) * ~mask).max(axis=(0, 2, 3), initial=0.0) <= tol
+    return (np.abs(_solve(both, both[::-1])) * ~mask).max(axis=(0, 2, 3), initial=0.0) <= tol
 
 
 def pi_linked(a: FrameTuple, b: FrameTuple, pi: Tableau, tol: float = DEFAULT_TOL) -> bool:
@@ -403,7 +408,7 @@ def refine_map(t: FrameTuple, arrow: RefinementArrow) -> FrameTuple:
     The batch of one of :func:`refine_map_stack`.
     """
     basis = refine_map_stack(t.stacked_basis()[None], [t.shape], [arrow])[0]
-    return _frame(basis, arrow.coarse.shape, t.orthogonal)
+    return _frame(basis, arrow.coarse.shape)
 
 
 def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
@@ -415,7 +420,7 @@ def permute(t: FrameTuple, sigma: Sequence[int]) -> FrameTuple:
     """
     shape = t.shape
     basis = permute_stack(t.stacked_basis()[None], [shape], [sigma])[0]
-    return _frame(basis, shape, t.orthogonal)
+    return _frame(basis, shape)
 
 
 def permute_stack(
@@ -438,20 +443,12 @@ def evert_stack(bases: np.ndarray, shapes: Sequence[IntPartition]) -> np.ndarray
     frames of the ``(B, n, n)`` stacked bases ``bases``, basis k of shape
     ``shapes[k]``.
 
-    One ``inv`` for the whole stack, then every component re-spanned
-    (:func:`span_components`).  Raises ``SingularMatrixError`` when the
-    components of some frame are dependent at ``DEFAULT_TOL`` or its basis
-    holds a non-finite entry.
+    One solve against the identity for the whole stack, then every component
+    re-spanned (:func:`span_components`).  Raises ``NonFiniteError`` on a NaN
+    or infinite entry, ``ZeroInputError`` on a numerically zero column, and
+    ``SingularMatrixError`` when some frame's components are dependent.
     """
-    try:
-        dual = adjoint(np.linalg.inv(bases))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("components are dependent; the frame has no dual") from exc
-    # the largest entry of inv(M) is within a factor n of 1 / sigma_min(M),
-    # and M has orthonormal blocks, so sigma_max(M) is in [1, sqrt(n)]; the
-    # comparison is false for a NaN or infinite entry too
-    if not np.abs(dual).max() < 1.0 / DEFAULT_TOL:
-        raise SingularMatrixError("components are dependent or not finite; the frame has no dual")
+    dual = adjoint(_solve(bases, np.eye(bases.shape[-1])))
     return span_components(dual, shapes)
 
 
@@ -464,11 +461,10 @@ def evert(t: FrameTuple) -> FrameTuple:
     orthogonal to every block j != i of M, so it spans exactly that
     orthocomplement.  The batch of one of :func:`evert_stack`.
 
-    Raises ``SingularMatrixError`` when the components are dependent or
-    their bases hold non-finite entries.
+    Refuses a basis that is not a finite basis as :func:`evert_stack` does.
     """
     shape = t.shape
-    return _frame(evert_stack(t.stacked_basis()[None], [shape])[0], shape, t.orthogonal)
+    return _frame(evert_stack(t.stacked_basis()[None], [shape])[0], shape)
 
 
 def bigobot_stack(
@@ -577,7 +573,7 @@ def random_frame(
     of :func:`random_frame_stack`.
     """
     basis = random_frame_stack(ambient, [shape], field, orthogonal, [rng])[0]
-    return _frame(basis, shape, orthogonal)
+    return _frame(basis, shape)
 
 
 def linked_partner_stack(
@@ -600,7 +596,7 @@ def linked_partner_stack(
     n = bases.shape[-1]
     mask = _block_mask(shape, _one_each(bases, pis, "tableaux"), n)
     _one_each(bases, rngs, "generators")
-    _transition(bases, np.eye(n))
+    _solve(bases, np.eye(n))
     remix = np.linalg.qr(gaussian_stack(rngs, (n, n), field_of(bases)) * mask).Q
     return span_components(bases @ remix, [shape] * len(bases))
 
@@ -620,4 +616,4 @@ def linked_partner(
     """
     shape = t.shape
     basis = linked_partner_stack(t.stacked_basis()[None], shape, [pi], [rng])[0]
-    return _frame(basis, shape, t.orthogonal)
+    return _frame(basis, shape)

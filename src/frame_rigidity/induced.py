@@ -173,16 +173,6 @@ def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -
     return Subspace.from_columns(image, tol)
 
 
-def is_unitary_up_to_scale(t: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``M^H M = lam I``: no entry of ``M^H M - lam I``, with ``lam``
-    the mean of the diagonal, exceeds ``10 tol |lam|`` in modulus."""
-    require_tol(tol)
-    gram = adjoint(t.matrix) @ t.matrix
-    lam = gram.trace().real / t.ambient
-    gram.reshape(-1)[:: t.ambient + 1] -= lam  # the diagonal, in place
-    return np.abs(gram).max() <= 10.0 * tol * abs(lam)
-
-
 def induced_on_frame_stack(
     matrices: np.ndarray,
     conj: np.ndarray,
@@ -210,19 +200,15 @@ def induced_on_frame_stack(
 
 def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_TOL) -> FrameTuple:
     """Componentwise image frame; the batch of one of
-    :func:`induced_on_frame_stack`.
-
-    The orthogonal flag survives only when the map is unitary up to scale;
-    otherwise images of perpendicular components need not stay perpendicular.
-    A map on another ambient raises ``AmbientMismatchError``.
+    :func:`induced_on_frame_stack`.  A map on another ambient raises
+    ``AmbientMismatchError``.
     """
     shape = frame.shape
     conj = np.array([t.automorphism == CONJUGATION])
     basis = induced_on_frame_stack(
         t.matrix[None], conj, frame.stacked_basis()[None], [shape], tol
     )[0]
-    keep_flag = frame.orthogonal and is_unitary_up_to_scale(t, tol)
-    return _frame(basis, shape, keep_flag)
+    return _frame(basis, shape)
 
 
 def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:

@@ -121,7 +121,6 @@ class SuiteConfig:
     trials: int = 1000
     seed: int = 0
     tol: float = DEFAULT_TOL
-    report_path: Optional[str] = None
 
     def validate(self) -> None:
         if self.suite not in _REGISTRY:

@@ -1,8 +1,6 @@
 """Tests for frame tuples: construction, linkage, refinement, eversion, splitting,
 and the reference soundness check the sampler tests use."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,10 @@ from frame_rigidity.errors import (
     AmbientMismatchError,
     FieldMismatchError,
     IllegalPermutationError,
+    NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    ZeroInputError,
 )
 from frame_rigidity.frames import (
     FrameTuple,
@@ -49,15 +49,16 @@ def cline(v) -> Subspace:
     return Subspace.from_columns(np.array([v], dtype=complex).T)
 
 
-def sound_frame(t: FrameTuple, tol: float = 1e-9) -> bool:
+def sound_frame(t: FrameTuple, tol: float = 1e-9, orthogonal: bool = False) -> bool:
     """Reference soundness check of a frame: full rank with condition number
-    at most 1e6, and pairwise orthogonal components when flagged orthogonal."""
-    s = np.linalg.svd(t.stacked_basis(), compute_uv=False)
+    at most 1e6, and, when ``orthogonal``, a stacked basis ``M`` with
+    ``M^H M = I`` within ``10 tol``."""
+    m = t.stacked_basis()
+    s = np.linalg.svd(m, compute_uv=False)
     # a rank-deficient frame has an infinite condition number
     if s[0] > 1e6 * s[-1]:
         return False
-    pairs = itertools.combinations([c.basis for c in t.components], 2)
-    return not t.orthogonal or all(spectral_norm(adjoint(x) @ y) <= 10.0 * tol for x, y in pairs)
+    return not orthogonal or np.abs(adjoint(m) @ m - np.eye(t.ambient)).max() <= 10.0 * tol
 
 
 def standard_line_frame(n: int, field=REAL) -> FrameTuple:
@@ -104,7 +105,15 @@ class TestConstruction:
     def test_immutable(self):
         t = standard_line_frame(2)
         with pytest.raises(AttributeError):
-            t.orthogonal = False
+            t.shape = IntPartition((2,))
+
+    @pytest.mark.parametrize("skew", [1.0, 1e-7, np.nan])
+    def test_false_orthogonality_claim_refused(self, skew):
+        # the claim is checked against M^H M = I, not kept
+        lines = [line(1, 0), Subspace(2, np.array([[skew], [1.0]]) / np.hypot(skew, 1.0))]
+        with pytest.raises(ValueError, match="claimed orthogonal"):
+            FrameTuple(lines, orthogonal=True)
+        assert FrameTuple([line(1, 0), line(0, 1)], orthogonal=True).shape == IntPartition((1, 1))
 
 
 class TestValidate:
@@ -117,8 +126,9 @@ class TestValidate:
     def test_repeated_line_is_rank_deficient(self):
         assert not sound_frame(FrameTuple([line(1, 0), line(1, 0)]))
 
-    def test_orthogonality_flag_checked(self):
-        assert not sound_frame(FrameTuple([line(1, 0), line(1, 1)], orthogonal=True))
+    def test_orthogonality_checked_on_request(self):
+        assert not sound_frame(FrameTuple([line(1, 0), line(1, 1)]), orthogonal=True)
+        assert sound_frame(standard_line_frame(3), orthogonal=True)
 
     def test_near_dependent_flagged_as_conditioning(self):
         assert not sound_frame(FrameTuple([line(1, 0), line(1, 1e-7)]))
@@ -192,7 +202,7 @@ class TestPiLinked:
         for pi in pis[:: max(1, len(pis) // 8)]:
             t = random_frame(shape.n, shape, field, True, rng)
             partner = linked_partner(t, pi, rng)
-            assert partner.orthogonal and sound_frame(partner)
+            assert sound_frame(partner, orthogonal=True)
 
     def test_equivalence_relation_on_linked_triples(self):
         rng = np.random.default_rng(56)
@@ -378,7 +388,7 @@ class TestEvert:
                     for _ in range(5):
                         t = random_frame(n, shape, field, orthogonal, rng)
                         got = evert(t)
-                        assert got.orthogonal == orthogonal
+                        assert sound_frame(got, orthogonal=orthogonal)
                         worst = max(worst, _frame_distance(got, _evert_by_complements(t)))
         assert worst <= 1e-12
 
@@ -389,7 +399,12 @@ class TestEvert:
 
     def test_non_finite_basis_raises(self):
         t = FrameTuple([Subspace(2, np.array([[np.nan], [0.0]])), line(0, 1)])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NonFiniteError):
+            evert(t)
+
+    def test_zero_column_raises(self):
+        t = FrameTuple([Subspace(2, np.zeros((2, 1))), line(0, 1)])
+        with pytest.raises(ZeroInputError):
             evert(t)
 
 
@@ -404,7 +419,7 @@ def _evert_by_complements(t: FrameTuple) -> FrameTuple:
         else:
             rest = Subspace.zero(t.ambient, t.field)
         comps.append(rest.orthocomplement())
-    return FrameTuple(comps, t.orthogonal)
+    return FrameTuple(comps)
 
 
 def _frame_distance(s: FrameTuple, t: FrameTuple) -> float:
@@ -490,7 +505,7 @@ class TestRandomFrame:
         rng = np.random.default_rng(91)
         for _ in range(100):
             t = random_frame(5, IntPartition((2, 2, 1)), COMPLEX, True, rng)
-            assert sound_frame(t)
+            assert sound_frame(t, orthogonal=True)
 
     def test_general_draws_validate(self):
         rng = np.random.default_rng(92)
@@ -526,6 +541,16 @@ class TestEquivariance:
         assert checked > 15
 
 
+    def test_orthogonal_frames_stay_orthogonal(self):
+        # orthogonality is read from the basis: regrouping and coarsening an
+        # orthogonal frame keep M^H M = I
+        rng = np.random.default_rng(97)
+        t = random_frame(5, IntPartition((1,) * 5), COMPLEX, True, rng)
+        arrow = reverse_refines(Tableau.singletons(5), Tableau(5, ((1, 4), (2, 5), (3,))))
+        assert sound_frame(permute(t, (4, 2, 0, 3, 1)), orthogonal=True)
+        assert sound_frame(refine_map(t, arrow), orthogonal=True)
+
+
 class TestJson:
     def test_roundtrip(self):
         rng = np.random.default_rng(96)
@@ -533,11 +558,29 @@ class TestJson:
         back = FrameTuple.from_json(t.to_json())
         assert back.ambient == 4 and back.shape == t.shape
         assert all(x.equals(y, 1e-9) for x, y in zip(back, t))
-        assert back.orthogonal == t.orthogonal
 
     def test_shape_field_must_match(self):
         t = standard_line_frame(2)
         payload = t.to_json()
         payload["shape"] = [2]
         with pytest.raises(ShapeMismatchError):
+            FrameTuple.from_json(payload)
+
+    @staticmethod
+    def _plane_and_line() -> dict:
+        plane = Subspace.from_columns(np.eye(3)[:, :2])
+        return FrameTuple([plane, line(0, 0, 1)]).to_json()
+
+    @pytest.mark.parametrize("shape", [[2.7, 1.2], [2.0, 1.0], [True, 1], ["2", "1"]])
+    def test_non_integral_shape_refused(self, shape):
+        payload = self._plane_and_line()
+        payload["shape"] = shape
+        with pytest.raises(ValueError):
+            FrameTuple.from_json(payload)
+
+    @pytest.mark.parametrize("ambient", [5, 2, "3"])
+    def test_ambient_disagreeing_with_components_refused(self, ambient):
+        payload = self._plane_and_line()
+        payload["ambient"] = ambient
+        with pytest.raises(AmbientMismatchError):
             FrameTuple.from_json(payload)

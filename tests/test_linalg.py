@@ -19,6 +19,7 @@ from frame_rigidity.frames import (
     FrameTuple,
     bigobot,
     bigobot_stack,
+    evert_stack,
     linked_partner_stack,
     pi_linked,
     pi_linked_stack,
@@ -34,7 +35,6 @@ from frame_rigidity.induced import (
     induced_line_map_stack,
     induced_on_frame,
     induced_on_frame_stack,
-    is_unitary_up_to_scale,
     random_semilinear,
     reconstruct_from_line_images_stack,
     scale_equivalent,
@@ -632,7 +632,6 @@ def _tol_entries():
         "semilinear_map": lambda tol: SemilinearMap(e, tol=tol),
         "map_from_json": lambda tol: SemilinearMap.from_json(t.to_json(), tol),
         "apply_to_subspace": lambda tol: apply_to_subspace(t, Subspace.zero(3), tol),
-        "is_unitary_up_to_scale": lambda tol: is_unitary_up_to_scale(t, tol),
         "induced_on_frame_stack": lambda tol: induced_on_frame_stack(
             e[None], np.array([False]), e[None], [lines], tol
         ),
@@ -703,6 +702,7 @@ def _non_finite_entries():
         "linked_partner_stack": lambda m: linked_partner_stack(
             m[None], lines, [pi], [np.random.default_rng(0)]
         ),
+        "evert_stack": lambda m: evert_stack(m[None], [lines]),
         "cubic_line_distortion_stack": lambda m: cubic_line_distortion_stack(0.1)(m[None]),
     }
 
@@ -723,6 +723,7 @@ def _zero_block_entries():
         "linked_partner_stack": (
             ZeroInputError, lambda: linked_partner_stack(z, lines, [pi], [rng])
         ),
+        "evert_stack": (ZeroInputError, lambda: evert_stack(z, [lines])),
         "span_components": (
             ShapeMismatchError, lambda: span_components(z, [IntPartition((2, 1))])
         ),

@@ -51,6 +51,19 @@ SUBSPACE_SURFACE = [
     "zero",
 ]
 
+# the public surface of FrameTuple: a frame is its stacked basis and shape,
+# and its components are views of that basis; a flag stored beside them, or a
+# second accessor of the basis, shows up here
+FRAME_SURFACE = [
+    "ambient",
+    "components",
+    "field",
+    "from_json",
+    "shape",
+    "stacked_basis",
+    "to_json",
+]
+
 # the public surface of the induced module: one line-oracle protocol, a
 # stacked oracle asked by one stacked reconstruction; a per-line adapter or a
 # second reconstruction entry added beside them shows up here
@@ -66,7 +79,6 @@ INDUCED_SURFACE = [
     "induced_line_map_stack",
     "induced_on_frame",
     "induced_on_frame_stack",
-    "is_unitary_up_to_scale",
     "random_semilinear",
     "random_semilinear_stack",
     "reconstruct_from_line_images_stack",
@@ -105,6 +117,11 @@ def test_benchmark_imports_are_exported():
 def test_subspace_surface_is_pinned():
     public = sorted(name for name in dir(frame_rigidity.Subspace) if not name.startswith("_"))
     assert public == SUBSPACE_SURFACE
+
+
+def test_frame_surface_is_pinned():
+    public = sorted(name for name in dir(frame_rigidity.FrameTuple) if not name.startswith("_"))
+    assert public == FRAME_SURFACE
 
 
 def test_induced_surface_is_pinned():

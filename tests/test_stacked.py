@@ -94,6 +94,7 @@ from frame_rigidity.suites import (
     _random_shape,
     run_suite,
 )
+from test_frames import sound_frame
 from test_subspaces import random_subspace
 
 FIELDS = (REAL, COMPLEX)
@@ -319,7 +320,7 @@ def _bigobot_per_meet(a, b, tol):
 
 def _two_block_frame(a):
     comps = sorted([a, a.orthocomplement()], key=lambda s: -s.dim)
-    return FrameTuple(comps, True)
+    return FrameTuple(comps)
 
 
 def _obot_matches_pairwise(cfg, trial, rng):
@@ -336,8 +337,8 @@ def _obot_common_basis_splits(cfg, trial, rng):
     n = cfg.ambient
     q = haar(rng, (n, n), cfg.field)
     perm = rng.permutation(n)
-    s = _frame(q, _random_shape(n, rng), True)
-    t = _frame(q[:, perm], _random_shape(n, rng), True)
+    s = _frame(q, _random_shape(n, rng))
+    t = _frame(q[:, perm], _random_shape(n, rng))
     return all(_bigobot_per_meet(s, t, cfg.tol))
 
 
@@ -448,8 +449,7 @@ def _refine_by_sums(t, arrow):
                 np.hstack([c.basis for c, m in zip(t.components, arrow.block_map) if m == k])
             )
             for k in range(len(arrow.coarse.blocks))
-        ],
-        t.orthogonal,
+        ]
     )
 
 
@@ -690,7 +690,7 @@ class TestScalarIsBatchOfOne:
             stack = random_frame_stack(n, [shape] * self.B, field, orthogonal, self._rngs())
             for k, rng in enumerate(self._rngs()):
                 frame = random_frame(n, shape, field, orthogonal, rng)
-                assert frame.orthogonal == orthogonal and frame.shape == shape
+                assert frame.shape == shape and sound_frame(frame, orthogonal=orthogonal)
                 assert np.array_equal(frame.stacked_basis(), stack[k])
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -719,7 +719,7 @@ class TestScalarIsBatchOfOne:
         for k, rng in enumerate(self._rngs(100)):
             frame = random_frame(5, shape, COMPLEX, True, np.random.default_rng(k))
             partner = linked_partner(frame, pi, rng)
-            assert partner.orthogonal
+            assert sound_frame(partner, orthogonal=True)
             assert np.array_equal(partner.stacked_basis(), stack[k])
             assert pi_linked(frame, partner, pi, 1e-8)
 
@@ -763,8 +763,8 @@ class TestScalarIsBatchOfOne:
         bases = random_frame_stack(n, fine, field, False, self._rngs(30))
         stack = refine_map_stack(bases, fine, arrows)
         for k, arrow in enumerate(arrows):
-            out = refine_map(_frame(bases[k].copy(), fine[k], False), arrow)
-            assert out.shape == arrow.coarse.shape and not out.orthogonal
+            out = refine_map(_frame(bases[k].copy(), fine[k]), arrow)
+            assert out.shape == arrow.coarse.shape
             assert np.array_equal(out.stacked_basis(), stack[k])
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -779,8 +779,8 @@ class TestScalarIsBatchOfOne:
         verdicts = pi_linked_stack(a, b, shape, pis, 1e-8)
         assert verdicts[0::2].all() and not verdicts[1::2].all()
         for k in range(self.B):
-            fa = frames._frame(a[k], shape, True)
-            fb = frames._frame(b[k], shape, True)
+            fa = frames._frame(a[k], shape)
+            fb = frames._frame(b[k], shape)
             assert pi_linked(fa, fb, pis[k], 1e-8) == verdicts[k]
 
 
@@ -811,7 +811,7 @@ class TestEversionIsBatchOfOne:
             frame = random_frame(n, shapes[k], field, orthogonal, rng)
             assert np.array_equal(frame.stacked_basis(), bases[k])
             out = evert(frame)
-            assert out.shape == shapes[k] and out.orthogonal == orthogonal
+            assert out.shape == shapes[k] and sound_frame(out, orthogonal=orthogonal)
             assert np.array_equal(out.stacked_basis(), stack[k])
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -822,7 +822,7 @@ class TestEversionIsBatchOfOne:
         assert any(list(sigma) != sorted(sigma) for sigma in sigmas)
         stack = permute_stack(bases, shapes, sigmas)
         for k, sigma in enumerate(sigmas):
-            out = permute(_frame(bases[k].copy(), shapes[k], False), sigma)
+            out = permute(_frame(bases[k].copy(), shapes[k]), sigma)
             assert np.array_equal(out.stacked_basis(), stack[k])
         swap = [tuple(range(len(s.parts)))[::-1] for s in shapes]
         with pytest.raises(IllegalPermutationError):
@@ -865,7 +865,7 @@ class TestEversionIsBatchOfOne:
         shapes = _mixed_shapes(5, self.B)
         bases = random_frame_stack(5, shapes, field, False, self._rngs())
         bases[4, 2, 1] = np.nan
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NonFiniteError):
             evert_stack(bases, shapes)
 
     def test_one_singular_or_non_finite_map_raises(self):
@@ -931,7 +931,8 @@ class TestFramesKeepTheirArrays:
         for c, h in zip(frame.components, handed):
             assert np.array_equal(c.basis, h.basis) and not np.shares_memory(c.basis, h.basis)
 
-    def test_a_frame_holds_only_its_basis_shape_and_flag(self, monkeypatch):
+    def test_a_frame_holds_only_its_basis_and_shape(self, monkeypatch):
+        assert FrameTuple.__slots__ == ("_basis", "shape", "_components")
         views = []
         real_view = Subspace._view.__func__
         monkeypatch.setattr(
@@ -949,7 +950,7 @@ class TestFramesKeepTheirArrays:
     def test_the_basis_is_kept_not_copied(self):
         basis = np.linalg.qr(np.random.default_rng(6).standard_normal((4, 4))).Q
         layouts = frames._component_layout.cache_info()
-        frame = frames._frame(basis, IntPartition((2, 1, 1)), True)
+        frame = frames._frame(basis, IntPartition((2, 1, 1)))
         assert frames._component_layout.cache_info() == layouts
         assert frame.stacked_basis() is basis
         assert not basis.flags.writeable
@@ -1082,8 +1083,8 @@ class TestBigobotStack:
     def _check(self, a, b, shapes_a, shapes_b):
         forward, backward = bigobot_stack(a, b, shapes_a, shapes_b, self.TOL)
         for k in range(self.B):
-            s = _frame(a[k].copy(), shapes_a[k], False)
-            t = _frame(b[k].copy(), shapes_b[k], False)
+            s = _frame(a[k].copy(), shapes_a[k])
+            t = _frame(b[k].copy(), shapes_b[k])
             assert _bigobot_per_meet(s, t, self.TOL) == (forward[k], backward[k]), k
             one = slice(k, k + 1)
             row = bigobot_stack(a[one], b[one], shapes_a[one], shapes_b[one], self.TOL)
@@ -1360,7 +1361,7 @@ class TestClosedFormLinkage:
                 verdicts = pi_linked_stack(a, b, shape, pis, self.TOL)
                 assert np.array_equal(verdicts, holds), (n, shape)
                 for k, pi in enumerate(pis):
-                    fa, fb = _frame(a[k], shape, False), _frame(b[k], shape, False)
+                    fa, fb = _frame(a[k], shape), _frame(b[k], shape)
                     assert _linked_by_sines(fa, fb, pi, self.TOL) == holds[k], (n, shape, k)
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -1369,7 +1370,7 @@ class TestClosedFormLinkage:
         a, pis, cases = _linkage_cases(shape.n, shape, field, 8, 3)
         for b, _ in cases:
             for k, pi in enumerate(pis):
-                fa, fb = _frame(a[k], shape, False), _frame(b[k], shape, False)
+                fa, fb = _frame(a[k], shape), _frame(b[k], shape)
                 assert pi_linked(fa, fb, pi, self.TOL) == pi_linked(fb, fa, pi, self.TOL)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["dependent", "nearly-dependent"])
