@@ -27,6 +27,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _full_rank_span,
     adjoint,
     conditioned_gaussian_stack,
     field_of,
@@ -270,8 +271,10 @@ def span_components(
 
     Every column block is re-spanned at ``tol`` as ``Subspace.from_columns``
     spans it.  The components of one dimension are gathered from all bases
-    and spanned in one stack (the lines by one column normalization), and a
-    row of the result does not depend on the other rows, bit for bit.
+    and spanned in one stack, and a row of the result does not depend on the
+    other rows, bit for bit.  A wider dimension than one takes one thin SVD
+    and one full-rank check; the lines, and a dimension that fails the check,
+    go through :func:`linalg.span_stack`, which rescales or refuses.
 
     Raises ``ShapeMismatchError`` when a shape does not partition the basis
     width, or when a component spans fewer dimensions than it has, a
@@ -279,12 +282,19 @@ def span_components(
     NaN or infinite entry raises ``NonFiniteError``.
     """
     layout = _components_of(m, shapes)
+    require_tol(tol)
+    # the SVDs below need finite input; lines are checked as they are normalized
+    if layout.by_size and layout.by_size[-1][0] > 1 and not np.isfinite(m).all():
+        raise NonFiniteError("a frame has non-finite entries")
     # C-ordered, so the raveled view below writes into it
     out = np.empty(m.shape, m.dtype)
     for d, _, index in layout.by_size:
-        u, rank = span_stack(_gather(m, index), tol)
-        if rank.min() < d:
-            raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
+        g = _gather(m, index)
+        u = _full_rank_span(g, tol) if d > 1 else None
+        if u is None:
+            u, rank = span_stack(g, tol)
+            if rank.min() < d:
+                raise ShapeMismatchError(f"a {d}-dimensional component lost rank")
         out.reshape(-1)[index] = u.swapaxes(1, 2)
     return out
 
@@ -550,9 +560,7 @@ def random_frame_stack(
     _component_layout(_one_each(rngs, shapes, "shapes"), ambient)
     if orthogonal:
         return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
-    m, _ = conditioned_gaussian_stack(
-        rngs, ambient, field, lambda s: s[:, -1] > _CONDITION_FLOOR * s[:, 0]
-    )
+    m = conditioned_gaussian_stack(rngs, ambient, field, 1.0 / _CONDITION_FLOOR)
     return span_components(m, shapes)
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     _finite_svd,
+    _full_rank,
     _number,
     adjoint,
     as_matrix,
@@ -57,13 +58,6 @@ _MAX_CONDITION = 1e3
 # deterministic probe stream for reconstruction verification, and its length
 _PROBE_SEED = 0x1D6A
 _PROBE_COUNT = 50
-
-
-def _require_invertible(s: np.ndarray, tol: float) -> None:
-    """Refuse the matrices whose finite singular values, descending along the
-    last axis of ``s``, show a matrix singular at ``tol``."""
-    if s.shape[-1] == 0 or not (s[..., -1] > tol * s[..., 0]).all():
-        raise SingularMatrixError("matrix is singular at the working tolerance")
 
 
 def apply_tagged_stack(
@@ -97,7 +91,8 @@ class SemilinearMap:
         m = as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeMismatchError(f"matrix must be square, got {m.shape}")
-        _require_invertible(_finite_svd(m, compute_uv=False), tol)
+        if m.size == 0 or not _full_rank(m[None], tol)[0]:
+            raise SingularMatrixError("matrix is singular at the working tolerance")
         self._init(m, automorphism)
 
     def _init(self, m: np.ndarray, automorphism: str) -> None:
@@ -235,7 +230,7 @@ def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.
     ``(B, n, n)`` stack of invertible matrices, from one ``inv``.
 
     Every contragredient is checked finite and invertible at ``tol`` as
-    :class:`SemilinearMap` checks a matrix, with one SVD for the stack:
+    :class:`SemilinearMap` checks a matrix (:func:`linalg._full_rank`):
     ``NonFiniteError`` or ``SingularMatrixError`` otherwise.
     """
     require_tol(tol)
@@ -245,7 +240,8 @@ def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.
         if not np.isfinite(matrices).all():
             raise NonFiniteError("matrix has non-finite entries") from exc
         raise SingularMatrixError("matrix is singular; it has no contragredient") from exc
-    _require_invertible(_finite_svd(out, compute_uv=False), tol)
+    if matrices.shape[-1] == 0 or not _full_rank(out, tol, matrices).all():
+        raise SingularMatrixError("matrix is singular at the working tolerance")
     return out
 
 
@@ -269,14 +265,9 @@ def random_semilinear_stack(
     :func:`random_semilinear` draws it.
 
     The condition cap is checked on the whole stack at once, with redraws
-    only for the rejected matrices, and the accepted singular values are
-    checked as :class:`SemilinearMap` checks a matrix.
+    only for the rejected matrices.
     """
-    g, s = conditioned_gaussian_stack(
-        rngs, ambient, field, lambda s: s[:, 0] <= _MAX_CONDITION * s[:, -1]
-    )
-    _require_invertible(s, DEFAULT_TOL)
-    return g
+    return conditioned_gaussian_stack(rngs, ambient, field, _MAX_CONDITION)
 
 
 def random_semilinear(
@@ -405,8 +396,7 @@ def reconstruct_from_line_images_stack(
             raise DegenerateOracleError("imaginary probe image misses the first column")
         ratio = beta / alpha
         conj = np.abs(ratio - 1j) > np.abs(ratio + 1j)
-    s = _finite_svd(matrices, compute_uv=False)
-    refused = s[:, -1] <= tol * s[:, 0]
+    refused = ~_full_rank(matrices, tol)
     kept = np.flatnonzero(~refused)
     if kept.size:
         expected = _ask(oracle, sweep, size, field)[kept]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -76,6 +76,15 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def _number(value, kind) -> bool:
     # a bool is an Integral, but no dimension, count, fraction or tolerance
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _integer(value, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; raises ``error`` unless a Python or numpy integer."""
+    if type(value) is int:  # skips the slower abstract-class check
+        return value
+    if not _number(value, Integral):
+        raise error(f"{value!r} is not an integer")
+    return int(value)
 
 
 def require_tol(tol: float) -> None:
@@ -246,6 +255,19 @@ def span_stack(cols: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, 
     return u, rank
 
 
+def _full_rank_span(m: np.ndarray, tol: float) -> np.ndarray | None:
+    """The left singular vectors of a finite ``(..., n, k)`` stack when each
+    matrix has rank ``k`` at ``tol``, as :func:`span_stack` gives them;
+    ``None`` when one falls short, its top value overflowing included, or
+    the SVD fails."""
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    top = s[..., 0]
+    return u if tol < top.min() and (s[..., -1] > tol * top).all() else None
+
+
 def _svd_up_to_scale(m: np.ndarray) -> tuple:
     """``U, S, V^H`` as :func:`_finite_svd` gives them, and whether ``m`` was
     scaled: when a finite matrix's top singular value overflows, every matrix
@@ -325,27 +347,45 @@ def gaussian_stack(rngs, shape: tuple, field: str) -> np.ndarray:
     return buf[:, 0]
 
 
-def conditioned_gaussian_stack(
-    rngs, n: int, field: str, accept
-) -> tuple[np.ndarray, np.ndarray]:
+def conditioned_gaussian_stack(rngs, n: int, field: str, cap: float) -> np.ndarray:
     """One ``n x n`` :func:`gaussian` matrix per generator, each redrawn from
-    its own generator until ``accept`` passes its singular values.
-
-    ``accept`` maps a ``(B, n)`` stack of singular values (descending) to a
-    ``(B,)`` mask.  Every round checks the whole pending stack with one SVD
-    and redraws only the rejected entries, so each generator sees exactly the
-    draws of a one-matrix loop.  Returns the accepted matrices and their
-    singular values.
-    """
+    its own generator until its condition number is below ``cap``: until it
+    has full rank at ``1 / cap`` (:func:`_full_rank`).  Every round judges the
+    pending stack at once and redraws only the rejected entries, so each
+    generator sees exactly the draws of a one-matrix loop."""
     g = gaussian_stack(rngs, (n, n), field)
-    s = _finite_svd(g, compute_uv=False)
-    accepted = accept(s)
-    while not accepted.all():
-        pending = np.flatnonzero(~accepted)
+    pending = np.flatnonzero(~_full_rank(g, 1.0 / cap))
+    while pending.size:
         g[pending] = gaussian_stack([rngs[i] for i in pending], (n, n), field)
-        s[pending] = _finite_svd(g[pending], compute_uv=False)
-        accepted[pending] = accept(s[pending])
-    return g, s
+        pending = pending[~_full_rank(g[pending], 1.0 / cap)]
+    return g
+
+
+def _full_rank(m: np.ndarray, tol: float, inverse: np.ndarray | None = None) -> np.ndarray:
+    """The ``(B,)`` mask of the ``(B, n, n)`` matrices with full rank at
+    ``tol``: ``s[-1] > tol s[0]`` on their descending singular values ``s``.
+
+    Most are certified without an SVD: ``s[0] / s[-1] <= |M|_F |M^-1|_F``
+    (Higham 2002, sec. 6.2), and a computed product below ``min(1 / tol,
+    1e6)`` by a relative 1e-6 shows full rank; up to 1e6 that margin is far
+    above the rounding of either side.  The rest take one SVD and the rule,
+    and all do when ``inv`` raises.  ``inverse`` is the stack's inverse or its
+    adjoint, if the caller holds it.  NaN or infinite entries raise
+    ``NonFiniteError``.
+    """
+    try:
+        inverse = np.linalg.inv(m) if inverse is None else inverse
+        # a NaN product, or squares that overflow, certify nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = [np.einsum("...ij,...ij->...", a.conj(), a).real for a in (m, inverse)]
+            full = squares[0] * squares[1] <= (min(1.0 / tol, 1e6) * (1.0 - 1e-6)) ** 2
+    except np.linalg.LinAlgError:
+        full = np.zeros(len(m), dtype=bool)
+    if not full.all():
+        rest = np.flatnonzero(~full)
+        s = _finite_svd(m[rest], compute_uv=False)
+        full[rest] = s[:, -1] > tol * s[:, 0]
+    return full
 
 
 def haar(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:

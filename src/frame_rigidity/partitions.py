@@ -20,16 +20,7 @@ from numbers import Integral
 from typing import Iterator, Optional
 
 from .errors import ChainMismatchError, IllegalPermutationError, SizeMismatchError
-from .linalg import _number
-
-
-def _integer(value, error: type[Exception] = ValueError) -> int:
-    """``value`` as an int; raises ``error`` unless a Python or numpy integer."""
-    if type(value) is int:  # skips the slower abstract-class check
-        return value
-    if not _number(value, Integral):
-        raise error(f"{value!r} is not an integer")
-    return int(value)
+from .linalg import _integer, _number
 
 
 @dataclass(frozen=True, order=True)

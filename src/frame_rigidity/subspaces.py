@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     REAL,
     _finite_svd,
+    _integer,
     _principal,
     adjoint,
     as_matrix,
@@ -181,12 +182,12 @@ class Subspace:
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "Subspace":
         """Rebuild a subspace, re-spanning the basis and validating the rank.
 
-        Rejects payloads whose declared column count is not the numerical
-        rank of the given basis, and real-tagged payloads with nonzero
-        imaginary parts.
+        Rejects payloads whose ambient is no integer or whose declared column
+        count is not the numerical rank of the given basis (``ValueError``),
+        and real-tagged payloads with nonzero imaginary parts.
         """
         require_tol(tol)
-        ambient = int(obj["ambient"])
+        ambient = _integer(obj["ambient"])
         field = obj["field"]
         field_dtype(field)  # refuses an unknown tag
         rows = obj["basis"]

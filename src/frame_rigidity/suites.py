@@ -56,7 +56,7 @@ from .linalg import (
     COMPLEX,
     DEFAULT_TOL,
     REAL,
-    _finite_svd,
+    _full_rank,
     field_dtype,
     gaussian,
     gaussian_stack,
@@ -362,8 +362,7 @@ def _clrbis_images(cfg, rngs):
 
 
 def _clrbis_independent(cfg, trials, rngs):
-    s = _finite_svd(_clrbis_images(cfg, rngs), compute_uv=False)
-    return s[:, -1] > cfg.tol * s[:, 0]
+    return _full_rank(_clrbis_images(cfg, rngs), cfg.tol)
 
 
 def _clrbis_sum_dims(cfg, trials, rngs):

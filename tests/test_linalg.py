@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from frame_rigidity import frames, linalg
+
 from frame_rigidity.errors import (
     DegenerateOracleError,
     FieldMismatchError,
@@ -24,6 +26,7 @@ from frame_rigidity.frames import (
     pi_linked,
     pi_linked_stack,
     random_frame,
+    random_frame_stack,
     span_components,
 )
 from frame_rigidity.induced import (
@@ -36,6 +39,7 @@ from frame_rigidity.induced import (
     induced_on_frame,
     induced_on_frame_stack,
     random_semilinear,
+    random_semilinear_stack,
     reconstruct_from_line_images_stack,
     scale_equivalent,
 )
@@ -43,8 +47,10 @@ from frame_rigidity.kernels import batched_commeasurability_check
 from frame_rigidity.linalg import (
     COMPLEX,
     REAL,
+    _full_rank,
     adjoint,
     as_matrix,
+    conditioned_gaussian_stack,
     field_dtype,
     field_of,
     gaussian,
@@ -775,3 +781,188 @@ class TestToleranceRefused:
         call(np.float64(1e-9))
         with pytest.raises(ValueError):
             call(tol)
+
+
+def _with_singular_values(sigma, field, rng):
+    """``U diag(sigma) V^H`` for Haar ``U`` and ``V``."""
+    n = len(sigma)
+    return (haar(rng, (n, n), field) * sigma) @ adjoint(haar(rng, (n, n), field))
+
+
+def _rank_rule(m, tol):
+    """The singular-value rule that ``_full_rank`` certifies: ``s[-1] > tol s[0]``."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[:, -1] > tol * s[:, 0]
+
+
+@pytest.fixture
+def judged_rows(monkeypatch):
+    """The rows of every stack that ``_full_rank`` hands to its SVD."""
+    rows, finite_svd = [], linalg._finite_svd
+
+    def recording(m, *args, **kwargs):
+        rows.append(len(m))
+        return finite_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_finite_svd", recording)
+    return rows
+
+
+class TestConditionCertificate:
+    """The Frobenius certificate of ``linalg._full_rank`` never accepts a
+    matrix that the singular-value rule rejects: every verdict equals the
+    rule's, at the caps the samplers use, at the matrices closest to the cap,
+    and on Gaussian draws.  Input that is singular, NaN or infinite reaches
+    the SVD and keeps its error."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("cap", [1e3, 4.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matrices_at_the_cap(self, n, cap, field, judged_rows):
+        rng = np.random.default_rng([n, int(cap)])
+        stack = []
+        for rel in (-1e-7, -1e-12, 1e-12, 1e-7):
+            kappa = cap * (1.0 + rel)
+            # the extremes alone, and the extremes with geometric steps between
+            for sigma in (np.r_[kappa, np.ones(n - 1)], kappa ** np.linspace(1.0, 0.0, n)):
+                sigma[-1] = sigma[0] / kappa
+                stack.append(_with_singular_values(sigma, field, rng))
+        m = np.stack(stack)
+        assert np.array_equal(_full_rank(m, 1.0 / cap), _rank_rule(m, 1.0 / cap))
+        # a condition number this close to the cap is never certified
+        assert judged_rows == [len(m)]
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("cap", [1e3, 4.0])
+    def test_products_at_the_certificate_edge(self, cap, field):
+        # at n = 2 the Frobenius product is kappa + 1 / kappa exactly
+        rng = np.random.default_rng(int(cap))
+        stack = []
+        for rel in (-1e-9, 0.0, 1e-9):
+            product = cap * (1.0 - 1e-6) * (1.0 + rel)
+            kappa = (product + np.sqrt(product**2 - 4.0)) / 2.0
+            stack.append(_with_singular_values(np.array([kappa, 1.0]), field, rng))
+        m = np.stack(stack)
+        assert np.array_equal(_full_rank(m, 1.0 / cap), _rank_rule(m, 1.0 / cap))
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("cap", [1e3, 4.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gaussian_draws(self, n, cap, field, judged_rows):
+        g = gaussian_stack([np.random.default_rng([n, k]) for k in range(500)], (n, n), field)
+        assert np.array_equal(_full_rank(g, 1.0 / cap), _rank_rule(g, 1.0 / cap))
+        if cap == 1e3:
+            # the certificate decides almost every draw
+            assert sum(judged_rows) <= 0.1 * len(g)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    # a Gaussian above 4 x 4 is rarely conditioned below 4
+    @pytest.mark.parametrize("n, cap", [(n, 1e3) for n in range(2, 9)] + [(2, 4.0), (3, 4.0), (4, 4.0)])
+    def test_sampler_draws_follow_the_rule(self, n, cap, field):
+        got = conditioned_gaussian_stack(
+            [np.random.default_rng([n, k]) for k in range(64)], n, field, cap
+        )
+        for k in range(64):
+            rng = np.random.default_rng([n, k])
+            while True:
+                want = gaussian(rng, (n, n), field)
+                if _rank_rule(want[None], 1.0 / cap)[0]:
+                    break
+            assert np.array_equal(got[k], want)
+
+    def test_singular_stack_takes_the_svd_whole(self, judged_rows):
+        m = gaussian_stack([np.random.default_rng(k) for k in range(4)], (3, 3), REAL)
+        m[1, :, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(m)
+        assert _full_rank(m, 1e-3).tolist() == [True, False, True, True]
+        assert judged_rows == [4]
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reaches_the_svd(self, bad, field, judged_rows):
+        m = gaussian_stack([np.random.default_rng(k) for k in range(4)], (3, 3), field)
+        m[2, 1, 1] = bad
+        with pytest.raises(NonFiniteError):
+            _full_rank(m, 1e-3)
+        assert judged_rows
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_map_reaches_the_svd_in_evert_conjugate(self, bad, judged_rows):
+        # inv returns finite entries for an infinite matrix, which the
+        # product of Frobenius norms does not certify, and the SVD of those
+        # finds them singular, as it did before the certificate
+        m = random_semilinear_stack(3, REAL, [np.random.default_rng(k) for k in range(4)])
+        m[3, 0, 0] = bad
+        with pytest.raises(SingularMatrixError):
+            evert_conjugate_stack(m)
+        assert judged_rows == [1]
+
+    def test_nearly_singular_map_reaches_the_svd_in_evert_conjugate(self, judged_rows):
+        m = random_semilinear_stack(4, REAL, [np.random.default_rng(k) for k in range(4)])
+        m[3, :, 0] = 2.0 * m[3, :, 1] + 1e-12 * m[3, :, 0]
+        with pytest.raises(SingularMatrixError):
+            evert_conjugate_stack(m)
+        assert judged_rows == [1]
+
+
+class TestConditioningCalls:
+    """Seeded well-conditioned batches are judged without singular values:
+    the samplers and the contragredient take no SVD, and ``span_components``
+    takes one per column width of two or more, behind one finiteness check,
+    and hands only its lines to ``span_stack``."""
+
+    B = 24
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"svd": [], "isfinite": 0, "span_stack": 0}
+        svd, isfinite, span = np.linalg.svd, np.isfinite, frames.span_stack
+
+        def counted_svd(a, *args, **kwargs):
+            calls["svd"].append(a.shape[-1])
+            return svd(a, *args, **kwargs)
+
+        def counted_isfinite(*args, **kwargs):
+            calls["isfinite"] += 1
+            return isfinite(*args, **kwargs)
+
+        def counted_span(*args, **kwargs):
+            calls["span_stack"] += 1
+            return span(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np, "isfinite", counted_isfinite)
+        monkeypatch.setattr(frames, "span_stack", counted_span)
+        return calls
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize(
+        "entry", ["random_semilinear_stack", "random_frame_stack", "evert_conjugate_stack"]
+    )
+    def test_conditioning_takes_no_svd(self, entry, n, field, calls):
+        # seeds whose first two draws the certificate clears
+        rngs = [np.random.default_rng([2, n, k]) for k in range(self.B)]
+        maps = random_semilinear_stack(n, field, rngs)
+        calls["svd"].clear()
+        {
+            "random_semilinear_stack": lambda: random_semilinear_stack(n, field, rngs),
+            "random_frame_stack": lambda: random_frame_stack(
+                n, [IntPartition((1,) * n)] * self.B, field, False, rngs
+            ),
+            "evert_conjugate_stack": lambda: evert_conjugate_stack(maps),
+        }[entry]()
+        assert calls["svd"] == []
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_span_components_one_svd_per_width(self, field, calls):
+        n = 8
+        parts = [(3, 2, 2, 1), (4, 4), (2, 2, 2, 1, 1), (3, 3, 1, 1), (1,) * 8]
+        shapes = [IntPartition(parts[k % len(parts)]) for k in range(self.B)]
+        m = gaussian_stack([np.random.default_rng(k) for k in range(self.B)], (n, n), field)
+        span_components(m, shapes)
+        assert sorted(calls["svd"]) == [2, 3, 4]
+        assert calls["isfinite"] == 1
+        # the lines alone go through span_stack, which normalizes them
+        assert calls["span_stack"] == 1

@@ -62,6 +62,7 @@ from frame_rigidity.linalg import (
     haar,
     residual_norms,
     span,
+    span_stack,
     spectral_norm,
     unit_columns,
 )
@@ -884,6 +885,11 @@ class TestEversionIsBatchOfOne:
             with pytest.raises(error):
                 evert_conjugate_stack(non_finite)
 
+    def test_maps_of_no_dimension_raise(self):
+        # a matrix without singular values is refused, as SemilinearMap refuses it
+        with pytest.raises(SingularMatrixError):
+            evert_conjugate_stack(np.zeros((2, 0, 0)))
+
 
 class TestFramesKeepTheirArrays:
     """A frame holds one read-only stacked basis, taken over when it is
@@ -1231,6 +1237,58 @@ class TestSpanComponentsErrors:
         with pytest.raises(ShapeMismatchError):
             span_components(np.stack([np.eye(3)] * 2), [IntPartition((2, 1))])
 
+    # the shape, and the first column and width of one of its components
+    WIDE = [((3, 2, 1), 0, 3), ((3, 2, 1), 3, 2), ((2, 2, 1, 1), 0, 2)]
+
+    @staticmethod
+    def _bases(field, parts, size=4):
+        rngs = [np.random.default_rng(k) for k in range(size)]
+        return random_frame_stack(6, [IntPartition(parts)] * size, field, False, rngs)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("parts, first, width", WIDE)
+    def test_non_finite_entry_in_a_wide_component(self, parts, first, width, bad, field):
+        m = self._bases(field, parts)
+        m[2, 4, first + 1] = bad
+        with pytest.raises(NonFiniteError):
+            span_components(m, [IntPartition(parts)] * len(m))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("dependent", [True, False], ids=["dependent", "tiny"])
+    @pytest.mark.parametrize("parts, first, width", WIDE)
+    def test_rank_deficient_wide_component(self, parts, first, width, dependent, field):
+        # a dependent column, or a whole component of norm far below tol,
+        # which is full rank relative to its own scale
+        m = self._bases(field, parts)
+        if dependent:
+            m[1, :, first + width - 1] = 2.0 * m[1, :, first]
+        else:
+            m[1, :, first : first + width] *= 1e-12
+        with pytest.raises(ShapeMismatchError, match="lost rank"):
+            span_components(m, [IntPartition(parts)] * len(m))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    @pytest.mark.parametrize("parts, first, width", WIDE)
+    def test_huge_wide_component_is_rescaled(self, parts, first, width, scale, field):
+        # at 1e308 the top singular value overflows and span_stack rescales
+        m = self._bases(field, parts)
+        shapes = [IntPartition(parts)] * len(m)
+        m[3, :, first : first + width] *= scale
+        got = span_components(m, shapes)
+        assert got.tobytes() == _span_stack_route(m, shapes).tobytes()
+        block = got[3, :, first : first + width]
+        np.testing.assert_allclose(block.conj().T @ block, np.eye(width), atol=1e-14)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_full_rank_equals_the_span_stack_route(self, n, field):
+        rngs = [np.random.default_rng([n, k]) for k in range(40)]
+        shapes = [_random_shape(n, rng) for rng in rngs]
+        m = np.stack([gaussian(rng, (n, n), field) for rng in rngs])
+        assert span_components(m, shapes).tobytes() == _span_stack_route(m, shapes).tobytes()
+
     @pytest.mark.parametrize(
         "parts", [[(2,), (1, 1, 1, 1)], [(2,), (2,)], [(1, 1, 1, 1)] * 2, [(2, 1), (3, 1)]]
     )
@@ -1260,6 +1318,17 @@ class TestSpanComponentsErrors:
             pi_linked_stack(m, m, shape, pis)
         with pytest.raises(ShapeMismatchError, match="not a partition of 3"):
             linked_partner_stack(m, shape, pis, [np.random.default_rng(0)] * 2)
+
+
+def _span_stack_route(m, shapes):
+    """``span_components`` as one ``span_stack`` per column width, the route
+    every width took before the full-rank SVD."""
+    out = np.empty(m.shape, m.dtype)
+    for d, _, index in frames._components_of(m, shapes).by_size:
+        u, rank = span_stack(frames._gather(m, index))
+        assert rank.min() == d
+        out.reshape(-1)[index] = u.swapaxes(1, 2)
+    return out
 
 
 def _stacked_calls(a, fit):

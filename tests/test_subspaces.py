@@ -779,6 +779,24 @@ class TestJson:
         with pytest.raises(ValueError):
             Subspace.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "columns, ambient",
+        [(np.eye(3)[:, :2], 3.7), (np.eye(3)[:, :2], "3"), (np.eye(3)[:, :2], 3.0), ([[1.0]], True)],
+    )
+    def test_non_integer_ambient_refused(self, columns, ambient):
+        # each declared ambient reads as the payload's row count under int()
+        payload = Subspace.from_columns(columns).to_json()
+        payload["ambient"] = ambient
+        with pytest.raises(ValueError, match="not an integer"):
+            Subspace.from_json(payload)
+
+    @pytest.mark.parametrize("ambient", [3, np.int64(3), np.intp(3)])
+    def test_integer_ambient_accepted(self, ambient):
+        payload = Subspace.from_columns(np.eye(3)[:, :2]).to_json()
+        payload["ambient"] = ambient
+        back = Subspace.from_json(payload)
+        assert back.ambient == 3 and type(back.ambient) is int and back.dim == 2
+
     def test_imaginary_entries_under_real_tag_rejected(self):
         payload = {"ambient": 1, "field": "real", "basis": [[[1.0, 0.5]]]}
         with pytest.raises(FieldMismatchError):
