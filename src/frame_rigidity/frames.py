@@ -28,6 +28,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     _full_rank_span,
+    _integer,
     adjoint,
     conditioned_gaussian_stack,
     field_of,
@@ -140,13 +141,13 @@ class FrameTuple:
 
     @classmethod
     def from_json(cls, obj: dict, tol: float = DEFAULT_TOL) -> "FrameTuple":
-        """Rebuild a frame from its components.  A declared shape that is no
-        partition raises ``ValueError``; a declared shape or ambient other than
-        the components' raises ``ShapeMismatchError`` or ``AmbientMismatchError``."""
+        """Rebuild a frame from its components.  A declared shape or ambient
+        that is no partition or no integer raises ``ValueError``, and one that
+        is not the components' ``ShapeMismatchError`` or ``AmbientMismatchError``."""
         frame = cls([Subspace.from_json(c, tol) for c in obj["components"]])
         if IntPartition(tuple(obj["shape"])) != frame.shape:
             raise ShapeMismatchError("declared shape does not match components")
-        if obj["ambient"] != frame.ambient:
+        if _integer(obj["ambient"]) != frame.ambient:
             raise AmbientMismatchError("declared ambient does not match components")
         return frame
 

@@ -7,7 +7,7 @@ read from the principal angles of one basis against the other
 (:func:`linalg.principal_angles` and :func:`linalg.residual_norms`), and the
 other commensurability route from the projector commutator; nothing compares
 basis entries.  Both routes take two bases or two ``(B, n, k)`` stacks of
-them, so the batched kernel runs the same two functions.
+them, so the batched kernel runs the same functions.
 
 The zero subspace (a basis with no columns) is a first-class value: it is
 what intersections return when they collapse, and it is the bottom element
@@ -24,6 +24,7 @@ from .linalg import (
     REAL,
     _finite_svd,
     _integer,
+    _outside,
     _principal,
     adjoint,
     as_matrix,
@@ -254,6 +255,42 @@ def remainder_norms(qa: np.ndarray, qb: np.ndarray, tol: float):
     return spectral_norm(g @ (v * (sines > tol)[..., None, :]))
 
 
+def remainders_orthogonal(qa: np.ndarray, qb: np.ndarray, tol: float):
+    """Route 2's verdict, ``remainder_norms(qa, qb, tol) <= 10*tol``, for two
+    orthonormal bases (a bool) or two stacks (one per pair), by certificate.
+
+    On the narrower operand ``O = Q_A - Q_B G`` has ``O^H O + G^H G = I``, so
+    an eigenvalue of ``H = O^H O`` is a principal angle's squared sine and one
+    minus its squared cosine (Bjorck-Golub 1973).  ``tr H <= tol^2 (1 - 1e-6)``
+    puts every sine below ``tol`` (norm 0); an eigenvalue in ``(tol^2 + mu,
+    1 - 2 (10 tol)^2 - mu)`` is a direction beyond the meet whose cosine
+    exceeds the band.  ``mu = 1e-12`` is over 100 times the rounding of the
+    Gram and its eigensolver (Weyl) for orthonormal or zero-padded operands at
+    n <= 8, under 1e-14, as 1e-6 is for the trace.  The other pairs, those of
+    a line operand and a stack with an entry that is not finite take
+    :func:`remainder_norms`, which refuses the last with ``NonFiniteError``.
+    """
+    band, mu = 10.0 * tol, 1e-12
+    if qa.shape[-1] > qb.shape[-1]:
+        qa, qb = qb, qa
+    if qa.shape[-1] < 2:
+        return remainder_norms(qa, qb, tol) <= band
+    with np.errstate(over="ignore", invalid="ignore"):
+        outside = _outside(qa, qb)[1]
+        h = adjoint(outside) @ outside
+    if not np.isfinite(h).all():
+        return remainder_norms(qa, qb, tol) <= band
+    squares = np.linalg.eigvalsh(h)
+    verdict = np.einsum("...ii->...", h).real <= tol * tol * (1.0 - 1e-6)
+    crossing = (tol * tol + mu < squares) & (squares < 1.0 - 2.0 * band * band - mu)
+    undecided = ~(verdict | crossing.any(axis=-1))
+    if qa.ndim == 2:
+        return remainder_norms(qa, qb, tol) <= band if undecided else bool(verdict)
+    if undecided.any():
+        verdict[undecided] = remainder_norms(qa[undecided], qb[undecided], tol) <= band
+    return verdict
+
+
 def commeasurable(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
     """Projector test: the two orthogonal projectors commute within 10*tol
     (:func:`commutator_norms`)."""
@@ -264,12 +301,12 @@ def commeasurable(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
 
 def commeasurable_via_complements(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> bool:
     """Lattice test: the parts of each operand beyond the meet are orthogonal
-    within 10*tol (:func:`remainder_norms`, which reads the meet from the
-    principal angles of the narrower operand against the other).
+    within 10*tol (:func:`remainders_orthogonal`, which reads the meet from
+    the principal angles of the narrower operand against the other).
 
     Kept deliberately independent of the projector-commutator route so the
     two can cross-check each other.
     """
     a._check_compatible(b)
     require_tol(tol)
-    return remainder_norms(a.basis, b.basis, tol) <= 10.0 * tol
+    return remainders_orthogonal(a.basis, b.basis, tol)

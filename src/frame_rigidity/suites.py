@@ -79,7 +79,7 @@ from .partitions import (
 )
 from .report import PropertyResult, VerificationReport
 from .rng import _trial_rngs
-from .subspaces import commutator_norms, remainder_norms
+from .subspaces import commutator_norms, remainders_orthogonal
 
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
@@ -518,7 +518,7 @@ def _obot_matches_pairwise(cfg, trials, rngs):
     q, cols = np.linalg.qr(g).Q, np.arange(n)
     bases = q * (cols < dims[..., None])[..., None, :]
     route_one = commutator_norms(*bases) <= band
-    route_two = remainder_norms(*bases, cfg.tol) <= band
+    route_two = remainders_orthogonal(*bases, cfg.tol)
     # each subspace and its orthocomplement as a frame, the larger first
     order = np.where((dims >= n - dims)[..., None], cols, (cols + dims[..., None]) % n)
     frames = np.take_along_axis(q, order[..., None, :], axis=-1)

@@ -578,9 +578,24 @@ class TestJson:
         with pytest.raises(ValueError):
             FrameTuple.from_json(payload)
 
-    @pytest.mark.parametrize("ambient", [5, 2, "3"])
+    @pytest.mark.parametrize("ambient", [5, 2, np.int64(2)])
     def test_ambient_disagreeing_with_components_refused(self, ambient):
         payload = self._plane_and_line()
         payload["ambient"] = ambient
         with pytest.raises(AmbientMismatchError):
             FrameTuple.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "ambient", [3.0, np.float64(3), True, "3"], ids=["float", "np-float", "bool", "str"]
+    )
+    def test_non_integral_ambient_refused(self, ambient):
+        # read as the component codec reads it, not compared with ``!=``
+        payload = self._plane_and_line()
+        payload["ambient"] = ambient
+        with pytest.raises(ValueError):
+            FrameTuple.from_json(payload)
+
+    def test_numpy_integer_ambient_read(self):
+        payload = self._plane_and_line()
+        payload["ambient"] = np.int64(3)
+        assert FrameTuple.from_json(payload).ambient == 3

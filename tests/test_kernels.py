@@ -228,19 +228,22 @@ class TestPairForPair:
 class TestLapackCalls:
     """One QR per column width and both routes once per unordered pair of
     widths, whatever the number of pairs; a width pair with a line operand
-    takes neither an SVD nor an eigensolve."""
+    takes neither an SVD nor an eigensolve.  Route 2 decides most pairs of
+    wider operands from one eigensolve of ``O^H O`` per width pair and takes
+    an SVD only for the rows it leaves undecided."""
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("ambient", [2, 3, 4, 5, 6])
     def test_calls_per_kernel_call(self, ambient, field, monkeypatch):
         calls = dict.fromkeys(("qr", "svd", "eigvalsh"), 0)
-        svd_widths = []
+        svd_widths, svd_rows = [], []
         for name in calls:
 
             def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 if _name == "svd":
                     svd_widths.append(args[0].shape[-1])
+                    svd_rows.append(int(np.prod(args[0].shape[:-2])))
                 return _call(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -251,10 +254,16 @@ class TestLapackCalls:
         widths = {tuple(sorted(p)) for p in zip(batch.dims_a.tolist(), batch.dims_b.tolist())}
         assert len(widths) == n * (n + 1) // 2
         assert 0 < calls["qr"] <= n + 1
-        # the n width pairs with a line operand take none of either
-        assert 0 < calls["svd"] <= n * (n - 1) // 2
-        assert 0 < calls["eigvalsh"] <= n * (n - 1)
-        assert min(svd_widths) > 1
+        # the n width pairs with a line operand take none of either; each
+        # other takes at most one eigensolve per route and one for the
+        # fallback's spectral norm
+        assert calls["svd"] <= n * (n - 1) // 2
+        assert 0 < calls["eigvalsh"] <= 3 * n * (n - 1) // 2
+        assert min(svd_widths, default=2) > 1
+        # the SVD judges few of the pairs whose narrower operand is wider
+        # than a line: 0-4.6% on these streams
+        wider = int(np.sum(np.minimum(batch.dims_a, batch.dims_b) >= 2))
+        assert sum(svd_rows) <= 0.06 * wider
 
 
 class TestAgainstComplementsOracle:

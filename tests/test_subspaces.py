@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from frame_rigidity import subspaces
 from frame_rigidity.errors import (
     AmbientMismatchError,
     FieldMismatchError,
@@ -26,6 +29,7 @@ from frame_rigidity.subspaces import (
     commeasurable_via_complements,
     commutator_norms,
     remainder_norms,
+    remainders_orthogonal,
 )
 
 
@@ -567,6 +571,236 @@ class TestNarrowSide:
                             Subspace(n, x), Subspace(n, y), tol
                         )
                         assert verdict is bool(value <= band)
+
+
+_MU = 1e-12  # the margin mu of ``subspaces.remainders_orthogonal``
+
+
+def _planted_pairs(n, k, m, field, probe, rng, count=4):
+    """``count`` pairs of A, ``k`` columns, against B, ``m`` columns, with
+    ``2 <= k <= m < n``.  A's first principal direction has the cosine and
+    sine ``probe``; each other lies in B in the even rows and, where the
+    ambient leaves room, orthogonal to B in the odd rows.  Random unitaries
+    mix both bases, so no principal vector is a column."""
+    c, s = probe
+    q = haar(rng, (count, n, n), field)
+    a = q[:, :, :k].copy()
+    a[:, :, 0] = c * q[:, :, 0] + s * q[:, :, m]
+    beyond = [i for i in range(1, k) if m + i < n]
+    a[1::2][:, :, beyond] = q[1::2][:, :, [m + i for i in beyond]]
+    return a @ haar(rng, (count, k, k), field), q[:, :, :m] @ haar(rng, (count, m, m), field)
+
+
+def _by_sine(s):
+    return np.sqrt(1.0 - s * s), s
+
+
+def _by_cosine(c):
+    return c, np.sqrt(1.0 - c * c)
+
+
+def _widths(n):
+    return [(k, m) for k in range(2, n) for m in range(k, n)]
+
+
+class TestRouteTwoCertificate:
+    """``remainders_orthogonal`` gives the SVD judge's verdict,
+    ``remainder_norms <= 10*tol``, on stacks and on single bases, at every
+    edge of its certificate: sines at ``tol`` and at ``sqrt(tol^2 + mu)``,
+    cosines at the band ``10*tol`` and at ``sqrt(2)`` times it."""
+
+    @staticmethod
+    def _assert_judged(qa, qb, tol, want=None):
+        judge = (remainder_norms(qa, qb, tol) <= 10.0 * tol).tolist()
+        assert remainders_orthogonal(qa, qb, tol).tolist() == judge
+        # at equal widths each order reads its first operand's angles, and
+        # at tol 1e-12 their rounding can decide
+        swapped = (remainder_norms(qb, qa, tol) <= 10.0 * tol).tolist()
+        assert remainders_orthogonal(qb, qa, tol).tolist() == swapped
+        single = [remainders_orthogonal(x, y, tol) for x, y in zip(qa, qb)]
+        assert all(type(v) is bool for v in single) and single == judge
+        if want is not None:
+            assert judge == [want] * len(judge)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_sines_at_tol(self, field, tol):
+        # inside at 1 - 1e-7, beyond the meet at 1 + 1e-7; at tol 1e-6 the
+        # rounding of O is far below the 1e-7 and the planted verdict shows
+        rng = np.random.default_rng(7301)
+        for n in range(3, 9):
+            for k, m in _widths(n):
+                for factor, want in ((1 - 1e-7, True), (1 + 1e-7, False)):
+                    probe = _by_sine(tol * factor)
+                    qa, qb = _planted_pairs(n, k, m, field, probe, rng)
+                    self._assert_judged(qa, qb, tol, want if tol == 1e-6 else None)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_sines_at_margin_edge(self, field, tol):
+        rng = np.random.default_rng(7302)
+        edge = np.sqrt(tol * tol + _MU)
+        for n in range(3, 9):
+            for k, m in _widths(n):
+                for factor in (1 - 1e-9, 1 + 1e-9):
+                    qa, qb = _planted_pairs(n, k, m, field, _by_sine(edge * factor), rng)
+                    self._assert_judged(qa, qb, tol, False)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_cosines_at_band(self, field, tol):
+        rng = np.random.default_rng(7303)
+        band = 10.0 * tol
+        probes = ((1 - 1e-7, True), (1 + 1e-7, False), (np.sqrt(2.0), False))
+        for n in range(3, 9):
+            for k, m in _widths(n):
+                for factor, want in probes:
+                    qa, qb = _planted_pairs(n, k, m, field, _by_cosine(band * factor), rng)
+                    known = tol == 1e-6 or factor == np.sqrt(2.0)
+                    self._assert_judged(qa, qb, tol, want if known else None)
+
+    @staticmethod
+    def _fallback_rows(monkeypatch):
+        rows = []
+
+        def recording(qa, qb, tol):
+            rows.append(qa.shape[0] if qa.ndim == 3 else 1)
+            return remainder_norms(qa, qb, tol)
+
+        monkeypatch.setattr(subspaces, "remainder_norms", recording)
+        return rows
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_clear_pairs_take_no_svd(self, field, monkeypatch):
+        # a planted sine of 0.5, and a narrow operand inside the full space
+        rng = np.random.default_rng(7304)
+        rows = self._fallback_rows(monkeypatch)
+        for n in range(3, 9):
+            for k, m in _widths(n):
+                qa, qb = _planted_pairs(n, k, m, field, _by_sine(0.5), rng)
+                assert not remainders_orthogonal(qa, qb, 1e-8).any()
+                assert remainders_orthogonal(qa, haar(rng, (4, n, n), field), 1e-8).all()
+                assert remainders_orthogonal(qa[0], np.eye(n, dtype=qa.dtype), 1e-8) is True
+        assert rows == []
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_full_space_pairs(self, field, monkeypatch):
+        rng = np.random.default_rng(7305)
+        rows = self._fallback_rows(monkeypatch)
+        for n in range(2, 9):
+            full = haar(rng, (6, n, n), field)
+            for k in range(2, n + 1):
+                for qa, qb in ((full[:, :, :k], full[::-1]), (full[::-1], full[:, :, :k])):
+                    assert remainders_orthogonal(qa, qb, 1e-9).all()
+                    assert remainders_orthogonal(qa[0], qb[0], 1e-9) is True
+        assert rows == []
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_orthogonal_pairs(self, field):
+        # every eigenvalue is 1: no certificate, and the judge accepts
+        rng = np.random.default_rng(7306)
+        for n in range(4, 9):
+            q = haar(rng, (6, n, n), field)
+            for k in range(2, n // 2 + 1):
+                qa, qb = q[:, :, :k], q[:, :, k:]
+                self._assert_judged(qa, qb, 1e-8, True)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_padded_bases(self, field):
+        # as the obot property passes them: complete Haar bases with their
+        # columns beyond the dimension zeroed, both n wide; every other pair
+        # cut from one basis, so that it commutes
+        rng = np.random.default_rng(7307)
+        for n in range(2, 9):
+            q = haar(rng, (2, 40, n, n), field)
+            q[1, ::2] = q[0, ::2][..., ::-1]
+            dims = rng.integers(1, n, size=(2, 40))
+            bases = q * (np.arange(n) < dims[..., None])[..., None, :]
+            for tol in (1e-12, 1e-8, 1e-6):
+                self._assert_judged(*bases, tol)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_empty_window(self, field, monkeypatch):
+        # at tol 0.3, 1 - 2 band^2 < 0: no eigenvalue certifies a crossing,
+        # and every pair that is not inside takes the SVD
+        rng = np.random.default_rng(7308)
+        tol = 0.3
+        rows = self._fallback_rows(monkeypatch)
+        for n in range(3, 9):
+            for k, m in _widths(n):
+                qa, qb = haar(rng, (8, n, k), field), haar(rng, (8, n, m), field)
+                outside = qa - qb @ (adjoint(qb) @ qa)
+                traces = np.sum(np.abs(outside) ** 2, axis=(1, 2))
+                judge = remainder_norms(qa, qb, tol) <= 10.0 * tol
+                rows.clear()
+                assert remainders_orthogonal(qa, qb, tol).tolist() == judge.tolist()
+                assert sum(rows) == np.sum(traces > tol * tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_non_finite_refused(self, bad, field):
+        rng = np.random.default_rng(7309)
+        qa, qb = haar(rng, (3, 5, 2), field), haar(rng, (3, 5, 3), field)
+        for side in range(2):
+            for row in range(3):
+                pair = [qa.copy(), qb.copy()]
+                pair[side][row, 1, 1] = bad
+                with pytest.raises(NonFiniteError):
+                    remainders_orthogonal(*pair, 1e-8)
+                with pytest.raises(NonFiniteError):
+                    remainders_orthogonal(pair[0][row], pair[1][row], 1e-8)
+                with pytest.raises(NonFiniteError):
+                    commeasurable_via_complements(
+                        Subspace(5, pair[0][row]), Subspace(5, pair[1][row]), 1e-8
+                    )
+
+    def test_margin_over_rounding(self):
+        # mu is at least 100 times what separates the eigenvalues of O^H O
+        # from the SVD's squared sines and from one minus its squared cosines
+        rng = np.random.default_rng(7310)
+        worst = 0.0
+        for field in (REAL, COMPLEX):
+            for n in range(2, 9):
+                for k in range(2, n + 1):
+                    for m in range(k, n + 1):
+                        qa, qb = haar(rng, (40, n, k), field), haar(rng, (40, n, m), field)
+                        q = haar(rng, (20, n, n), field)
+                        qa[::2], qb[::2] = q[:, :, :k], q[:, :, n - m :]
+                        g = adjoint(qb) @ qa
+                        outside = qa - qb @ g
+                        squares = np.linalg.eigvalsh(adjoint(outside) @ outside)
+                        sines = np.linalg.svd(outside, compute_uv=False)[..., ::-1]
+                        cosines = np.linalg.svd(g, compute_uv=False)
+                        worst = max(
+                            worst,
+                            np.abs(squares - sines**2).max(),
+                            np.abs(squares + cosines**2 - 1.0).max(),
+                        )
+        assert worst <= _MU / 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        field=st.sampled_from([REAL, COMPLEX]),
+        widths=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        kind=st.sampled_from(["haar", "cut", "planted"]),
+        angle=st.sampled_from([0.0, 1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.5, 1.0]),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-8, 1e-6, 1e-3, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_is_the_svd_judge(self, n, field, widths, kind, angle, tol, seed):
+        rng = np.random.default_rng(seed)
+        da, db = (min(w, n) for w in widths)
+        if kind == "haar":
+            qa, qb = haar(rng, (6, n, da), field), haar(rng, (6, n, db), field)
+        elif kind == "cut":
+            qa, qb = _mixed_pairs(n, da, db, field, rng)
+        else:
+            k, m = sorted((da, db))
+            if not 2 <= k <= m < n:
+                return
+            qa, qb = _planted_pairs(n, k, m, field, _by_sine(np.sin(angle)), rng, 6)
+        self._assert_judged(qa, qb, tol)
 
 
 def _full_commutator_norms(qa, qb):
