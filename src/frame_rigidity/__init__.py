@@ -5,14 +5,15 @@ The top level exports the names the README and the benchmark use; everything
 else is imported from its module (``frame_rigidity.suites``, ...).
 """
 
+# bound before the submodules load, since the report module reads it
+__version__ = "0.1.0"
+
 from .errors import FrameRigidityError, NonFiniteError
 from .frames import FrameTuple, evert, linked_partner
 from .induced import CONJUGATION, IDENTITY, SemilinearMap, apply_to_subspace, induced_on_frame
 from .linalg import polar_decompose
 from .partitions import Tableau
 from .subspaces import Subspace, commeasurable, commeasurable_via_complements
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CONJUGATION",

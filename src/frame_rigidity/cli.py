@@ -9,7 +9,7 @@ import os
 import sys
 from typing import IO, ContextManager, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, FrameRigidityError
 from .linalg import COMPLEX, DEFAULT_TOL
 from .suites import SuiteConfig, list_suites, run_suite
 
@@ -109,7 +109,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     with report_file as handle:
-        report = run_suite(cfg)
+        try:
+            report = run_suite(cfg)
+        except FrameRigidityError as exc:
+            print(f"error: suite {cfg.suite}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         for record in (p.to_record() for p in report.properties):
             print(_property_line(record))
         verdict = "PASS" if report.passed else "FAIL"

@@ -122,7 +122,7 @@ class FrameTuple:
         if self._components is None:
             parts = self.shape.parts
             views = tuple(
-                Subspace._view(self.ambient, self._basis[:, end - d : end])
+                Subspace._view(self._basis[:, end - d : end])
                 for d, end in zip(parts, itertools.accumulate(parts))
             )
             object.__setattr__(self, "_components", views)

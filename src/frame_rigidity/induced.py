@@ -2,11 +2,10 @@
 
 A semilinear map is an invertible matrix together with a field automorphism
 tag (identity or conjugation).  Beyond the pointwise action this module
-provides: scale-equivalence (the "same map up to a global scalar" relation),
-the transform that moves eversion past an induced map (the contragredient
-``inv(T)^H``, which is U P^{-1} for the polar factors T = U P), and the
-reconstruction of hidden maps from their action on lines alone, asked of a
-stacked line oracle.
+provides the transform that moves eversion past an induced map (the
+contragredient ``inv(T)^H``, which is U P^{-1} for the polar factors T = U P),
+and the reconstruction of hidden maps from their action on lines alone, asked
+of a stacked line oracle.
 """
 
 from __future__ import annotations
@@ -204,25 +203,6 @@ def induced_on_frame(t: SemilinearMap, frame: FrameTuple, tol: float = DEFAULT_T
         t.matrix[None], conj, frame.stacked_basis()[None], [shape], tol
     )[0]
     return _frame(basis, shape)
-
-
-def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the two maps agree up to one global nonzero scalar.
-
-    The scalar estimate comes from the largest-magnitude entry of the second
-    matrix (nonzero, since the map is invertible), then the whole matrix is
-    verified entrywise against ``tol`` times the larger of the two matrices'
-    largest entries, so a global scale of either map leaves the verdict
-    unchanged.
-    """
-    require_tol(tol)
-    if t1.automorphism != t2.automorphism or t1.ambient != t2.ambient:
-        return False
-    m1, m2 = np.asarray(t1.matrix), np.asarray(t2.matrix)
-    i, j = np.unravel_index(np.argmax(np.abs(m2)), m2.shape)
-    lam = m1[i, j] / m2[i, j]
-    scale = max(np.max(np.abs(m1)), abs(lam) * np.max(np.abs(m2)))
-    return float(np.max(np.abs(m1 - lam * m2))) <= tol * scale
 
 
 def evert_conjugate_stack(matrices: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import __version__
+
 SCHEMA_VERSION = 1
 
 
@@ -23,27 +25,24 @@ class PropertyResult:
     worst_residual: float
     first_failing_trial: Optional[int] = None
     violation_rate: Optional[float] = None
-    passed: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_residual": self.worst_residual,
-            "first_failing_trial": self.first_failing_trial,
-            "violation_rate": self.violation_rate,
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 @dataclass
 class VerificationReport:
-    suite: str
     config: dict
     properties: list[PropertyResult] = field(default_factory=list)
     wall_time_s: float = 0.0
-    version: str = "0.1.0"
+
+    @property
+    def suite(self) -> str:
+        return self.config["suite"]
 
     @property
     def passed(self) -> bool:
@@ -63,7 +62,7 @@ class VerificationReport:
                 "properties": len(self.properties),
                 "failures": self.total_failures,
                 "passed": self.passed,
-                "version": self.version,
+                "version": __version__,
                 "wall_time_s": self.wall_time_s,
             },
         }

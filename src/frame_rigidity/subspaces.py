@@ -1,13 +1,14 @@
 """Points of the Grassmannian and their lattice arithmetic.
 
-A ``Subspace`` is an ambient dimension together with an orthonormal basis,
-stored column-wise.  Identity of a subspace is basis-independent: the meet,
-equality, containment and the strip-the-meet commensurability route are all
-read from the principal angles of one basis against the other
-(:func:`linalg.principal_angles` and :func:`linalg.residual_norms`), and the
-other commensurability route from the projector commutator; nothing compares
-basis entries.  Both routes take two bases or two ``(B, n, k)`` stacks of
-them, so the batched kernel runs the same functions.
+A ``Subspace`` is its orthonormal basis, stored column-wise; its ambient
+dimension is the basis's row count.  Identity of a subspace is
+basis-independent: the meet, equality, containment and the strip-the-meet
+commensurability route are all read from the principal angles of one basis
+against the other (:func:`linalg.principal_angles` and
+:func:`linalg.residual_norms`), and the other commensurability route from the
+projector commutator; nothing compares basis entries.  Both routes take two
+bases or two ``(B, n, k)`` stacks of them, so the batched kernel runs the same
+functions.
 
 The zero subspace (a basis with no columns) is a first-class value: it is
 what intersections return when they collapse, and it is the bottom element
@@ -49,22 +50,20 @@ class Subspace:
     orthonormal already.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("basis",)
 
     def __init__(self, ambient: int, basis: np.ndarray):
         if basis.ndim != 2 or basis.shape[0] != ambient:
             raise ValueError(f"basis must be {ambient} x d, got {basis.shape}")
-        object.__setattr__(self, "ambient", int(ambient))
         b = np.array(basis)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def _view(cls, ambient: int, basis: np.ndarray) -> "Subspace":
-        """The subspace on a read-only ``ambient x d`` orthonormal basis,
-        kept as it is rather than copied."""
+    def _view(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace on a read-only ``n x d`` orthonormal basis, kept as
+        it is rather than copied."""
         s = object.__new__(cls)
-        object.__setattr__(s, "ambient", ambient)
         object.__setattr__(s, "basis", basis)
         return s
 
@@ -73,6 +72,10 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim}, field={self.field!r})"
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:

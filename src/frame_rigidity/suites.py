@@ -145,14 +145,7 @@ class SuiteConfig:
             raise ConfigError(f"tol must be in [{MIN_TOL:g}, {MAX_TOL:g}], got {self.tol}")
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ambient": self.ambient,
-            "field": self.field,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+        return dict(vars(self))
 
 
 def _plain_int(value) -> bool:
@@ -801,7 +794,6 @@ def _run_property(cfg: SuiteConfig, prop: _Property) -> PropertyResult:
         worst_residual=worst,
         first_failing_trial=first_failing,
         violation_rate=None if prop.rate is None else rate,
-        passed=failures == 0,
     )
 
 
@@ -812,7 +804,6 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     results = [_run_property(cfg, prop) for prop in _REGISTRY[cfg.suite]]
     elapsed = time.perf_counter() - start
     return VerificationReport(
-        suite=cfg.suite,
         config=cfg.echo(),
         properties=results,
         wall_time_s=elapsed,

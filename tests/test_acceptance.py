@@ -29,7 +29,6 @@ from frame_rigidity.induced import (
     induced_on_frame,
     random_semilinear,
     reconstruct_from_line_images_stack,
-    scale_equivalent,
 )
 from frame_rigidity.kernels import batched_commeasurability_check
 from frame_rigidity.linalg import COMPLEX, REAL, spectral_norm
@@ -46,6 +45,7 @@ from frame_rigidity.partitions import (
 from frame_rigidity.rng import trial_rng
 from frame_rigidity.subspaces import Subspace
 from frame_rigidity.suites import SuiteConfig, list_suites, run_suite
+from test_induced import scale_equivalent
 
 DUAL_TOL = 1e-8
 RESIDUAL_BAND = 1e-7

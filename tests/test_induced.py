@@ -33,15 +33,16 @@ from frame_rigidity.induced import (
     induced_on_frame,
     random_semilinear,
     reconstruct_from_line_images_stack,
-    scale_equivalent,
 )
 from frame_rigidity.linalg import (
     COMPLEX,
+    DEFAULT_TOL,
     REAL,
     field_dtype,
     gaussian,
     haar,
     polar_decompose,
+    require_tol,
     residual_norms,
     unit_columns,
 )
@@ -49,6 +50,25 @@ from frame_rigidity.partitions import IntPartition, Tableau, set_partitions
 from frame_rigidity.subspaces import Subspace
 from test_frames import sound_frame
 from test_subspaces import random_subspace
+
+
+def scale_equivalent(t1: SemilinearMap, t2: SemilinearMap, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the two maps agree up to one global nonzero scalar.
+
+    The scalar estimate comes from the largest-magnitude entry of the second
+    matrix (nonzero, since the map is invertible), then the whole matrix is
+    verified entrywise against ``tol`` times the larger of the two matrices'
+    largest entries, so a global scale of either map leaves the verdict
+    unchanged.
+    """
+    require_tol(tol)
+    if t1.automorphism != t2.automorphism or t1.ambient != t2.ambient:
+        return False
+    m1, m2 = np.asarray(t1.matrix), np.asarray(t2.matrix)
+    i, j = np.unravel_index(np.argmax(np.abs(m2)), m2.shape)
+    lam = m1[i, j] / m2[i, j]
+    scale = max(np.max(np.abs(m1)), abs(lam) * np.max(np.abs(m2)))
+    return float(np.max(np.abs(m1 - lam * m2))) <= tol * scale
 
 
 def line(*v):

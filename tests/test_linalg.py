@@ -41,7 +41,6 @@ from frame_rigidity.induced import (
     random_semilinear,
     random_semilinear_stack,
     reconstruct_from_line_images_stack,
-    scale_equivalent,
 )
 from frame_rigidity.kernels import batched_commeasurability_check
 from frame_rigidity.linalg import (
@@ -642,7 +641,6 @@ def _tol_entries():
             e[None], np.array([False]), e[None], [lines], tol
         ),
         "induced_on_frame": lambda tol: induced_on_frame(t, frame, tol),
-        "scale_equivalent": lambda tol: scale_equivalent(t, t, tol),
         "evert_conjugate_stack": lambda tol: evert_conjugate_stack(e[None], tol),
         "evert_conjugate": lambda tol: evert_conjugate(t, tol),
         "reconstruct_stack": lambda tol: reconstruct_from_line_images_stack(

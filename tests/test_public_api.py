@@ -82,7 +82,6 @@ INDUCED_SURFACE = [
     "random_semilinear",
     "random_semilinear_stack",
     "reconstruct_from_line_images_stack",
-    "scale_equivalent",
 ]
 
 BENCHMARK_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"

@@ -937,6 +937,17 @@ class TestFramesKeepTheirArrays:
         for c, h in zip(frame.components, handed):
             assert np.array_equal(c.basis, h.basis) and not np.shares_memory(c.basis, h.basis)
 
+    def test_a_subspace_holds_only_its_basis(self):
+        # the ambient is the basis's row count; a basis of another row count
+        # than the ambient handed in is still refused
+        assert Subspace.__slots__ == ("basis",)
+        basis = np.eye(4)[:, :2]
+        assert Subspace(4, basis).ambient == 4
+        assert Subspace._view(basis[:, :1]).ambient == 4
+        for ambient, bad in ((3, basis), (5, basis), (4, basis[:, 0])):
+            with pytest.raises(ValueError):
+                Subspace(ambient, bad)
+
     def test_a_frame_holds_only_its_basis_and_shape(self, monkeypatch):
         assert FrameTuple.__slots__ == ("_basis", "shape", "_components")
         views = []

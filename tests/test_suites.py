@@ -11,10 +11,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import frame_rigidity
 from frame_rigidity import cli, suites
 from frame_rigidity.cli import _property_line
-from frame_rigidity.errors import ConfigError
-from frame_rigidity.report import VerificationReport
+from frame_rigidity import errors
+from frame_rigidity.errors import ConfigError, FrameRigidityError, SingularMatrixError
+from frame_rigidity.report import PropertyResult, VerificationReport
 from frame_rigidity.suites import (
     MAX_TOL,
     MIN_TOL,
@@ -27,6 +29,12 @@ from frame_rigidity.suites import (
 )
 
 ALL_SUITES = list_suites()
+# every library error a trial can raise; a ConfigError is refused before the run
+TRIAL_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, FrameRigidityError) and cls is not ConfigError
+]
 
 
 def run_cli(*args, env_extra=None):
@@ -301,9 +309,28 @@ class TestRunProperty:
         result = _run_property(cfg, prop)
         assert result.failures == 1 and result.first_failing_trial == 1
         assert np.isnan(result.worst_residual)
-        report = VerificationReport("pfr", cfg.echo(), [result])
+        report = VerificationReport(cfg.echo(), [result])
         assert '"worst_residual": NaN' in report.to_json()
         assert "worst_residual=nan" in _property_line(result.to_record())
+
+    def test_passed_is_derived_from_failures(self):
+        # a result with failures has not passed, whatever its other fields
+        assert PropertyResult("p", 10, 3, 0.0).passed is False
+        assert PropertyResult("p", 10, 0, 1.0).passed is True
+        record = PropertyResult("p", 10, 3, 0.0, 4).to_record()
+        assert list(record) == [
+            "name", "trials", "failures", "worst_residual",
+            "first_failing_trial", "violation_rate", "passed",
+        ]
+        assert record["passed"] is False
+
+    def test_report_reads_suite_and_version(self):
+        cfg = SuiteConfig(suite="obot", ambient=3, trials=2)
+        report = VerificationReport(cfg.echo())
+        assert report.suite == "obot"
+        summary = report.to_dict()["summary"]
+        assert summary["version"] == frame_rigidity.__version__
+        assert list(cfg.echo()) == ["suite", "ambient", "field", "trials", "seed", "tol"]
 
     @pytest.mark.parametrize("verdict", [True, False])
     def test_numpy_bool_judged_as_bool(self, verdict):
@@ -368,6 +395,48 @@ class TestCli:
         monkeypatch.setitem(suites._REGISTRY, "partitions", (failing,))
         assert cli.main(["--suite", "partitions", "--trials", "5"]) == 1
         assert "FAIL always-violated" in capsys.readouterr().out
+
+    def test_library_error_in_a_trial_exits_one(self, monkeypatch, tmp_path, capsys):
+        # a library error raised inside a trial ends the run with one error
+        # line, not a traceback, and leaves the report file empty
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("probe")
+
+        monkeypatch.setattr(suites, "evert_stack", singular)
+        target = tmp_path / "report.json"
+        argv = ["--suite", "pfr", "--ambient", "4", "--trials", "3", "--report", str(target)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: suite pfr: SingularMatrixError")
+        assert "Traceback" not in err and "PASS" not in out and "FAIL" not in out
+        assert target.read_text() == ""
+
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_library_error_exits_one_in_every_suite(self, suite, monkeypatch, capsys):
+        # every suite draws its trial streams through _trial_rngs; an error
+        # there is caught by the same handler whatever the suite
+        def failing(*args, **kwargs):
+            raise SingularMatrixError("probe")
+
+        monkeypatch.setattr(suites, "_trial_rngs", failing)
+        assert cli.main(["--suite", suite, "--trials", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: suite {suite}: SingularMatrixError: probe"]
+        assert out == ""
+
+    @pytest.mark.parametrize("error", TRIAL_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_library_error_exits_one(self, error, monkeypatch, capsys):
+        # the handler catches the library's base class, so each subclass ends
+        # the run with one line naming it
+        def failing(*args, **kwargs):
+            raise error("probe")
+
+        monkeypatch.setattr(suites, "evert_stack", failing)
+        assert cli.main(["--suite", "pfr", "--ambient", "4", "--trials", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: suite pfr: {error.__name__}: probe"]
+        assert "Traceback" not in err and out == ""
 
     def test_asymmetric_obot_verdict_is_a_violated_trial(self, monkeypatch, tmp_path, capsys):
         # a splitting verdict that differs by direction fails its trial rather
