@@ -42,6 +42,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     require_tol,
+    span_stack,
     unit_columns,
 )
 from .partitions import IntPartition
@@ -67,7 +68,7 @@ def apply_tagged_stack(
     matrix for all, conjugated first for map k where the boolean ``(B,)``
     array ``conj`` holds True.
 
-    The one place where a conjugation tag acts: maps on vectors, induced
+    The one place where a conjugation tag acts: images of subspaces, induced
     frames, line oracles and reconstructed candidates all go through it.
     """
     if conj.any():
@@ -128,15 +129,6 @@ class SemilinearMap:
     def field(self) -> str:
         return field_of(self.matrix)
 
-    def apply_to_vector(self, v: np.ndarray) -> np.ndarray:
-        """The image of a vector, or of every column of a matrix; the batch of
-        one of :func:`apply_tagged_stack`."""
-        v = np.asarray(v)
-        cols = v[:, None] if v.ndim == 1 else v
-        conj = np.array([self.automorphism == CONJUGATION])
-        image = apply_tagged_stack(self.matrix[None], conj, cols[None])[0]
-        return image[:, 0] if v.ndim == 1 else image
-
     def to_json(self) -> dict:
         return {"automorphism": self.automorphism, "matrix": matrix_to_json(self.matrix)}
 
@@ -148,23 +140,30 @@ class SemilinearMap:
         return cls(entries, obj["automorphism"], tol)
 
 
+def apply_to_subspace_stack(matrices, conj, bases, tol: float = DEFAULT_TOL) -> tuple:
+    """The image of ``bases[..., j, :, :]``, padded with zero columns, under
+    map j, ``M_j conj?(Q_j)``: the spans and ranks of
+    :func:`linalg.span_stack`, a zero subspace at rank 0."""
+    return span_stack(apply_tagged_stack(matrices, conj, bases), tol)
+
+
 def apply_to_subspace(t: SemilinearMap, a: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """Image subspace: conjugate the basis if the tag says so, multiply,
-    re-span.  Dimension is preserved since the map is invertible.
+    """Image subspace: :func:`apply_to_subspace_stack` at a batch of one.
+    Dimension is preserved since the map is invertible; a nonzero subspace
+    whose image is numerically zero raises ``ZeroInputError``.
 
     A real subspace fed to a complex map is promoted along the standard
     embedding; a complex subspace cannot be pushed through a real-tagged map.
     """
-    require_tol(tol)
     if t.ambient != a.ambient:
         raise AmbientMismatchError(f"map on {t.ambient} dims, subspace in {a.ambient}")
     if a.field == COMPLEX and t.field == REAL:
         raise FieldMismatchError("complex subspace under a real-tagged map")
-    basis = a.basis.astype(np.complex128) if t.field == COMPLEX else a.basis
-    if a.dim == 0:
-        return Subspace.zero(a.ambient, t.field)
-    image = t.apply_to_vector(basis)
-    return Subspace.from_columns(image, tol)
+    conj = np.array([t.automorphism == CONJUGATION])
+    q, rank = apply_to_subspace_stack(t.matrix[None], conj, a.basis[None], tol)
+    if rank[0] == 0 < a.dim:
+        raise ZeroInputError("all columns are numerically zero")
+    return Subspace(a.ambient, q[0, :, : rank[0]])
 
 
 def induced_on_frame_stack(

@@ -6,9 +6,9 @@ basis-independent: the meet, equality, containment and the strip-the-meet
 commensurability route are all read from the principal angles of one basis
 against the other (:func:`linalg.principal_angles` and
 :func:`linalg.residual_norms`), and the other commensurability route from the
-projector commutator; nothing compares basis entries.  Both routes take two
-bases or two ``(B, n, k)`` stacks of them, so the batched kernel runs the same
-functions.
+projector commutator; nothing compares basis entries.  Both routes and the
+meet take two bases or two ``(B, n, k)`` stacks of them, so the batched kernel
+and the suites run the same functions as the scalar methods.
 
 The zero subspace (a basis with no columns) is a first-class value: it is
 what intersections return when they collapse, and it is the bottom element
@@ -38,8 +38,20 @@ from .linalg import (
     require_tol,
     residual_norms,
     span,
+    span_stack,
     spectral_norm,
 )
+
+
+def meet_stack(a: np.ndarray, b: np.ndarray, rank_a, tol: float = DEFAULT_TOL) -> tuple:
+    """The meet of span ``a`` and span ``b``, two bases or ``(B, n, k)`` stacks
+    padded with zero columns, ``rank_a`` nonzero in ``a``: the principal vectors
+    at sine at most ``tol`` (Bjorck-Golub 1973), the others zeroed, whose
+    ``W W^H`` is the meet's projector, and the meet's dimension."""
+    require_tol(tol)
+    sines, vectors = principal_angles(a, b)
+    inside = sines <= tol
+    return vectors * inside[..., None, :], inside.sum(axis=-1) - (a.shape[-1] - rank_a)
 
 
 class Subspace:
@@ -125,24 +137,18 @@ class Subspace:
         return Subspace(n, u[:, d:])
 
     def sum(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
-        """Smallest subspace containing both operands (the lattice join)."""
+        """Lattice join: the span of both bases, :func:`linalg.span_stack` at a
+        batch of one."""
         self._check_compatible(other)
-        require_tol(tol)
-        stacked = np.hstack([self.basis, other.basis])
-        if stacked.shape[1] == 0:
-            return Subspace.zero(self.ambient, self.field)
-        q, _ = span(stacked, tol)
-        return Subspace(self.ambient, q)
+        q, rank = span_stack(np.hstack([self.basis, other.basis]), tol)
+        return Subspace(self.ambient, q[:, :rank])
 
     def intersect(self, other: "Subspace", tol: float = DEFAULT_TOL) -> "Subspace":
-        """Lattice meet: the principal vectors of ``self`` whose angle to
-        ``other`` has sine at most ``tol`` (:func:`linalg.principal_angles`,
-        Bjorck-Golub 1973).
-        """
+        """Lattice meet: :func:`meet_stack` at a batch of one.  The sines
+        descend, so the meet is the trailing principal vectors."""
         self._check_compatible(other)
-        require_tol(tol)
-        sines, vectors = principal_angles(self.basis, other.basis)
-        return Subspace(self.ambient, vectors[:, sines <= tol])
+        w, dim = meet_stack(self.basis, other.basis, self.dim, tol)
+        return Subspace(self.ambient, w[:, self.dim - dim :])
 
     # -- relations ----------------------------------------------------------
 

@@ -44,7 +44,7 @@ from .frames import (
 from .induced import (
     CONJUGATION,
     IDENTITY,
-    apply_tagged_stack,
+    apply_to_subspace_stack,
     cubic_line_distortion_stack,
     evert_conjugate_stack,
     induced_line_map_stack,
@@ -60,7 +60,6 @@ from .linalg import (
     field_dtype,
     gaussian,
     gaussian_stack,
-    principal_angles,
     residual_norms,
     span_stack,
 )
@@ -79,7 +78,7 @@ from .partitions import (
 )
 from .report import PropertyResult, VerificationReport
 from .rng import _trial_rngs
-from .subspaces import commutator_norms, remainders_orthogonal
+from .subspaces import commutator_norms, meet_stack, remainders_orthogonal
 
 EXHAUSTIVE_PARTITION_LIMIT = 6
 FALSIFY_EPS = 0.1
@@ -301,31 +300,15 @@ def _clr_pairs(cfg: SuiteConfig, rngs) -> tuple:
     return pair, dims, _random_maps(cfg, rngs)
 
 
-def _subspace_images(maps: tuple, bases: np.ndarray, tol: float) -> tuple:
-    """Stacked :func:`induced.apply_to_subspace` on bases padded with zero
-    columns, ``bases[..., k, :, :]`` under map k: the spans and ranks of
-    :func:`linalg.span_stack`, a zero subspace at rank 0."""
-    return span_stack(apply_tagged_stack(*maps, bases), tol)
-
-
-def _meets(a: np.ndarray, b: np.ndarray, rank_a: np.ndarray, tol: float) -> tuple:
-    """Stacked :meth:`Subspace.intersect` on bases padded with zero columns,
-    ``rank_a`` of them nonzero in ``a``: the principal vectors at sine at most
-    ``tol``, whose ``W W^H`` is the meet's projector, and the meet's dimension."""
-    sines, vectors = principal_angles(a, b)
-    inside = sines <= tol
-    return vectors * inside[..., None, :], inside.sum(axis=-1) - (a.shape[-1] - rank_a)
-
-
 def _clr_dims(cfg, trials, rngs):
     pair, dims, maps = _clr_pairs(cfg, rngs)
-    return (_subspace_images(maps, pair, cfg.tol)[1] == dims).all(axis=0)
+    return (apply_to_subspace_stack(*maps, pair, cfg.tol)[1] == dims).all(axis=0)
 
 
 def _clr_joins(cfg, trials, rngs):
     pair, _, maps = _clr_pairs(cfg, rngs)
     join, _ = span_stack(np.concatenate(pair, axis=-1), cfg.tol)
-    images, rank = _subspace_images(maps, np.concatenate([pair, join[None]]), cfg.tol)
+    images, rank = apply_to_subspace_stack(*maps, np.concatenate([pair, join[None]]), cfg.tol)
     rhs, rank_rhs = span_stack(np.concatenate(images[:2], axis=-1), cfg.tol)
     # the projector distance is 1 between subspaces of unequal dimensions
     return np.where(rank[2] == rank_rhs, residual_norms(rhs, images[2]), 1.0)
@@ -333,16 +316,16 @@ def _clr_joins(cfg, trials, rngs):
 
 def _clr_meets(cfg, trials, rngs):
     pair, dims, maps = _clr_pairs(cfg, rngs)
-    meet, _ = _meets(*pair, dims[0], cfg.tol)
-    images, rank = _subspace_images(maps, np.concatenate([pair, meet[None]]), cfg.tol)
-    rhs, rank_rhs = _meets(images[0], images[1], rank[0], cfg.tol)
+    meet, _ = meet_stack(*pair, dims[0], cfg.tol)
+    images, rank = apply_to_subspace_stack(*maps, np.concatenate([pair, meet[None]]), cfg.tol)
+    rhs, rank_rhs = meet_stack(images[0], images[1], rank[0], cfg.tol)
     return np.where(rank[2] == rank_rhs, residual_norms(rhs, images[2]), 1.0)
 
 
 def _clr_containment(cfg, trials, rngs):
     pair, dims, maps = _clr_pairs(cfg, rngs)
-    meet, _ = _meets(*pair, dims[0], cfg.tol)
-    images, _ = _subspace_images(maps, np.concatenate([pair, meet[None]]), cfg.tol)
+    meet, _ = meet_stack(*pair, dims[0], cfg.tol)
+    images, _ = apply_to_subspace_stack(*maps, np.concatenate([pair, meet[None]]), cfg.tol)
     return residual_norms(images[2][None], images[:2]).max(axis=0)
 
 

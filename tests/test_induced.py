@@ -11,6 +11,7 @@ from frame_rigidity.errors import (
     NonFiniteError,
     ShapeMismatchError,
     SingularMatrixError,
+    ZeroInputError,
 )
 from frame_rigidity.frames import (
     FrameTuple,
@@ -27,11 +28,13 @@ from frame_rigidity.induced import (
     IDENTITY,
     SemilinearMap,
     apply_to_subspace,
+    apply_to_subspace_stack,
     cubic_line_distortion_stack,
     evert_conjugate,
     induced_line_map_stack,
     induced_on_frame,
     random_semilinear,
+    random_semilinear_stack,
     reconstruct_from_line_images_stack,
 )
 from frame_rigidity.linalg import (
@@ -158,6 +161,39 @@ class TestApplyToSubspace:
         t = SemilinearMap(np.eye(2))
         with pytest.raises(AmbientMismatchError):
             apply_to_subspace(t, line(1, 0, 0))
+
+    def test_numerically_zero_image_refused(self):
+        t = SemilinearMap(1e-10 * np.eye(3))
+        with pytest.raises(ZeroInputError):
+            apply_to_subspace(t, line(1, 0, 0))
+
+
+class TestApplyToSubspaceStack:
+    """Row k of ``apply_to_subspace_stack`` on bases padded with zero columns
+    is ``apply_to_subspace`` of map k on the exact-width basis k: the same
+    dimension, field and span, zero subspaces and real subspaces under
+    complex maps included."""
+
+    @pytest.mark.parametrize(
+        "map_field, basis_field", [(REAL, REAL), (COMPLEX, COMPLEX), (COMPLEX, REAL)]
+    )
+    def test_rows_match_apply_to_subspace(self, map_field, basis_field):
+        rng = np.random.default_rng(5151)
+        for n in range(2, 7):
+            rngs = [np.random.default_rng(rng.integers(2**32)) for _ in range(n + 1)]
+            matrices = random_semilinear_stack(n, map_field, rngs)
+            conj = rng.random(n + 1) < 0.5 if map_field == COMPLEX else np.zeros(n + 1, bool)
+            q = haar(rng, (n + 1, n, n), basis_field)
+            # row d holds a d-dimensional subspace, the zero one at row 0
+            bases = q * (np.arange(n) < np.arange(n + 1)[:, None])[:, None, :]
+            images, rank = apply_to_subspace_stack(matrices, conj, bases, DEFAULT_TOL)
+            for d in range(n + 1):
+                t = SemilinearMap(matrices[d], CONJUGATION if conj[d] else IDENTITY)
+                want = apply_to_subspace(t, Subspace(n, q[d, :, :d]))
+                got = Subspace(n, images[d, :, : rank[d]])
+                assert rank[d] == want.dim == d
+                assert got.field == want.field == map_field
+                assert got.equals(want, 1e-12)
 
 
 class TestLatticeFunctoriality:

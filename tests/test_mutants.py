@@ -3,8 +3,9 @@ its module, and a named property must then fail at a small trial count."""
 
 import numpy as np
 
-from frame_rigidity import frames, induced, suites
+from frame_rigidity import frames, induced, subspaces, suites
 from frame_rigidity.partitions import Tableau
+from frame_rigidity.subspaces import Subspace
 from frame_rigidity.suites import SuiteConfig, run_suite
 
 
@@ -18,14 +19,16 @@ def test_ignoring_the_conjugation_tag_fails_the_round_trip(monkeypatch):
     # hidden conjugate-linear maps read as linear ones
     cfg = SuiteConfig("reconstruction", 4, "complex", trials=30, seed=1)
     assert _failures(cfg)["hidden-map-round-trip"] == 0
+    t = induced.SemilinearMap(np.eye(2, dtype=complex), induced.CONJUGATION)
+    line = Subspace.from_columns(np.array([[1.0], [1j]]))
+    assert not induced.apply_to_subspace(t, line).equals(line)
 
     def ignore_tag(matrices, conj, vectors):
         return matrices @ vectors
 
     monkeypatch.setattr(induced, "apply_tagged_stack", ignore_tag)
     assert _failures(cfg)["hidden-map-round-trip"] > 0
-    t = induced.SemilinearMap(np.eye(2, dtype=complex), induced.CONJUGATION)
-    assert t.apply_to_vector(np.array([1j, 0.0]))[0] == 1j
+    assert induced.apply_to_subspace(t, line).equals(line)
 
 
 def test_linkage_that_always_holds_fails_breaks_linkage(monkeypatch):
@@ -110,3 +113,22 @@ def test_partners_remixed_as_one_block_fail_linkage(monkeypatch):
     monkeypatch.setattr(suites, "linked_partner_stack", one_block)
     for suite, name in cfgs.items():
         assert _failures(SuiteConfig(suite, 4, "complex", trials=30, seed=1))[name] > 0
+
+
+def test_meet_outside_tol_fails_preserves_meets(monkeypatch):
+    # the meet read from the principal vectors at sine above tol: the scalar
+    # meet and the suites' padded meets are one function, so both go wrong
+    cfg = SuiteConfig("clr", 4, "complex", trials=30, seed=1)
+    assert _failures(cfg)["preserves-meets"] == 0
+    plane = Subspace.from_columns(np.eye(3)[:, :2])
+    assert plane.intersect(plane).dim == 2
+
+    def outside(a, b, rank_a, tol=1e-9):
+        sines, vectors = subspaces.principal_angles(a, b)
+        inside = sines > tol
+        return vectors * inside[..., None, :], inside.sum(axis=-1) - (a.shape[-1] - rank_a)
+
+    monkeypatch.setattr(subspaces, "meet_stack", outside)
+    monkeypatch.setattr(suites, "meet_stack", outside)
+    assert _failures(cfg)["preserves-meets"] > 0
+    assert plane.intersect(plane).dim != 2

@@ -28,6 +28,7 @@ from frame_rigidity.subspaces import (
     commeasurable,
     commeasurable_via_complements,
     commutator_norms,
+    meet_stack,
     remainder_norms,
     remainders_orthogonal,
 )
@@ -531,6 +532,59 @@ class TestStackIsItsRows:
                         for norms, value in zip(stacked, single):
                             assert isinstance(value, float)
                             assert abs(norms[k] - value) <= 1e-14
+
+
+def _padded(q, n):
+    """A ``(B, n, k)`` stack of bases padded with zero columns to width n."""
+    out = np.zeros(q.shape[:-1] + (n,), dtype=q.dtype)
+    out[..., : q.shape[-1]] = q
+    return out
+
+
+class TestMeetStack:
+    """``meet_stack`` on bases padded with zero columns gives, row by row,
+    the meet ``Subspace.intersect`` finds on the exact-width bases: its
+    dimension and its projector ``W W^H``."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_rows_match_intersect(self, field):
+        rng = np.random.default_rng(4242)
+        tol = 1e-9
+        for n in range(2, 9):
+            for da in range(1, n + 1):
+                for db in range(1, n + 1):
+                    q = haar(rng, (6, n, n), field)
+                    qa, qb = q[:, :, :da], haar(rng, (6, n, db), field)
+                    overlaps = [0] * 6
+                    for k in range(0, 6, 2):
+                        overlaps[k] = int(rng.integers(max(0, da + db - n), min(da, db) + 1))
+                        qb[k] = q[k, :, da - overlaps[k] : da - overlaps[k] + db]
+                    w, dims = meet_stack(_padded(qa, n), _padded(qb, n), da, tol)
+                    for k in range(6):
+                        meet = Subspace(n, qa[k]).intersect(Subspace(n, qb[k]), tol)
+                        assert dims[k] == meet.dim >= max(overlaps[k], da + db - n)
+                        gap = spectral_norm(w[k] @ adjoint(w[k]) - meet.projector())
+                        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_columns_change_nothing(self, field):
+        rng = np.random.default_rng(4343)
+        n, tol = 6, 1e-9
+        for da in range(n + 1):
+            for db in range(n + 1):
+                qa, qb = haar(rng, (4, n, da), field), haar(rng, (4, n, db), field)
+                qb[:, :, : min(da, db) // 2] = qa[:, :, : min(da, db) // 2]
+                w, dims = meet_stack(qa, qb, da, tol)
+                padded_w, padded_dims = meet_stack(_padded(qa, n), _padded(qb, n), da, tol)
+                assert padded_dims.tolist() == dims.tolist()
+                projectors = w @ adjoint(w), padded_w @ adjoint(padded_w)
+                assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_tol_refused(self, tol):
+        q = np.eye(3)[None]
+        with pytest.raises(ValueError):
+            meet_stack(q, q, 3, tol)
 
 
 def _a_side_remainder(qa, qb, tol):
