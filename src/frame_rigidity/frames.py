@@ -33,6 +33,7 @@ from .linalg import (
     conditioned_gaussian_stack,
     field_of,
     gaussian_stack,
+    haar_stack,
     principal_angles,
     require_same_field,
     require_tol,
@@ -560,7 +561,7 @@ def random_frame_stack(
     # refuses a count or shape that does not fit before any draw
     _component_layout(_one_each(rngs, shapes, "shapes"), ambient)
     if orthogonal:
-        return np.linalg.qr(gaussian_stack(rngs, (ambient, ambient), field)).Q
+        return haar_stack(rngs, (ambient, ambient), field)
     m = conditioned_gaussian_stack(rngs, ambient, field, 1.0 / _CONDITION_FLOOR)
     return span_components(m, shapes)
 

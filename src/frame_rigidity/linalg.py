@@ -388,10 +388,17 @@ def _full_rank(m: np.ndarray, tol: float, inverse: np.ndarray | None = None) -> 
     return full
 
 
+def haar_stack(rngs, shape: tuple, field: str) -> np.ndarray:
+    """One :func:`haar` array of ``shape`` from each generator, stacked: the
+    Q factors of :func:`gaussian_stack`."""
+    return np.linalg.qr(gaussian_stack(rngs, shape, field)).Q
+
+
 def haar(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     """Orthonormal columns with a Haar-distributed span: the Q factor of a
-    :func:`gaussian` array of ``shape``, which may be a stack ``(..., n, d)``."""
-    return np.linalg.qr(gaussian(rng, shape, field)).Q
+    :func:`gaussian` array of ``shape``, which may be a stack ``(..., n, d)``.
+    The batch of one of :func:`haar_stack`."""
+    return haar_stack([rng], shape, field)[0]
 
 
 def matrix_to_json(m: np.ndarray) -> list:

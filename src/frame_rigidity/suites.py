@@ -22,7 +22,6 @@ chunk as lists of combinatorial objects, one per stream.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -59,7 +58,7 @@ from .linalg import (
     _full_rank,
     field_dtype,
     gaussian,
-    gaussian_stack,
+    haar_stack,
     residual_norms,
     span_stack,
 )
@@ -151,11 +150,10 @@ def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# a batch of trials returns what each trial measured, in trial order: its
-# verdict (True when the property holds) or a residual
-BatchFn = Callable[
-    [SuiteConfig, Sequence[int], Sequence[np.random.Generator]], Sequence["bool | float"]
-]
+# a batch of trials returns what each trial measured, in trial order: a bool
+# or float array, or a sequence numpy reads as one, with one entry per trial,
+# its verdict (True when the property holds) or its residual
+BatchFn = Callable[[SuiteConfig, Sequence[int], Sequence[np.random.Generator]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def _clr_pairs(cfg: SuiteConfig, rngs) -> tuple:
     ``(2, B, n, n)`` bases of both blocks, padded with zero columns, their
     ``(2, B)`` dimensions, and the maps of :func:`_random_maps`."""
     n = cfg.ambient
-    q = np.linalg.qr(gaussian_stack(rngs, (n, n), cfg.field)).Q
+    q = haar_stack(rngs, (n, n), cfg.field)
     dims = []
     for rng in rngs:
         da, db = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
@@ -460,7 +458,7 @@ def _evorder_unitary_fixed(cfg, trials, rngs):
     # carries it through unchanged, so only the matrices are compared
     for rng in rngs:
         _random_automorphism(cfg.field, rng)
-    u = np.linalg.qr(gaussian_stack(rngs, (cfg.ambient, cfg.ambient), cfg.field)).Q
+    u = haar_stack(rngs, (cfg.ambient, cfg.ambient), cfg.field)
     v = evert_conjugate_stack(u, cfg.tol)
     return np.max(np.abs(v - u), axis=(1, 2))
 
@@ -506,7 +504,7 @@ def _obot_matches_pairwise(cfg, trials, rngs):
 
 def _obot_common_basis_splits(cfg, trials, rngs):
     n = cfg.ambient
-    q = np.linalg.qr(gaussian_stack(rngs, (n, n), cfg.field)).Q
+    q = haar_stack(rngs, (n, n), cfg.field)
     perms = np.array([rng.permutation(n) for rng in rngs])[:, None, :]
     shapes_s, shapes_t = _random_shapes(cfg, rngs), _random_shapes(cfg, rngs)
     t = np.take_along_axis(q, perms, axis=2)
@@ -566,7 +564,7 @@ def _refinement_lift_equivariance(cfg, trials, rngs):
     lhs = refine_map_stack(permute_stack(t, fine, stand_ins), fine, arrows)
     rhs = permute_stack(refine_map_stack(t, fine, arrows), coarse, sigmas)
     distances = frame_distances(lhs, rhs, coarse).tolist()
-    return [True if lift is None else d for lift, d in zip(lifts, distances)]
+    return [0.0 if lift is None else d for lift, d in zip(lifts, distances)]
 
 
 # -- partitions: pure combinatorics -----------------------------------------------
@@ -720,62 +718,40 @@ def suite_properties(suite: str) -> tuple[str, ...]:
     return tuple(p.name for p in _REGISTRY[suite])
 
 
-def _outcomes(cfg: SuiteConfig, prop: _Property):
-    """Yield ``(trial, outcome)`` for every trial, running the property on
-    chunks of ``_CHUNK`` trials with one stream per trial.  The streams come
-    from this thread's pool and are reset for each chunk, so a chunk's
-    outcomes are all read before the next chunk draws its streams."""
-    for start in range(0, cfg.trials, _CHUNK):
-        trials = range(start, min(start + _CHUNK, cfg.trials))
-        rngs = _trial_rngs(cfg.seed, cfg.suite, prop.name, trials)
-        yield from zip(trials, prop.run(cfg, trials, rngs), strict=True)
+def _residuals(cfg: SuiteConfig, prop: _Property, trials: range) -> np.ndarray:
+    """One chunk's outcomes as residuals, read before the next chunk resets
+    this thread's streams: a verdict counts 0.0 when it holds and 1.0,
+    violated at every band, when not.  Anything but one outcome per trial
+    raises ``ValueError``."""
+    rngs = _trial_rngs(cfg.seed, cfg.suite, prop.name, trials)
+    outcomes = np.asarray(prop.run(cfg, trials, rngs))
+    if outcomes.shape != (len(trials),):
+        raise ValueError(f"{prop.name}: {outcomes.shape} outcomes for {len(trials)} trials")
+    return (~outcomes).astype(float) if outcomes.dtype == bool else np.asarray(outcomes, float)
 
 
 def _run_property(cfg: SuiteConfig, prop: _Property) -> PropertyResult:
-    """Judge every trial's outcome and the property's rate rule.
-
-    The property runs on chunks of at most ``_CHUNK`` trials, each trial with
-    its own stream, and returns one outcome per trial; the outcomes do not
-    depend on the chunking.  A verdict counts 0.0 when it holds and 1.0
-    (violated) when not; a residual is violated above ``prop.band * cfg.tol``
-    or when it is NaN, and a NaN residual is the worst one.
-    """
-    worst = 0.0
-    violated_count = 0
-    first_violated: Optional[int] = None
-    first_clean: Optional[int] = None
-    for trial, outcome in _outcomes(cfg, prop):
-        if isinstance(outcome, (bool, np.bool_)):
-            residual, violated = (0.0, False) if outcome else (1.0, True)
-        else:
-            residual = float(outcome)
-            # written so that a NaN residual counts as violated
-            violated = not residual <= prop.band * cfg.tol
-        if residual > worst or math.isnan(residual):
-            # max() would keep worst over a NaN; a NaN stays once seen
-            worst = residual
-        if violated:
-            violated_count += 1
-            if first_violated is None:
-                first_violated = trial
-        elif first_clean is None:
-            first_clean = trial
-
+    """Judge the residuals of every trial, run in chunks of at most
+    ``_CHUNK`` trials that change no residual, and the property's rate rule.
+    A residual is violated above ``prop.band * cfg.tol`` or when it is NaN,
+    and a NaN residual is the worst one."""
+    residuals = np.concatenate([
+        _residuals(cfg, prop, range(start, min(start + _CHUNK, cfg.trials)))
+        for start in range(0, cfg.trials, _CHUNK)
+    ])
+    violated = ~(residuals <= prop.band * cfg.tol)
     low, high = prop.rate or (0.0, 0.0)
-    rate = violated_count / cfg.trials
-    if rate < low:
-        # too few violations: the clean trials are the failing ones
-        failures, first_failing = cfg.trials - violated_count, first_clean
-    elif rate > high:
-        failures, first_failing = violated_count, first_violated
-    else:
-        failures, first_failing = 0, None
+    rate = int(np.count_nonzero(violated)) / cfg.trials
+    # too few violations: the clean trials are the failing ones; in range, none
+    failing = ~violated if rate < low else violated if rate > high else violated[:0]
+    failures = int(np.count_nonzero(failing))
     return PropertyResult(
         name=prop.name,
         trials=cfg.trials,
         failures=failures,
-        worst_residual=worst,
-        first_failing_trial=first_failing,
+        # from 0.0, and adding 0.0 turns a -0.0 into 0.0; max keeps a NaN
+        worst_residual=float(residuals.max(initial=0.0)) + 0.0,
+        first_failing_trial=int(failing.argmax()) if failures else None,
         violation_rate=None if prop.rate is None else rate,
     )
 

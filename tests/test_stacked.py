@@ -483,7 +483,7 @@ def _refinement_lift_equivariance(cfg, trial, rng):
     sigma_coarse = _random_legal_permutation(coarse_frame.shape, rng)
     sigma_fine = lift_coarse_permutation(arrow, sigma_coarse)
     if sigma_fine is None:
-        return True
+        return 0.0
     lhs = _refine_by_sums(permute(t, sigma_fine), arrow)
     return _frame_distance(lhs, permute(coarse_frame, sigma_coarse))
 

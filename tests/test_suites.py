@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -229,6 +230,12 @@ def _judge(outcome, band=10.0):
     return _run_property(SuiteConfig(suite="partitions", trials=3, tol=1e-9), prop)
 
 
+def _judge_each(holds, trials, rate=None):
+    """Run a property whose trial t returns the verdict ``holds(t)``."""
+    prop = _Property("probe", lambda cfg, ts, rngs: [holds(t) for t in ts], rate=rate)
+    return _run_property(SuiteConfig(suite="partitions", trials=trials), prop)
+
+
 # sha256 of determinism_bytes for every suite at ambient 4, seed 3, 12
 # trials, on one numpy and LAPACK build: a change to any stream, sampler or
 # report byte shows up here; a deliberate one (a new stream layout) updates
@@ -337,6 +344,24 @@ class TestRunProperty:
         assert _judge(np.bool_(verdict)) == _judge(verdict)
         assert _judge(verdict).worst_residual == (0.0 if verdict else 1.0)
         assert _judge(verdict).passed is verdict
+
+    def test_failure_past_the_first_chunk_is_located(self):
+        result = _judge_each(lambda t: t != 200, 300)
+        assert result.failures == 1 and result.first_failing_trial == 200
+
+    def test_too_few_violations_fail_the_clean_trials(self):
+        result = _judge_each(lambda t: t >= 200, 300, rate=(0.9, 1.0))
+        assert result.violation_rate == 200 / 300
+        assert result.failures == 100 and result.first_failing_trial == 200
+
+    def test_negative_zero_residual_reports_positive_zero(self):
+        worst = _judge(-0.0).worst_residual
+        assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
+
+    def test_two_dimensional_outcomes_refused(self):
+        prop = _Property("probe", lambda cfg, trials, rngs: np.zeros((len(trials), 2)))
+        with pytest.raises(ValueError):
+            _run_property(SuiteConfig(suite="partitions", trials=3), prop)
 
 
 def _without_wall_time(stdout: str, report_path) -> tuple:
