@@ -13,8 +13,12 @@ each reset to (its trial's key, counter 0), so they draw exactly what a new
 properties keep their trials as ``(B, n, n)`` stacks, subspaces of smaller
 dimension padded with zero columns, and draw each trial's randomness from
 its own stream in the order one trial alone would, so the chunk size changes
-no report.  ``reconstruction`` recovers a chunk's hidden maps through the
-stacked line-oracle protocol (:func:`induced.reconstruct_from_line_images_stack`),
+no report.  Maps on line frames are families ``(cfg, rngs) -> phi``, one map
+per stream, ``phi`` taking a ``(B, n, n)`` stack of line frames to their
+images; induced maps are line oracles (:func:`induced.induced_line_map_stack`),
+and one linkage property serves them, eversion and the warp.
+``reconstruction`` recovers a chunk's hidden maps through the stacked
+line-oracle protocol (:func:`induced.reconstruct_from_line_images_stack`),
 which asks the oracle twice per chunk: once for every probe line and once
 for all 50 sweep lines.  ``partitions``, which draws no frame, keeps a
 chunk as lists of combinatorial objects, one per stream.
@@ -253,11 +257,30 @@ def _line_frames(cfg: SuiteConfig, orthogonal: bool, rngs) -> np.ndarray:
     )
 
 
-def _images(cfg: SuiteConfig, maps: tuple, frames: np.ndarray) -> np.ndarray:
-    """Image line frames under stacked maps from :func:`_random_maps`."""
-    return induced_on_frame_stack(
-        *maps, frames, [_line_shape(cfg.ambient)] * len(frames), cfg.tol
-    )
+def _induced(cfg: SuiteConfig, rngs):
+    """The line oracles of :func:`_random_maps`: each line moves on its own."""
+    return induced_line_map_stack(*_random_maps(cfg, rngs))
+
+
+def _everted(cfg: SuiteConfig, rngs):
+    """Eversion, which draws nothing: each line moves by all the others."""
+    return partial(evert_stack, shapes=[_line_shape(cfg.ambient)] * len(rngs))
+
+
+def _warped(eps: float):
+    """The family of the cubic line distortion at ``eps``, which draws nothing."""
+    return lambda cfg, rngs: cubic_line_distortion_stack(eps, cfg.tol)
+
+
+def _linkage_kept(cfg, trials, rngs, family, orthogonal: bool, breakable: bool = False):
+    """Linkage survives the map: per stream a partition, a line frame and its
+    linked partner, then the map of ``family``."""
+    shape = _line_shape(cfg.ambient)
+    pis = _partitions_for_trials(cfg, trials, rngs, breakable)
+    a = _line_frames(cfg, orthogonal, rngs)
+    b = linked_partner_stack(a, shape, pis, rngs)
+    phi = family(cfg, rngs)
+    return pi_linked_stack(phi(a), phi(b), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 def _partitions_for_trials(cfg: SuiteConfig, trials, rngs, breakable: bool = False) -> list:
@@ -332,7 +355,7 @@ def _clr_containment(cfg, trials, rngs):
 
 def _clrbis_images(cfg, rngs):
     frames = _line_frames(cfg, False, rngs)
-    return _images(cfg, _random_maps(cfg, rngs), frames)
+    return _induced(cfg, rngs)(frames)
 
 
 def _clrbis_independent(cfg, trials, rngs):
@@ -353,15 +376,6 @@ def _clrbis_sum_dims(cfg, trials, rngs):
 # -- pfr-perp: linkage of orthogonal line frames ---------------------------------
 
 
-def _pfrp_forward(cfg, trials, rngs):
-    shape, band = _line_shape(cfg.ambient), LINKAGE_BAND * cfg.tol
-    pis = _partitions_for_trials(cfg, trials, rngs)
-    a = _line_frames(cfg, True, rngs)
-    b = linked_partner_stack(a, shape, pis, rngs)
-    maps = _random_maps(cfg, rngs)
-    return pi_linked_stack(_images(cfg, maps, a), _images(cfg, maps, b), shape, pis, band)
-
-
 def _pfrp_both_directions(cfg, trials, rngs):
     shape = _line_shape(cfg.ambient)
     pis = _partitions_for_trials(cfg, trials, rngs)
@@ -374,21 +388,18 @@ def _pfrp_both_directions(cfg, trials, rngs):
         a[partners], shape, [pis[i] for i in partners], [rngs[i] for i in partners]
     )
     b[fresh] = _line_frames(cfg, True, [rngs[i] for i in fresh])
-    maps = _random_maps(cfg, rngs)
+    phi = _induced(cfg, rngs)
     before = pi_linked_stack(a, b, shape, pis, LINKAGE_BAND * cfg.tol)
-    after = pi_linked_stack(
-        _images(cfg, maps, a), _images(cfg, maps, b), shape, pis, LINKAGE_BAND * cfg.tol
-    )
-    return before == after
+    return before == pi_linked_stack(phi(a), phi(b), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 def _pfrp_equivariance(cfg, trials, rngs):
     n = cfg.ambient
     a = _line_frames(cfg, True, rngs)
-    maps = _random_maps(cfg, rngs)
+    phi = _induced(cfg, rngs)
     sigma = np.array([rng.permutation(n) for rng in rngs])[:, None, :]
-    lhs = _images(cfg, maps, np.take_along_axis(a, sigma, axis=2))
-    rhs = np.take_along_axis(_images(cfg, maps, a), sigma, axis=2)
+    lhs = phi(np.take_along_axis(a, sigma, axis=2))
+    rhs = np.take_along_axis(phi(a), sigma, axis=2)
     # the largest projector distance between matching lines, each line a
     # single-column basis
     lines = (rhs.swapaxes(1, 2)[..., None], lhs.swapaxes(1, 2)[..., None])
@@ -416,16 +427,6 @@ def _pfr_fixes_orthogonal(cfg, trials, rngs):
     shapes = _random_shapes(cfg, rngs)
     t = random_frame_stack(cfg.ambient, shapes, cfg.field, True, rngs)
     return frame_distances(evert_stack(t, shapes), t, shapes)
-
-
-def _pfr_preserves_linkage(cfg, trials, rngs):
-    shape = _line_shape(cfg.ambient)
-    pis = _partitions_for_trials(cfg, trials, rngs)
-    a = _line_frames(cfg, False, rngs)
-    b = linked_partner_stack(a, shape, pis, rngs)
-    # both sides everted in one stack
-    both = evert_stack(np.concatenate([a, b]), [shape] * (2 * len(rngs)))
-    return pi_linked_stack(*np.split(both, 2), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 def _pfr_permutations(cfg, trials, rngs):
@@ -623,24 +624,11 @@ def _reconstruction_rejects_distortion(cfg, trials, rngs):
     # distort the input line first: coordinate and diagonal probes are fixed
     # by the warp, so the candidate matrix is that of the hidden map and the
     # random-probe stage is what must catch the lie
-    base = induced_line_map_stack(*_random_maps(cfg, rngs))
-    warp = cubic_line_distortion_stack(FALSIFY_EPS, cfg.tol)
+    base, warp = _induced(cfg, rngs), _warped(FALSIFY_EPS)(cfg, rngs)
     _, _, refused = reconstruct_from_line_images_stack(
         lambda lines: base(warp(lines)), len(rngs), cfg.ambient, cfg.field, cfg.tol
     )
     return refused
-
-
-# -- falsify: the distortion should be caught by linkage --------------------------
-
-
-def _falsify(cfg, trials, rngs, eps):
-    shape = _line_shape(cfg.ambient)
-    pis = _partitions_for_trials(cfg, trials, rngs, breakable=True)
-    a = _line_frames(cfg, False, rngs)
-    b = linked_partner_stack(a, shape, pis, rngs)
-    warp = cubic_line_distortion_stack(eps, cfg.tol)
-    return pi_linked_stack(warp(a), warp(b), shape, pis, LINKAGE_BAND * cfg.tol)
 
 
 _REGISTRY: dict[str, tuple[_Property, ...]] = {
@@ -655,14 +643,18 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         _Property("image-preserves-sum-dimension", _clrbis_sum_dims),
     ),
     "pfr-perp": (
-        _Property("linkage-preserved-forward", _pfrp_forward),
+        _Property(
+            "linkage-preserved-forward", partial(_linkage_kept, family=_induced, orthogonal=True)
+        ),
         _Property("linkage-agreement-both-directions", _pfrp_both_directions),
         _Property("permutation-equivariance", _pfrp_equivariance),
     ),
     "pfr": (
         _Property("eversion-involution", _pfr_involution),
         _Property("eversion-fixes-orthogonal", _pfr_fixes_orthogonal),
-        _Property("eversion-preserves-linkage", _pfr_preserves_linkage),
+        _Property(
+            "eversion-preserves-linkage", partial(_linkage_kept, family=_everted, orthogonal=False)
+        ),
         _Property("eversion-commutes-with-permutations", _pfr_permutations),
     ),
     "eversion-order": (
@@ -696,12 +688,12 @@ _REGISTRY: dict[str, tuple[_Property, ...]] = {
         # a violated trial is one whose linkage the distortion broke
         _Property(
             "breaks-linkage",
-            partial(_falsify, eps=FALSIFY_EPS),
+            partial(_linkage_kept, family=_warped(FALSIFY_EPS), orthogonal=False, breakable=True),
             rate=(0.95, 1.0),
         ),
         _Property(
             "zero-distortion-control",
-            partial(_falsify, eps=0.0),
+            partial(_linkage_kept, family=_warped(0.0), orthogonal=False, breakable=True),
             rate=(0.0, 0.0),
         ),
     ),

@@ -8,6 +8,8 @@ from frame_rigidity.partitions import Tableau
 from frame_rigidity.subspaces import Subspace
 from frame_rigidity.suites import SuiteConfig, run_suite
 
+FIELDS = ("real", "complex")
+
 
 def _failures(cfg):
     return {p.name: p.failures for p in run_suite(cfg).properties}
@@ -132,3 +134,15 @@ def test_meet_outside_tol_fails_preserves_meets(monkeypatch):
     monkeypatch.setattr(suites, "meet_stack", outside)
     assert _failures(cfg)["preserves-meets"] > 0
     assert plane.intersect(plane).dim != 2
+
+
+def test_eversion_that_leaves_frames_fails_transport(monkeypatch):
+    # an identity eversion keeps linkage, fixes orthogonal frames and
+    # commutes with permutations; transport through an induced map, whose
+    # contragredient T^-H carries the duals, is what catches it
+    cfgs = [SuiteConfig("eversion-order", 4, field, trials=30, seed=1) for field in FIELDS]
+    for cfg in cfgs:
+        assert _failures(cfg)["conjugate-transport-commutes"] == 0
+    monkeypatch.setattr(suites, "evert_stack", lambda bases, shapes: bases)
+    for cfg in cfgs:
+        assert _failures(cfg)["conjugate-transport-commutes"] > 0

@@ -1085,7 +1085,8 @@ def test_a_chunk_builds_each_layout_once(monkeypatch):
         # ten trials: every property runs one chunk
         report = suites.run_suite(SuiteConfig(suite, ambient=8, trials=10, seed=4))
         assert all(p.passed for p in report.properties)
-    assert sum(len(keys) for keys in asked.values()) >= 8
+    # six layouts and one mask, counted exactly so that a layout added back shows
+    assert sum(len(keys) for keys in asked.values()) == 7
     for cached, keys in asked.items():
         assert keys and cached.cache_info().misses == len(keys)
 
@@ -1631,6 +1632,71 @@ class TestStackedReconstruction:
             for p in range(7):
                 one = warp(lines[k, :, p : p + 1])
                 np.testing.assert_allclose(one[:, 0], stacked[k, :, p], rtol=0, atol=1e-15)
+
+
+class TestLineMapFamilies:
+    """The suites' line-frame maps as families ``(cfg, rngs) -> phi``: bit for
+    bit the code they replace, and the two halves of the dichotomy, an
+    induced map moving each line on its own and eversion moving it by all
+    the others."""
+
+    TOL = 1e-9
+
+    def _rngs(self, count, seed):
+        return [np.random.default_rng(seed + k) for k in range(count)]
+
+    def _frames(self, cfg, count, seed):
+        return suites._line_frames(cfg, False, self._rngs(count, seed))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_induced_is_the_frame_map_on_lines(self, n, field):
+        cfg = SuiteConfig("pfr-perp", n, field, tol=self.TOL)
+        for count in (1, 9, 128):
+            frames = self._frames(cfg, count, 1000 * n)
+            phi = suites._induced(cfg, self._rngs(count, 7 * n))
+            matrices, conj = suites._random_maps(cfg, self._rngs(count, 7 * n))
+            if field == COMPLEX and count > 1:
+                assert conj.any() and not conj.all()
+            want = induced_on_frame_stack(
+                matrices, conj, frames, [_line_shape(n)] * count, self.TOL
+            )
+            assert np.array_equal(phi(frames), want)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_everted_sides_are_rows_of_one_eversion(self, n, field):
+        cfg = SuiteConfig("pfr", n, field, tol=self.TOL)
+        for count in (1, 9, 128):
+            a, b = self._frames(cfg, count, 100 * n), self._frames(cfg, count, 100 * n + 50)
+            phi = suites._everted(cfg, self._rngs(count, 0))
+            both = evert_stack(np.concatenate([a, b]), [_line_shape(n)] * (2 * count))
+            assert np.array_equal(phi(a), both[:count])
+            assert np.array_equal(phi(b), both[count:])
+
+    def _first_line_gaps(self, family, n, field):
+        """The projector distance between the first image lines of two line
+        frames that share their first line, over 128 trials."""
+        cfg = SuiteConfig("pfr", n, field, tol=self.TOL)
+        count = 128
+        a, b = self._frames(cfg, count, 10 * n), self._frames(cfg, count, 10 * n + 200)
+        scale = gaussian(np.random.default_rng(n), (count, 1), field)
+        b[:, :, 0] = scale * a[:, :, 0]
+        phi = family(cfg, self._rngs(count, 30 * n))
+        # normalized, so that a map that leaves the frames as they are reads 0
+        return residual_norms(*(unit_columns(phi(t)[:, :, :1]) for t in (a, b)))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_an_induced_map_moves_a_line_on_its_own(self, n, field):
+        gaps = self._first_line_gaps(suites._induced, n, field)
+        assert gaps.max() <= LINKAGE_BAND * self.TOL
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_eversion_moves_a_line_by_all_the_others(self, n, field):
+        gaps = self._first_line_gaps(suites._everted, n, field)
+        assert gaps.min() >= 1e3 * LINKAGE_BAND * self.TOL
 
 
 class TestChunking:
